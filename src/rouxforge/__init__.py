@@ -7,7 +7,8 @@ integer group algebra of a cyclic group (``cycalg``), roux matrices and
 their idempotent data (``roux``), radicalization and Higman-pair
 machinery (``radical``), the numeric line-packing layer (``lines``), the
 built-in group families and refutation witnesses (``families``), and a
-CLI (``cli``).
+CLI (``cli``).  The brute-force reference checks that the tests compare
+against live in ``rouxforge.oracles``, which no other module imports.
 """
 
 from .field import FieldSpec, FieldElement, MultiplicativeCharacter

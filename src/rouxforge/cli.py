@@ -35,16 +35,7 @@ from .group import (
     natural_permutation_action,
     projective_line_action,
 )
-from .radical import (
-    HigmanDecompositionTable,
-    RadicalError,
-    cover_from_group,
-    detect_higman,
-    find_key,
-    radicalize,
-    roux_from_higman_pair,
-    roux_params_from_radicalization,
-)
+from .radical import HigmanDecompositionTable, RadicalError, cover_from_group, higman_roux
 from .roux import (
     RouxAxiomError,
     RouxIdentityError,
@@ -251,6 +242,7 @@ def cmd_detect(args) -> int:
             return EXIT_NOT_2TRANSITIVE
         cover = cover_from_group(G, action)
         cover.verify()
+        chars = enumerate_linear_characters(cover.stab)
     except (GroupError, InputError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, GroupError) and "transitive" in str(exc):
             print(f"error: {exc} (H1 fails)", file=sys.stderr)
@@ -258,7 +250,6 @@ def cmd_detect(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    chars = enumerate_linear_characters(cover.stab)
     if args.character_index is not None:
         if not 0 <= args.character_index < len(chars):
             print(f"error: character index out of range 0..{len(chars) - 1}", file=sys.stderr)
@@ -273,27 +264,23 @@ def cmd_detect(args) -> int:
 
     def run(item):
         idx, alpha = item
+        found = higman_roux(cover, alpha, x, table)
         row = {
             "character": {
                 "index": idx,
                 "image_order": alpha.modulus,
                 "exponents_on_generators": [alpha.exponent(g) for g in cover.stab.generators],
             },
-            "higman": detect_higman(cover, alpha, x),
+            "higman": found is not None,
             "key": None,
             "params": None,
             "idempotents": None,
         }
-        if row["higman"]:
-            rad = radicalize(cover, alpha)
-            key = find_key(rad, x)
-            params = roux_params_from_radicalization(rad, key, table)
-            B = roux_from_higman_pair(rad, key, table)
-            assert verify_roux(B).coeffs == params.coeffs
-            row["key"] = [x_index, key.z_exponent]
-            row["params"] = list(params.coeffs)
-            row["r"] = rad.r
-            row["idempotents"] = idempotent_report(params)
+        if found is not None:
+            row["key"] = [x_index, found.key.z_exponent]
+            row["params"] = list(found.params.coeffs)
+            row["r"] = found.rad.r
+            row["idempotents"] = idempotent_report(found.params)
         return row
 
     if args.jobs > 1:
@@ -370,7 +357,7 @@ def _verify_roux_file(data: dict, args) -> int:
 def _verify_signature_file(data: dict, args) -> int:
     S = _complex_matrix_from_json(data)
     try:
-        gram, _ = lines.gram_from_signature(S)
+        gram = lines.gram_from_signature(S)
         cert = lines.verify_etf(gram)
     except lines.SignatureAxiomError as exc:
         _emit({"kind": "signature", "passed": False,
@@ -438,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", parents=[shared], help="Higman-pair detection for a group file")
     det.add_argument("group", help="group spec JSON (see README for the format)")
-    det.add_argument("--all-characters", action="store_true", default=True)
     det.add_argument("--character-index", type=int, default=None)
     det.set_defaults(func=cmd_detect)
 

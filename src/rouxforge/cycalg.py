@@ -144,40 +144,6 @@ def characters(r: int) -> list[CyclicCharacter]:
     return [CyclicCharacter(r, k) for k in range(r)]
 
 
-def circulant(r: int, coeffs: Sequence) -> np.ndarray:
-    """Cayley representation of sum_e coeffs[e] * (exponent e) in C_r.
-
-    Row u, column v carries coeffs[(u - v) mod r]; exponent e maps to the
-    left-regular permutation matrix, so the map is multiplicative.
-    """
-    out = np.zeros((r, r), dtype=np.int64)
-    for e, c in enumerate(coeffs):
-        if c:
-            for v in range(r):
-                out[(v + e) % r, v] = c
-    return out
-
-
-def cayley_lift(entries, r: int) -> np.ndarray:
-    """Lift an n x n matrix over Z[C_r] to an rn x rn integer matrix.
-
-    ``entries[i][j]`` is a length-r coefficient vector (or a
-    GroupAlgebraElement).  The lift replaces each group element with its
-    r x r Cayley representation and is a *-algebra homomorphism.
-    """
-    n = len(entries)
-    out = np.zeros((r * n, r * n), dtype=np.int64)
-    for i in range(n):
-        row = entries[i]
-        if len(row) != n:
-            raise AlgebraError("matrix must be square")
-        for j in range(n):
-            cell = row[j]
-            coeffs = cell.coeffs if isinstance(cell, GroupAlgebraElement) else cell
-            out[i * r : (i + 1) * r, j * r : (j + 1) * r] = circulant(r, coeffs)
-    return out
-
-
 def fourier_transform(c: GroupAlgebraElement, alpha: CyclicCharacter) -> complex:
     """sum_h c_h * conj(alpha(h)); real whenever c is symmetric."""
     if alpha.r != c.r:

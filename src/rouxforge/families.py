@@ -38,20 +38,13 @@ from .lines import (
     verify_etf,
     welch_bound,
 )
-from .radical import (
-    CoverData,
-    HigmanDecompositionTable,
-    detect_higman,
-    find_key,
-    radicalize,
-    roux_from_higman_pair,
-    roux_params_from_radicalization,
-)
+from .radical import CoverData, HigmanDecompositionTable, higman_roux
 from .roux import (
     RouxMatrix,
     RouxParameters,
     compress_to_subgroup,
     idempotent_data,
+    idempotent_report,
     is_real_lines,
     signature_matrix,
     verify_roux,
@@ -59,6 +52,10 @@ from .roux import (
 
 SL2_MAX_Q = 31
 SU3_DEFAULT_MAX_Q = 4
+# Relation checks in the Suzuki and Ree witnesses: how many cases, and
+# the seed that draws them where the full sweep is too large.
+WITNESS_SAMPLES = 100
+WITNESS_RNG_SEED = 0
 
 
 class FamilyError(ValueError):
@@ -227,29 +224,6 @@ def sl2_cover(q: int, materialize: bool = False) -> tuple[CoverData, tuple]:
     return CoverData(action, stab, base), x
 
 
-def _su3_context(q: int):
-    p, k = prime_power(q)
-    spec2 = FieldSpec(p, 2 * k)
-    ops = MatOps(spec2, 3)
-
-    def conj(a):  # the order-2 field automorphism a -> a^q
-        return spec2.pow(a, q)
-
-    def hermitian(u, v):
-        t = spec2.mul(u[0], conj(v[2]))
-        t = spec2.add(t, spec2.mul(u[1], conj(v[1])))
-        return spec2.add(t, spec2.mul(u[2], conj(v[0])))
-
-    def eta(e):
-        # diag(e, e^(q-1), e^(-q)): the determinant-1 torus of the form
-        return ((e, 0, 0), (0, spec2.mul(conj(e), spec2.inv(e)), 0), (0, 0, spec2.inv(conj(e))))
-
-    def xi(a, b):
-        return ((1, a, b), (0, 1, spec2.neg(conj(a))), (0, 0, 1))
-
-    return spec2, ops, conj, hermitian, eta, xi
-
-
 def isotropic_line_action(G, q: Optional[int] = None) -> GroupAction:
     """Action of a 3x3 matrix group over F_{q^2} on the isotropic lines of
     the Hermitian form (u, v) = u1 v3^q + u2 v2^q + u3 v1^q."""
@@ -290,7 +264,20 @@ def su3_cover(q: int, materialize: bool = False) -> tuple[CoverData, tuple, tupl
     stabilizer element eta(b0) whose character value fixes the key sign
     (b0 a nonzero element of zero trace: b0 + b0^q = 0).
     """
-    spec2, ops, conj, hermitian, eta, xi = _su3_context(q)
+    p, k = prime_power(q)
+    spec2 = FieldSpec(p, 2 * k)
+    ops = MatOps(spec2, 3)
+
+    def conj(a):  # the order-2 field automorphism a -> a^q
+        return spec2.pow(a, q)
+
+    def eta(e):
+        # diag(e, e^(q-1), e^(-q)): the determinant-1 torus of the form
+        return ((e, 0, 0), (0, spec2.mul(conj(e), spec2.inv(e)), 0), (0, 0, spec2.inv(conj(e))))
+
+    def xi(a, b):
+        return ((1, a, b), (0, 1, spec2.neg(conj(a))), (0, 0, 1))
+
     pairs = [
         (a, b)
         for a in range(spec2.q)
@@ -311,25 +298,9 @@ def su3_cover(q: int, materialize: bool = False) -> tuple[CoverData, tuple, tupl
         G = closure(gens, ops, name=f"SU(3,{q})")
     else:
         G = GeneratedGroup(ops, gens, name=f"SU(3,{q})")
-
-    points = []
-    one = 1
-    for a in range(spec2.q):
-        for b in range(spec2.q):
-            v = (one, a, b)
-            if hermitian(v, v) == 0:
-                points.append(v)
-    for b in range(spec2.q):
-        v = (0, one, b)
-        if hermitian(v, v) == 0:
-            points.append(v)
-    v = (0, 0, one)
-    if hermitian(v, v) == 0:
-        points.append(v)
-    if len(points) != q**3 + 1:
+    action = isotropic_line_action(G, q)
+    if action.degree != q**3 + 1:
         raise FamilyError("wrong isotropic point count")
-
-    action = GroupAction(G, points, lambda g, pt: projective_point(spec2, ops.apply(g, pt)))
     base = projective_point(spec2, (1, 0, 0))
 
     if q % 2:
@@ -377,7 +348,7 @@ def _line_set_records(B: RouxMatrix, params: RouxParameters) -> list[LineSetReco
     for k in range(r):
         plus, minus = idempotent_data(params, k)
         S = signature_matrix(B, k, params)
-        gram, _ = gram_from_signature(S)
+        gram = gram_from_signature(S)
         cert = verify_etf(gram)
         comp_cert = None
         if gram.d < n:
@@ -397,17 +368,6 @@ def _line_set_records(B: RouxMatrix, params: RouxParameters) -> list[LineSetReco
     return records
 
 
-def _idempotent_rows(params: RouxParameters) -> list[dict]:
-    rows = []
-    for k in range(params.r):
-        real = is_real_lines(params, k)
-        for data in idempotent_data(params, k):
-            row = data.to_json()
-            row["real"] = real
-            rows.append(row)
-    return rows
-
-
 def _process_character(
     cover: CoverData,
     alpha,
@@ -418,21 +378,16 @@ def _process_character(
     table: Optional[HigmanDecompositionTable] = None,
 ) -> CharacterBlock:
     """Run detection and, on success, the full roux pipeline for one character."""
+    found = higman_roux(cover, alpha, x, table, prefer_exponent)
     block = CharacterBlock(
         index=index,
         image_order=alpha.modulus,
         exponents_on_generators=[alpha.exponent(g) for g in cover.stab.generators],
-        higman=detect_higman(cover, alpha, x),
+        higman=found is not None,
     )
-    if not block.higman:
+    if found is None:
         return block
-    rad = radicalize(cover, alpha, verify=True)
-    key = find_key(rad, x, prefer_exponent=prefer_exponent)
-    params = roux_params_from_radicalization(rad, key, table)
-    B = roux_from_higman_pair(rad, key, table)
-    verified = verify_roux(B)
-    if verified.coeffs != params.coeffs:
-        raise FamilyError("roux parameters disagree with the counting formula")
+    rad, key, params, B = found.rad, found.key, found.params, found.roux
     block.key_z_exponent = key.z_exponent
     block.r = rad.r
     block.params = list(params.coeffs)
@@ -444,7 +399,7 @@ def _process_character(
     block.working_roux = working
     block.working_r = working.r
     block.working_params = list(working_params.coeffs)
-    block.idempotents = _idempotent_rows(working_params)
+    block.idempotents = idempotent_report(working_params)
     block.line_sets = _line_set_records(working, working_params)
     return block
 
@@ -651,7 +606,7 @@ class WitnessReport:
         }
 
 
-def suzuki_refutation(q: int, samples: int = 100, rng_seed: int = 0) -> WitnessReport:
+def suzuki_refutation(q: int) -> WitnessReport:
     """Witness computation showing the Suzuki stabilizer's characters all
     fail the Higman detector.
 
@@ -690,13 +645,13 @@ def suzuki_refutation(q: int, samples: int = 100, rng_seed: int = 0) -> WitnessR
     x = tuple(tuple(1 if i + j == 3 else 0 for j in range(4)) for i in range(4))
 
     report = WitnessReport("suzuki", f"Sz({q})", [], [])
-    rng = random.Random(rng_seed)
+    rng = random.Random(WITNESS_RNG_SEED)
     if q <= 8:
         cases = [(a, b, f, g) for a in range(q) for b in range(q) for f in range(q) for g in range(q)]
         # full sweep at this scale would be q^4 = 4096 pairs; sample evenly
-        cases = cases[:: max(1, len(cases) // max(samples, 1))]
+        cases = cases[:: max(1, len(cases) // WITNESS_SAMPLES)]
     else:
-        cases = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(samples)]
+        cases = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(WITNESS_SAMPLES)]
     ok = all(
         ops.mul(xi(a, b), xi(f, g))
         == xi(spec.add(a, f), spec.add(spec.add(b, g), spec.mul(spec.pow(a, t), f)))
@@ -744,7 +699,7 @@ def suzuki_refutation(q: int, samples: int = 100, rng_seed: int = 0) -> WitnessR
     return report
 
 
-def ree_refutation(q: int, samples: int = 100, rng_seed: int = 0) -> WitnessReport:
+def ree_refutation(q: int) -> WitnessReport:
     """Witness computation for the Ree family: every detector-passing
     character is real-valued, and a self-inverse x outside the stabilizer
     forces the corresponding lines to be real."""
@@ -814,13 +769,13 @@ def ree_refutation(q: int, samples: int = 100, rng_seed: int = 0) -> WitnessRepo
     x = tuple(tuple(N(1) if i + j == 6 else 0 for j in range(7)) for i in range(7))
 
     report = WitnessReport("ree", f"2G2({q})", [], [])
-    rng = random.Random(rng_seed)
+    rng = random.Random(WITNESS_RNG_SEED)
     if q == 3:
         prods = [(a, b, c, f, g, h) for a in range(3) for b in range(3) for c in range(3)
                  for f in range(3) for g in range(3) for h in range(3)]
-        prods = prods[:: max(1, len(prods) // max(samples, 1))]
+        prods = prods[:: max(1, len(prods) // WITNESS_SAMPLES)]
     else:
-        prods = [tuple(rng.randrange(q) for _ in range(6)) for _ in range(samples)]
+        prods = [tuple(rng.randrange(q) for _ in range(6)) for _ in range(WITNESS_SAMPLES)]
 
     def expected_product(a, b, c, f, g, h):
         a2 = spec.add(a, f)

@@ -334,21 +334,6 @@ class FieldElement:
         return f"F{self.spec.q}:{self.coeffs}"
 
 
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch add/mul/sub/div on two elements of the same field."""
-    if a.spec != b.spec:
-        raise FieldError("mismatched field specs")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "sub":
-        return a - b
-    if op == "div":
-        return a / b
-    raise FieldError(f"unknown op {op!r}")
-
-
 def frobenius(a: FieldElement, power: int = 1) -> FieldElement:
     """The p^power-th power map, a field automorphism fixing F_p."""
     return FieldElement(a.spec, a.spec.frobenius_code(a.code, power))
@@ -368,7 +353,7 @@ class MultiplicativeCharacter:
 
     With generator lam and level l, the character sends lam^j to the
     root of unity with exponent j*l in Z_{q-1}.  Exponents are exact
-    integers; complex values appear only through ``value``.
+    integers.
     """
 
     def __init__(self, generator: FieldElement, level: int):
@@ -388,20 +373,11 @@ class MultiplicativeCharacter:
     def image_order(self) -> int:
         return self.modulus // math.gcd(self.level, self.modulus)
 
-    @property
-    def is_real(self) -> bool:
-        return self.image_order <= 2
-
     def exponent(self, a: FieldElement) -> int:
         """Exponent of the character value in Z_{q-1}."""
         if a.code == 0:
             raise FieldError("character undefined at zero")
         return (self._dlog[a.code] * self.level) % self.modulus
-
-    def value(self, a: FieldElement) -> complex:
-        import cmath
-
-        return cmath.exp(2j * cmath.pi * self.exponent(a) / self.modulus)
 
     def sign(self, a: FieldElement) -> int:
         """+1/-1 for real-valued characters."""

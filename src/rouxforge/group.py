@@ -11,7 +11,6 @@ Groups are immutable once closed; all queries are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -19,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .field import FieldSpec
 
 CLOSURE_CAP = 10**6
+HOMOMORPHISM_EXHAUSTIVE_LIMIT = 300
 
 
 class GroupError(ValueError):
@@ -166,13 +166,6 @@ class FiniteGroup:
 
     def subgroup(self, elements: Iterable, generators: Optional[Sequence] = None) -> "Subgroup":
         return Subgroup(self, elements, generators)
-
-    def random_element(self, rng, word_length: int = 32):
-        """Random element as a word in the generators (deterministic rng)."""
-        acc = self.identity
-        for _ in range(word_length):
-            acc = self.mul(acc, rng.choice(self.generators))
-        return acc
 
 
 class GeneratedGroup:
@@ -360,21 +353,6 @@ def projective_line_action(G: FiniteGroup) -> GroupAction:
     return GroupAction(G, points, lambda g, p: projective_point(spec, ops.apply(g, p)))
 
 
-def coset_action(G: FiniteGroup, K: Subgroup) -> GroupAction:
-    """Left multiplication action of G on left cosets xK (keyed by min element)."""
-    rep_of: dict = {}
-    reps = []
-    for g in G.elements:
-        if g in rep_of:
-            continue
-        members = sorted(G.mul(g, k) for k in K.elements)
-        r = members[0]
-        reps.append(r)
-        for m in members:
-            rep_of[m] = r
-    return GroupAction(G, reps, lambda g, p: rep_of[G.mul(g, p)])
-
-
 def stabilizer(action: GroupAction, point) -> Subgroup:
     """Point stabilizer {g : g.point = point}, by full enumeration."""
     G = action.group
@@ -395,33 +373,6 @@ def is_doubly_transitive(action: GroupAction) -> bool:
     rest = [p for p in action.points if p != base]
     sub = GroupAction(stab, rest, action._apply)
     return len(sub.orbit(rest[0])) == len(rest)
-
-
-def is_doubly_transitive_bruteforce(action: GroupAction) -> bool:
-    """Definition-level oracle: every ordered pair maps to every other."""
-    G = action.group
-    pts = action.points
-    pairs = {(p, q) for p in pts for q in pts if p != q}
-    if not pairs:
-        return False
-    base = next(iter(sorted(pairs)))
-    reached = {(action.act(g, base[0]), action.act(g, base[1])) for g in G.elements}
-    return reached == pairs
-
-
-def double_coset_decomposition(G: FiniteGroup, H: Subgroup) -> list[list]:
-    """Partition of G into double cosets HxH, cells sorted by min element."""
-    assigned: dict = {}
-    cells = []
-    for g in G.elements:
-        if g in assigned:
-            continue
-        members = sorted({G.mul(G.mul(h1, g), h2) for h1 in H.elements for h2 in H.elements})
-        cells.append(members)
-        for m in members:
-            assigned[m] = True
-    cells.sort(key=lambda cell: cell[0])
-    return cells
 
 
 def derived_subgroup(G: FiniteGroup, cap: int = 10**5) -> Subgroup:
@@ -477,16 +428,7 @@ class LinearCharacter:
     def is_trivial(self) -> bool:
         return self.modulus == 1
 
-    @property
-    def is_real(self) -> bool:
-        return self.modulus <= 2
-
-    def value(self, gkey) -> complex:
-        import cmath
-
-        return cmath.exp(2j * cmath.pi * self.exponents[gkey] / self.modulus)
-
-    def verify_homomorphism(self, G: FiniteGroup, exhaustive_limit: int = 300) -> None:
+    def verify_homomorphism(self, G: FiniteGroup) -> None:
         """Verify chi(ab) = chi(a) + chi(b).
 
         Checked on all pairs for small domains; for larger ones on
@@ -494,7 +436,7 @@ class LinearCharacter:
         every pair by induction on words in the generators.
         """
         m = self.modulus
-        left = G.elements if G.order <= exhaustive_limit else G.generators
+        left = G.elements if G.order <= HOMOMORPHISM_EXHAUSTIVE_LIMIT else G.generators
         for a in left:
             for b in G.elements:
                 if (self.exponents[a] + self.exponents[b]) % m != self.exponents[G.mul(a, b)]:
@@ -577,7 +519,8 @@ def enumerate_linear_characters(G: FiniteGroup, cap: int = 10**4) -> list[Linear
         new_chars = []
         for chi in chars:
             t0 = chi[g_s]
-            assert t0 % s == 0, "character extension congruence must be solvable"
+            if t0 % s:
+                raise GroupError("character extension congruence is not solvable")
             for j in range(s):
                 x = (t0 // s + j * (M // s)) % M
                 ext = dict(chi)
@@ -604,7 +547,8 @@ def enumerate_linear_characters(G: FiniteGroup, cap: int = 10**4) -> list[Linear
         sig = tuple(full[el] for el in G.generators)
         out.append(LinearCharacter(m, full, key=(m, sig)))
     out.sort(key=lambda c: c.key)
-    assert len(out) == Q.order
+    if len(out) != Q.order:
+        raise GroupError("character count differs from the abelianization order")
     return out
 
 
@@ -667,6 +611,3 @@ def group_to_json(G: FiniteGroup) -> dict:
         }
     raise GroupError("only permutation and matrix groups serialize")
 
-
-def loads_group(text: str) -> FiniteGroup:
-    return group_from_json(json.loads(text))

@@ -19,6 +19,8 @@ ETF_TOL = 1e-9
 EIG_CLUSTER_RTOL = 1e-6
 PSD_TOL = 1e-9
 REAL_TOL = 1e-9
+# Two-graph parity is checked on every 4-subset up to this many vertices.
+PARITY_EXHAUSTIVE_CAP = 30
 
 
 class LinesError(ValueError):
@@ -32,20 +34,28 @@ class SignatureAxiomError(LinesError):
 
 
 def check_signature(S: np.ndarray, tol: float = SIG_TOL) -> np.ndarray:
-    """Validate S1 (zero diagonal), S2 (unimodular off-diagonal), S3 (Hermitian)."""
+    """Validate S1 (zero diagonal), S2 (unimodular off-diagonal), S3 (Hermitian).
+
+    The first failure is reported: any diagonal cell first, then cells in
+    row-major order, unimodularity before Hermitian symmetry in one cell.
+    """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     if S.shape != (n, n):
         raise SignatureAxiomError("signature matrix must be square")
-    for i in range(n):
-        if abs(S[i, i]) > tol:
-            raise SignatureAxiomError(f"nonzero diagonal at ({i},{i})", cell=(i, i))
-    for i in range(n):
-        for j in range(n):
-            if i != j and abs(abs(S[i, j]) - 1) > tol:
-                raise SignatureAxiomError(f"non-unimodular entry at ({i},{j})", cell=(i, j))
-            if abs(S[i, j] - S[j, i].conjugate()) > tol:
-                raise SignatureAxiomError(f"not Hermitian at ({i},{j})", cell=(i, j))
+    bad_diag = np.abs(np.diagonal(S)) > tol
+    if bad_diag.any():
+        i = int(np.argmax(bad_diag))
+        raise SignatureAxiomError(f"nonzero diagonal at ({i},{i})", cell=(i, i))
+    bad_mod = np.abs(np.abs(S) - 1) > tol
+    np.fill_diagonal(bad_mod, False)
+    bad_herm = np.abs(S - S.conj().T) > tol
+    bad = bad_mod | bad_herm
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        if bad_mod[i, j]:
+            raise SignatureAxiomError(f"non-unimodular entry at ({i},{j})", cell=(i, j))
+        raise SignatureAxiomError(f"not Hermitian at ({i},{j})", cell=(i, j))
     return S
 
 
@@ -58,7 +68,7 @@ class LineGram:
     matrix: np.ndarray
 
     @classmethod
-    def from_matrix(cls, G: np.ndarray, rtol: float = EIG_CLUSTER_RTOL) -> "LineGram":
+    def from_matrix(cls, G: np.ndarray) -> "LineGram":
         G = np.asarray(G, dtype=complex)
         n = G.shape[0]
         w = np.linalg.eigvalsh(G)
@@ -66,7 +76,7 @@ class LineGram:
             raise LinesError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
         if np.max(np.abs(np.diag(G) - 1)) > ETF_TOL:
             raise LinesError("Gram diagonal is not all ones")
-        d = int((w > rtol * w[-1]).sum())
+        d = int((w > EIG_CLUSTER_RTOL * w[-1]).sum())
         return cls(n, d, G)
 
     def factor(self) -> np.ndarray:
@@ -76,17 +86,16 @@ class LineGram:
         return (np.sqrt(w[keep])[:, None] * V[:, keep].conj().T)
 
 
-def gram_from_signature(S: np.ndarray) -> tuple[LineGram, np.ndarray]:
+def gram_from_signature(S: np.ndarray) -> LineGram:
     """Scale by the least eigenvalue: G = -S/lambda_min + I is a unit
-    diagonal PSD Gram; returns it with unit-norm factor vectors."""
+    diagonal PSD Gram (``factor()`` gives its unit-norm vectors)."""
     S = check_signature(S)
     w = np.linalg.eigvalsh(S)
     lam = w[0]
     if lam >= 0:
         raise LinesError("least eigenvalue must be negative (trace is zero)")
     G = np.eye(S.shape[0]) - S / lam
-    gram = LineGram.from_matrix(G)
-    return gram, gram.factor()
+    return LineGram.from_matrix(G)
 
 
 @dataclass
@@ -166,17 +175,6 @@ def verify_etf(data) -> ETFCertificate:
     return ETFCertificate(n, d, mu, tight, equiang, welch_eq, real)
 
 
-def min_chordal_distance(gram: LineGram) -> float:
-    """Minimum over pairs of sqrt(1 - |<phi_i, phi_j>|^2)."""
-    n, G = gram.n, gram.matrix
-    best = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = min(1.0, abs(G[i, j]) ** 2)
-            best = min(best, math.sqrt(1 - c))
-    return best
-
-
 def naimark_complement(gram: LineGram) -> LineGram:
     """The (n-d)-dimensional partner Gram n/(n-d) (I - (d/n) G)."""
     n, d, G = gram.n, gram.d, gram.matrix
@@ -218,10 +216,10 @@ class TwoGraph:
             if len(t) != 3 or not all(0 <= v < self.n for v in t):
                 raise LinesError(f"bad triple {sorted(t)}")
 
-    def check_parity(self, exhaustive_cap: int = 30) -> None:
+    def check_parity(self) -> None:
         """Every 4-subset must contain an even number of triples
-        (exhaustive for n <= exhaustive_cap)."""
-        if self.n > exhaustive_cap:
+        (checked for n <= PARITY_EXHAUSTIVE_CAP)."""
+        if self.n > PARITY_EXHAUSTIVE_CAP:
             return
         for quad in itertools.combinations(range(self.n), 4):
             count = sum(
@@ -301,8 +299,3 @@ def two_graph_regularity(tg: TwoGraph) -> dict:
         out["lambda2"] = l2
     return out
 
-
-def triple_transitive_guard(n: int, d: int) -> bool:
-    """Whether (n, d) is consistent with a triply transitive symmetry
-    group, i.e. d is 1 or n-1."""
-    return d in (1, n - 1)

@@ -1,0 +1,212 @@
+"""Brute-force reference checks, kept apart from the production path.
+
+Each function here recomputes, straight from a definition, something the
+library computes faster elsewhere: double transitivity, double cosets,
+the Higman-pair axioms, the Cayley lift of Z[C_r], and the idempotent
+Gram of a roux.  Tests compare the fast paths against them on small
+cases.  No other rouxforge module imports this one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .cycalg import AlgebraError, GroupAlgebraElement
+from .group import FiniteGroup, GroupAction, Subgroup, is_doubly_transitive
+from .radical import RadicalError
+from .roux import RouxMatrix, RouxParameters, idempotent_data, signature_matrix, verify_roux
+
+RANK_RTOL = 1e-6
+
+
+# ---------------------------------------------------------------------------
+# groups
+
+
+def is_doubly_transitive_bruteforce(action: GroupAction) -> bool:
+    """Definition-level oracle: every ordered pair maps to every other."""
+    G = action.group
+    pts = action.points
+    pairs = {(p, q) for p in pts for q in pts if p != q}
+    if not pairs:
+        return False
+    base = next(iter(sorted(pairs)))
+    reached = {(action.act(g, base[0]), action.act(g, base[1])) for g in G.elements}
+    return reached == pairs
+
+
+def double_coset_decomposition(G: FiniteGroup, H: Subgroup) -> list[list]:
+    """Partition of G into double cosets HxH, cells sorted by min element."""
+    assigned: dict = {}
+    cells = []
+    for g in G.elements:
+        if g in assigned:
+            continue
+        members = sorted({G.mul(G.mul(h1, g), h2) for h1 in H.elements for h2 in H.elements})
+        cells.append(members)
+        for m in members:
+            assigned[m] = True
+    cells.sort(key=lambda cell: cell[0])
+    return cells
+
+
+def coset_action(G: FiniteGroup, K: Subgroup) -> GroupAction:
+    """Left multiplication action of G on left cosets xK (keyed by min element)."""
+    rep_of: dict = {}
+    reps = []
+    for g in G.elements:
+        if g in rep_of:
+            continue
+        members = sorted(G.mul(g, k) for k in K.elements)
+        r = members[0]
+        reps.append(r)
+        for m in members:
+            rep_of[m] = r
+    return GroupAction(G, reps, lambda g, p: rep_of[G.mul(g, p)])
+
+
+# ---------------------------------------------------------------------------
+# Higman pairs
+
+
+@dataclass
+class HigmanAxiomReport:
+    """Outcome of the literal H1-H5 check."""
+
+    axioms: dict
+    first_failure: Optional[str] = None
+
+    @property
+    def passed(self) -> bool:
+        return all(self.axioms.values())
+
+
+def verify_higman_axioms(G: FiniteGroup, H: Subgroup, b) -> HigmanAxiomReport:
+    """Brute-force check of the Higman pair axioms for (G, H) with key b.
+
+    K is the normalizer of H.  Checks, literally: double transitivity of
+    G on G/K, K/H abelian, HbH = Hb^{-1}H, conjugation-stability of HbH
+    under K, and the cancellation axiom.  Stops recording at the first
+    failing axiom but evaluates all five.
+    """
+    hset = set(H.elements)
+    K_members = [
+        g
+        for g in G.elements
+        if all(G.mul(G.mul(g, h), G.inv(g)) in hset for h in H.elements)
+    ]
+    K = G.subgroup(K_members)
+    kset = set(K_members)
+    if b in kset:
+        raise RadicalError("key must lie outside the normalizer of H")
+
+    axioms = {}
+    first_failure = None
+
+    def record(name: str, ok: bool):
+        nonlocal first_failure
+        axioms[name] = ok
+        if not ok and first_failure is None:
+            first_failure = name
+
+    act = coset_action(G, K)
+    record("H1", is_doubly_transitive(act))
+    record(
+        "H2",
+        all(
+            G.mul(G.inv(G.mul(bb, a)), G.mul(a, bb)) in hset
+            for a in K_members
+            for bb in K_members
+        ),
+    )
+
+    def double_coset(el):
+        return {G.mul(G.mul(h1, el), h2) for h1 in H.elements for h2 in H.elements}
+
+    HbH = double_coset(b)
+    record("H3", HbH == double_coset(G.inv(b)))
+    record("H4", all(G.mul(G.mul(a, b), G.inv(a)) in HbH for a in K_members))
+    record("H5", all(a in hset for a in K_members if G.mul(a, b) in HbH))
+    return HigmanAxiomReport(axioms, first_failure)
+
+
+# ---------------------------------------------------------------------------
+# the integer group algebra of C_r
+
+
+def circulant(r: int, coeffs: Sequence) -> np.ndarray:
+    """Cayley representation of sum_e coeffs[e] * (exponent e) in C_r.
+
+    Row u, column v carries coeffs[(u - v) mod r]; exponent e maps to the
+    left-regular permutation matrix, so the map is multiplicative.
+    """
+    out = np.zeros((r, r), dtype=np.int64)
+    for e, c in enumerate(coeffs):
+        if c:
+            for v in range(r):
+                out[(v + e) % r, v] = c
+    return out
+
+
+def cayley_lift(entries, r: int) -> np.ndarray:
+    """Lift an n x n matrix over Z[C_r] to an rn x rn integer matrix.
+
+    ``entries[i][j]`` is a length-r coefficient vector (or a
+    GroupAlgebraElement).  The lift replaces each group element with its
+    r x r Cayley representation and is a *-algebra homomorphism.
+    """
+    n = len(entries)
+    out = np.zeros((r * n, r * n), dtype=np.int64)
+    for i in range(n):
+        row = entries[i]
+        if len(row) != n:
+            raise AlgebraError("matrix must be square")
+        for j in range(n):
+            cell = row[j]
+            coeffs = cell.coeffs if isinstance(cell, GroupAlgebraElement) else cell
+            out[i * r : (i + 1) * r, j * r : (j + 1) * r] = circulant(r, coeffs)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# idempotent Grams
+
+
+def gram_from_idempotent(
+    B: RouxMatrix, k: int, eps: int, params: Optional[RouxParameters] = None
+) -> np.ndarray:
+    """The rn x rn idempotent Gram at character k and sign branch eps.
+
+    Columns are indexed (line, exponent) with the line index major; rank
+    equals the d of ``idempotent_data`` (each line appears r times).
+    """
+    if params is None:
+        params = verify_roux(B)
+    n, r = B.n, B.r
+    plus, minus = idempotent_data(params, k)
+    mu = plus.mu if eps > 0 else minus.mu
+    inner = np.eye(n, dtype=complex) + mu * signature_matrix(B, (-k) % r, params)
+    w = np.exp(2j * np.pi * (np.arange(r) * k % r) / r)
+    F = np.outer(w, w.conj())
+    return np.kron(inner, F)
+
+
+def matrix_rank_by_threshold(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
+    """Rank with singular values below rtol * sigma_max counted as zero."""
+    s = np.linalg.svd(M, compute_uv=False)
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int((s > rtol * s[0]).sum())
+
+
+def idempotency_residual(G: np.ndarray) -> float:
+    """max |G^2 - cG| for the scale c that makes G/c a projection."""
+    tr = np.trace(G).real
+    tr2 = np.trace(G @ G).real
+    if abs(tr) < 1e-12:
+        return float("inf")
+    c = tr2 / tr
+    return float(np.max(np.abs(G @ G - c * G)))

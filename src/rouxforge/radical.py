@@ -18,20 +18,17 @@ all C_r elements are integers mod r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cycalg import GroupAlgebraElement
 from .group import (
     FiniteGroup,
     GroupAction,
     LinearCharacter,
-    Subgroup,
-    coset_action,
     direct_product_with_cyclic,
-    is_doubly_transitive,
     stabilizer,
 )
-from .roux import RouxMatrix, RouxParameters
+from .roux import RouxMatrix, RouxParameters, verify_roux
 
 NORMALIZER_VERIFY_CAP = 10**4
 
@@ -173,12 +170,7 @@ class Radicalization:
         return Gt, H, Gt0
 
 
-def radicalize(
-    cover: CoverData,
-    alpha: LinearCharacter,
-    verify: bool = True,
-    normalizer_cap: int = NORMALIZER_VERIFY_CAP,
-) -> Radicalization:
+def radicalize(cover: CoverData, alpha: LinearCharacter, verify: bool = True) -> Radicalization:
     """Build the radicalization, verifying the character and (when the
     product group is small enough) the normalizer identity N(H) = G~0*."""
     if verify:
@@ -188,7 +180,7 @@ def radicalize(
             raise RadicalError("character not defined on the whole stabilizer")
     rad = Radicalization(cover, alpha)
     G = cover.group
-    if verify and G is not None and G.order * rad.r <= normalizer_cap and cover.n >= 3:
+    if verify and G is not None and G.order * rad.r <= NORMALIZER_VERIFY_CAP and cover.n >= 3:
         Gt, H, Gt0 = rad.materialize()
         hset = set(H.elements)
         normalizer = [
@@ -238,7 +230,8 @@ def find_key(rad: Radicalization, x=None, prefer_exponent: Optional[int] = None)
         eta = ops.mul(ops.mul(xinv, ops.inv(xi)), xinv)
         if eta in cover.stab_set:
             a2 = (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta)) % r
-            assert a2 % 2 == 0
+            if a2 % 2:
+                raise RadicalError("alpha(xi*eta) has an odd exponent in C_r")
             roots = sorted(((a2 // 2) % r, (a2 // 2 + rad.r_prime) % r))
             if prefer_exponent is not None:
                 pe = prefer_exponent % r
@@ -262,13 +255,7 @@ class HigmanDecompositionTable:
     (None keeps all, enabling full uniqueness verification downstream).
     """
 
-    def __init__(
-        self,
-        cover: CoverData,
-        x,
-        max_per_cell: Optional[int] = None,
-        reps: Optional[Sequence] = None,
-    ):
+    def __init__(self, cover: CoverData, x, max_per_cell: Optional[int] = None):
         if cover.in_stabilizer(x):
             raise RadicalError("x lies in the stabilizer")
         self.cover = cover
@@ -279,12 +266,10 @@ class HigmanDecompositionTable:
         pre = [(ops.mul(xinv, ops.inv(xi)), xi) for xi in cover.stab.elements]
 
         action = cover.action
-        if reps is None:
-            transversal = action.transversal(cover.base_point)
-            reps = [transversal[p] for p in action.points]
-        if len(reps) != action.degree:
+        transversal = action.transversal(cover.base_point)
+        if len(transversal) != action.degree:
             raise RadicalError("transversal size does not match point count")
-        self.reps = list(reps)
+        self.reps = [transversal[p] for p in action.points]
         inv_reps = [ops.inv(g) for g in self.reps]
         n = action.degree
 
@@ -386,81 +371,35 @@ def roux_from_higman_pair(
     return RouxMatrix(n, r, exps)
 
 
-def random_outside_stabilizer(cover: CoverData, rng, word_length: int = 24):
-    """Random cover element outside the stabilizer, as a generator word."""
-    ops = cover.ops
-    gens = cover.action.group.generators
-    while True:
-        g = ops.identity
-        for _ in range(word_length):
-            g = ops.mul(g, rng.choice(gens))
-        if g not in cover.stab_set:
-            return g
-
-
-def trivial_character_dims(n: int) -> set[int]:
-    """Line dimensions reachable from the trivial character: {1, n-1}."""
-    if n < 3:
-        raise RadicalError("need n >= 3")
-    return {1, n - 1}
-
-
 @dataclass
-class HigmanAxiomReport:
-    """Outcome of the literal H1-H5 check."""
+class HigmanRoux:
+    """The roux of a detected Higman pair, with its key and parameters."""
 
-    axioms: dict
-    first_failure: Optional[str] = None
-
-    @property
-    def passed(self) -> bool:
-        return all(self.axioms.values())
+    rad: Radicalization
+    key: Key
+    params: RouxParameters
+    roux: RouxMatrix
 
 
-def verify_higman_axioms(G: FiniteGroup, H: Subgroup, b) -> HigmanAxiomReport:
-    """Brute-force check of the Higman pair axioms for (G, H) with key b.
+def higman_roux(
+    cover: CoverData,
+    alpha: LinearCharacter,
+    x,
+    table: HigmanDecompositionTable,
+    prefer_exponent: Optional[int] = None,
+) -> Optional[HigmanRoux]:
+    """The pipeline for one character: detect, radicalize, find the key,
+    count the parameters, build the roux and verify it exactly.
 
-    K is the normalizer of H.  Checks, literally: double transitivity of
-    G on G/K, K/H abelian, HbH = Hb^{-1}H, conjugation-stability of HbH
-    under K, and the cancellation axiom.  Stops recording at the first
-    failing axiom but evaluates all five.
+    Returns None when alpha fails the Higman-pair test.  Raises
+    RadicalError when the counted and the verified parameters disagree.
     """
-    hset = set(H.elements)
-    K_members = [
-        g
-        for g in G.elements
-        if all(G.mul(G.mul(g, h), G.inv(g)) in hset for h in H.elements)
-    ]
-    K = G.subgroup(K_members)
-    kset = set(K_members)
-    if b in kset:
-        raise RadicalError("key must lie outside the normalizer of H")
-
-    axioms = {}
-    first_failure = None
-
-    def record(name: str, ok: bool):
-        nonlocal first_failure
-        axioms[name] = ok
-        if not ok and first_failure is None:
-            first_failure = name
-
-    act = coset_action(G, K)
-    record("H1", is_doubly_transitive(act))
-    record(
-        "H2",
-        all(
-            G.mul(G.inv(G.mul(bb, a)), G.mul(a, bb)) in hset
-            for a in K_members
-            for bb in K_members
-        ),
-    )
-
-    def double_coset(el):
-        return {G.mul(G.mul(h1, el), h2) for h1 in H.elements for h2 in H.elements}
-
-    HbH = double_coset(b)
-    record("H3", HbH == double_coset(G.inv(b)))
-    record("H4", all(G.mul(G.mul(a, b), G.inv(a)) in HbH for a in K_members))
-    record("H5", all(a in hset for a in K_members if G.mul(a, b) in HbH))
-    return HigmanAxiomReport(axioms, first_failure)
+    if not detect_higman(cover, alpha, x):
+        return None
+    rad = radicalize(cover, alpha)
+    key = find_key(rad, x, prefer_exponent=prefer_exponent)
+    params = roux_params_from_radicalization(rad, key, table)
+    B = roux_from_higman_pair(rad, key, table)
+    if verify_roux(B).coeffs != params.coeffs:
+        raise RadicalError("roux parameters disagree with the counting formula")
+    return HigmanRoux(rad, key, params, B)

@@ -11,7 +11,6 @@ eigenproblems, and ranks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,7 +19,6 @@ import numpy as np
 
 from .cycalg import GroupAlgebraElement
 
-RANK_RTOL = 1e-6
 IDEMPOTENT_TOL = 1e-9
 
 
@@ -67,22 +65,6 @@ class RouxMatrix:
                     raise RouxAxiomError(
                         f"inverse-symmetry fails at cell ({i},{j})", cell=(i, j)
                     )
-
-    def entry(self, i: int, j: int) -> Optional[int]:
-        """Exponent at (i, j), or None on the diagonal."""
-        return None if i == j else int(self.exps[i, j])
-
-    def algebra_entries(self) -> list[list[GroupAlgebraElement]]:
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                if i == j:
-                    row.append(GroupAlgebraElement.zero(self.r))
-                else:
-                    row.append(GroupAlgebraElement.delta(self.r, int(self.exps[i, j])))
-            out.append(row)
-        return out
 
     def one_hot(self) -> list[np.ndarray]:
         """Indicator matrix per exponent (diagonal excluded)."""
@@ -304,43 +286,6 @@ def signature_matrix(B: RouxMatrix, k: int, params: Optional[RouxParameters] = N
     return S
 
 
-def gram_from_idempotent(
-    B: RouxMatrix, k: int, eps: int, params: Optional[RouxParameters] = None
-) -> np.ndarray:
-    """The rn x rn idempotent Gram at character k and sign branch eps.
-
-    Columns are indexed (line, exponent) with the line index major; rank
-    equals the d of ``idempotent_data`` (each line appears r times).
-    """
-    if params is None:
-        params = verify_roux(B)
-    n, r = B.n, B.r
-    plus, minus = idempotent_data(params, k)
-    mu = plus.mu if eps > 0 else minus.mu
-    inner = np.eye(n, dtype=complex) + mu * signature_matrix(B, (-k) % r, params)
-    w = np.exp(2j * np.pi * (np.arange(r) * k % r) / r)
-    F = np.outer(w, w.conj())
-    return np.kron(inner, F)
-
-
-def matrix_rank_by_threshold(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Rank with singular values below rtol * sigma_max counted as zero."""
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int((s > rtol * s[0]).sum())
-
-
-def idempotency_residual(G: np.ndarray) -> float:
-    """max |G^2 - cG| for the scale c that makes G/c a projection."""
-    tr = np.trace(G).real
-    tr2 = np.trace(G @ G).real
-    if abs(tr) < 1e-12:
-        return float("inf")
-    c = tr2 / tr
-    return float(np.max(np.abs(G @ G - c * G)))
-
-
 def is_real_lines(params: RouxParameters, k: int) -> bool:
     """True iff the character is real on the parameter support."""
     return all((2 * k * e) % params.r == 0 for e in params.support())
@@ -356,7 +301,3 @@ def idempotent_report(params: RouxParameters) -> list[dict]:
             row["real"] = real
             rows.append(row)
     return rows
-
-
-def roux_to_json(B: RouxMatrix) -> str:
-    return json.dumps(B.to_json(), sort_keys=True)

@@ -195,7 +195,7 @@ def test_verify_etf_gram(tmp_path, capsys):
     from rouxforge.lines import gram_from_signature
     from rouxforge.roux import signature_matrix
 
-    gram, _ = gram_from_signature(signature_matrix(paley6_roux(4), 1))
+    gram = gram_from_signature(signature_matrix(paley6_roux(4), 1))
     blob = {
         "n": 6,
         "entries": [[float(v.real), float(v.imag)] for v in gram.matrix.flatten()],
@@ -239,7 +239,8 @@ def test_tolerance_override_flags(tmp_path, capsys):
     from rouxforge.lines import gram_from_signature
     from rouxforge.roux import signature_matrix
 
-    gram, vectors = gram_from_signature(signature_matrix(paley6_roux(4), 1))
+    gram = gram_from_signature(signature_matrix(paley6_roux(4), 1))
+    vectors = gram.factor()
     vectors[1, 0] += 0.01  # tilt one vector: still a Gram, no longer equiangular
     vectors[:, 0] /= np.linalg.norm(vectors[:, 0])
     M = vectors.conj().T @ vectors
@@ -254,3 +255,71 @@ def test_tolerance_override_flags(tmp_path, capsys):
         )[0] == 0
     finally:
         lines_mod.ETF_TOL = default_tol
+
+
+def test_tol_eig_sets_gram_rank(tmp_path, capsys):
+    import rouxforge.lines as lines_mod
+    from rouxforge.lines import gram_from_signature
+    from rouxforge.roux import signature_matrix
+
+    # the (6,3) frame with one vector tilted 1e-2 into a fourth axis: the
+    # Gram gains an eigenvalue near 2.5e-5 of its largest
+    vectors = gram_from_signature(signature_matrix(paley6_roux(4), 1)).factor()
+    Phi = np.vstack([vectors, np.zeros((1, 6))])
+    Phi[3, 0] = 1e-2
+    Phi[:, 0] /= np.linalg.norm(Phi[:, 0])
+    M = Phi.conj().T @ Phi
+    blob = {"n": 6, "entries": [[float(v.real), float(v.imag)] for v in M.flatten()]}
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(blob))
+    default_rtol = lines_mod.EIG_CLUSTER_RTOL
+    try:
+        _, out, _ = run(["verify", str(path), "--kind", "etf"], capsys)
+        assert json.loads(out)["certificate"]["d"] == 4
+        _, out, _ = run(["verify", str(path), "--kind", "etf", "--tol-eig", "1e-3"], capsys)
+        assert json.loads(out)["certificate"]["d"] == 3
+    finally:
+        lines_mod.EIG_CLUSTER_RTOL = default_rtol
+
+
+def test_detect_character_cap_exit2(tmp_path, capsys, monkeypatch):
+    from rouxforge import cli
+    from rouxforge.group import CapExceededError
+
+    def over_cap(G):
+        raise CapExceededError("abelianization exceeds character cap")
+
+    monkeypatch.setattr(cli, "enumerate_linear_characters", over_cap)
+    spec = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(["detect", str(path)], capsys)
+    assert code == 2
+    assert "cap" in err
+
+
+def test_parameter_disagreement_exit2(tmp_path, capsys, monkeypatch):
+    # counted parameters that differ from the verified roux: both the
+    # family and the detect pipeline report it as a RadicalError, exit 2
+    from rouxforge import radical
+    from rouxforge.cycalg import GroupAlgebraElement
+    from rouxforge.roux import RouxParameters
+
+    counted = radical.roux_params_from_radicalization
+
+    def shifted(rad, key, table=None):
+        params = counted(rad, key, table)
+        half = params.r // 2
+        coeffs = params.coeffs[half:] + params.coeffs[:half]
+        return RouxParameters(params.n, params.r, GroupAlgebraElement(params.r, coeffs))
+
+    monkeypatch.setattr(radical, "roux_params_from_radicalization", shifted)
+    code, _, err = run(["family", "psl2", "--q", "5"], capsys)
+    assert code == 2
+    assert "disagree" in err
+    spec = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(["detect", str(path)], capsys)
+    assert code == 2
+    assert "disagree" in err

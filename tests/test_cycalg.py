@@ -9,11 +9,10 @@ from rouxforge.cycalg import (
     GroupAlgebraElement,
     algebra_mul,
     apply_character,
-    cayley_lift,
     characters,
-    circulant,
     fourier_transform,
 )
+from rouxforge.oracles import cayley_lift, circulant
 
 
 def test_mul_r2_vanishing():

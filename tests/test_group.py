@@ -11,16 +11,15 @@ from rouxforge.group import (
     closure,
     derived_subgroup,
     direct_product_with_cyclic,
-    double_coset_decomposition,
     enumerate_linear_characters,
     group_from_json,
     group_to_json,
     is_doubly_transitive,
-    is_doubly_transitive_bruteforce,
     natural_permutation_action,
     projective_line_action,
     stabilizer,
 )
+from rouxforge.oracles import double_coset_decomposition, is_doubly_transitive_bruteforce
 
 
 def s3():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from util import paley6_roux
 
 from rouxforge.lines import (
@@ -9,13 +10,12 @@ from rouxforge.lines import (
     LinesError,
     SignatureAxiomError,
     TwoGraph,
+    check_signature,
     gram_from_signature,
     is_real_line_sequence,
-    min_chordal_distance,
     naimark_complement,
     normalized_signature,
     signature_from_two_graph,
-    triple_transitive_guard,
     two_graph_from_lines,
     two_graph_regularity,
     verify_etf,
@@ -31,14 +31,16 @@ def etf63_signature() -> np.ndarray:
 def test_gram_from_all_ones_signature():
     n = 4
     S = np.ones((n, n)) - np.eye(n)
-    gram, vectors = gram_from_signature(S)
+    gram = gram_from_signature(S)
+    vectors = gram.factor()
     assert gram.d == 1
     assert np.allclose(gram.matrix, np.ones((n, n)), atol=1e-9)
     assert vectors.shape == (1, n)
 
 
 def test_gram_from_etf63_signature():
-    gram, vectors = gram_from_signature(etf63_signature())
+    gram = gram_from_signature(etf63_signature())
+    vectors = gram.factor()
     assert (gram.n, gram.d) == (6, 3)
     off = ~np.eye(6, dtype=bool)
     assert np.allclose(np.abs(gram.matrix[off]), 1 / math.sqrt(5), atol=1e-9)
@@ -52,13 +54,77 @@ def test_signature_axiom_errors():
         gram_from_signature(S)
 
 
+def check_signature_loop(S, tol=1e-12):
+    """Cell-by-cell reference for check_signature: the first failure in
+    the order the vectorized check must keep."""
+    S = np.asarray(S, dtype=complex)
+    n = S.shape[0]
+    for i in range(n):
+        if abs(S[i, i]) > tol:
+            return f"nonzero diagonal at ({i},{i})", (i, i)
+    for i in range(n):
+        for j in range(n):
+            if i != j and abs(abs(S[i, j]) - 1) > tol:
+                return f"non-unimodular entry at ({i},{j})", (i, j)
+            if abs(S[i, j] - S[j, i].conjugate()) > tol:
+                return f"not Hermitian at ({i},{j})", (i, j)
+    return None
+
+
+def check_signature_outcome(S):
+    try:
+        check_signature(S)
+    except SignatureAxiomError as exc:
+        return str(exc), exc.cell
+    return None
+
+
+# Ways to corrupt one cell: scale its modulus, turn its phase (breaks only
+# Hermitian symmetry), move it by more than the tolerance, add an imaginary
+# part below the tolerance (on the diagonal this fails only the Hermitian
+# check), or zero it.
+CORRUPTIONS = {
+    "scale": lambda v: 1.5 * v,
+    "rotate": lambda v: v * np.exp(0.3j),
+    "tiny": lambda v: v + 1e-11,
+    "diag_imag": lambda v: v + 0.8e-12j,
+    "zero": lambda v: 0.0,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    corruptions=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from(sorted(CORRUPTIONS))),
+        max_size=3,
+    ),
+)
+def test_check_signature_matches_loop(n, seed, corruptions):
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.random((n, n)))
+    S = np.triu(phases, 1)
+    S = S + S.conj().T
+    for i, j, how in corruptions:
+        i, j = i % n, j % n
+        S[i, j] = CORRUPTIONS[how](S[i, j])
+    assert check_signature_outcome(S) == check_signature_loop(S)
+
+
+def test_check_signature_hermitian_on_diagonal():
+    S = np.ones((3, 3), dtype=complex) - np.eye(3)
+    S[1, 1] = 0.8e-12j
+    assert check_signature_outcome(S) == ("not Hermitian at (1,1)", (1, 1))
+
+
 def test_verify_etf_orthonormal_degenerate():
     cert = verify_etf(np.eye(4))
     assert cert.degenerate and cert.mu == 0
 
 
 def test_verify_etf_63():
-    cert = verify_etf(gram_from_signature(etf63_signature())[0])
+    cert = verify_etf(gram_from_signature(etf63_signature()))
     assert cert.passed
     assert cert.d == 3
     assert cert.mu == pytest.approx(1 / math.sqrt(5), abs=1e-9)
@@ -69,7 +135,7 @@ def test_verify_etf_63():
 
 
 def test_verify_etf_perturbed_fails():
-    gram, _ = gram_from_signature(etf63_signature())
+    gram = gram_from_signature(etf63_signature())
     M = gram.matrix.copy()
     M[0, 1] += 0.01
     M[1, 0] += 0.01
@@ -84,17 +150,8 @@ def test_verify_etf_rejects_non_unit_columns():
         verify_etf(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
-def test_min_chordal_distance():
-    ortho = LineGram.from_matrix(np.eye(2))
-    assert min_chordal_distance(ortho) == pytest.approx(1.0)
-    gram, _ = gram_from_signature(etf63_signature())
-    assert min_chordal_distance(gram) == pytest.approx(math.sqrt(4 / 5), abs=1e-9)
-    dup = LineGram(2, 1, np.ones((2, 2), dtype=complex))
-    assert min_chordal_distance(dup) == pytest.approx(0.0)
-
-
 def test_naimark_complement_63():
-    gram, _ = gram_from_signature(etf63_signature())
+    gram = gram_from_signature(etf63_signature())
     comp = naimark_complement(gram)
     assert (comp.n, comp.d) == (6, 3)
     # self-complementary dimensions: off-diagonal signs flip
@@ -181,12 +238,6 @@ def test_generic_two_graph_not_regular():
     assert not two_graph_regularity(tg)["regular"]
 
 
-def test_triple_transitive_guard():
-    assert triple_transitive_guard(10, 1)
-    assert triple_transitive_guard(10, 9)
-    assert not triple_transitive_guard(6, 3)  # d = (q+1)/2 with q = 5
-
-
 def test_welch_bound_values():
     assert welch_bound(6, 3) == pytest.approx(1 / math.sqrt(5))
     assert welch_bound(28, 7) == pytest.approx(1 / 3)
@@ -196,14 +247,15 @@ def test_welch_bound_values():
 def test_signature_gram_roundtrip():
     # rebuilding mu^-1 (Phi* Phi - I) from the unit-norm factors recovers S
     S = etf63_signature()
-    gram, vectors = gram_from_signature(S)
+    gram = gram_from_signature(S)
+    vectors = gram.factor()
     rebuilt = vectors.conj().T @ vectors
     mu = 1 / math.sqrt(5)
     assert np.max(np.abs((rebuilt - np.eye(6)) / mu - S)) < 1e-8
 
 
 def test_verify_etf_iff_two_eigenvalues():
-    gram, _ = gram_from_signature(etf63_signature())
+    gram = gram_from_signature(etf63_signature())
     w = np.linalg.eigvalsh(gram.matrix)
     assert np.allclose(sorted(set(np.round(w, 8))), [0, 2], atol=1e-8)
     assert verify_etf(gram).passed
@@ -221,12 +273,12 @@ def test_psu33_signature_gives_28_7():
     rep = su3_family(3)
     block = next(b for b in rep.characters if b.higman and b.image_order == 4)
     S = signature_matrix(block.working_roux, 1)
-    gram21, _ = gram_from_signature(S)
+    gram21 = gram_from_signature(S)
     assert gram21.d == 21
     gram7 = naimark_complement(gram21)
     mu = 1 / 3
     S7 = (gram7.matrix - np.eye(28)) / mu
-    gram_back, _ = gram_from_signature(S7)
+    gram_back = gram_from_signature(S7)
     assert gram_back.d == 7
     cert = verify_etf(gram_back)
     assert cert.passed and abs(cert.mu - mu) < 1e-9

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from util import random_outside_stabilizer
 
 from rouxforge.families import sl2_cover, su3_cover
 from rouxforge.group import (
@@ -10,6 +11,7 @@ from rouxforge.group import (
     enumerate_linear_characters,
     natural_permutation_action,
 )
+from rouxforge.oracles import gram_from_idempotent, matrix_rank_by_threshold, verify_higman_axioms
 from rouxforge.radical import (
     HigmanDecompositionTable,
     Key,
@@ -17,12 +19,10 @@ from rouxforge.radical import (
     cover_from_group,
     detect_higman,
     find_key,
+    higman_roux,
     radicalize,
-    random_outside_stabilizer,
     roux_from_higman_pair,
     roux_params_from_radicalization,
-    trivial_character_dims,
-    verify_higman_axioms,
 )
 from rouxforge.roux import signature_matrix, verify_roux
 
@@ -181,7 +181,7 @@ def test_roux_from_higman_pair_sl25():
     # the k = 1 signature carries a (6, 3) equiangular tight frame
     from rouxforge.lines import gram_from_signature, verify_etf
 
-    gram, _ = gram_from_signature(signature_matrix(B, 1, params))
+    gram = gram_from_signature(signature_matrix(B, 1, params))
     cert = verify_etf(gram)
     assert cert.passed and cert.d == 3 and cert.real
 
@@ -196,7 +196,7 @@ def test_roux_from_higman_pair_sl27_not_real():
     from rouxforge.lines import gram_from_signature, is_real_line_sequence, verify_etf
 
     S = signature_matrix(B, 1)
-    cert = verify_etf(gram_from_signature(S)[0])
+    cert = verify_etf(gram_from_signature(S))
     assert cert.passed and cert.d == 4
     assert not is_real_line_sequence(S)
     assert not cert.real
@@ -238,11 +238,14 @@ def test_shared_table_matches_fresh_runs():
     )
 
 
-def test_trivial_character_dims():
-    assert trivial_character_dims(6) == {1, 5}
-    assert trivial_character_dims(3) == {1, 2}
-    with pytest.raises(RadicalError):
-        trivial_character_dims(2)
+def test_higman_roux_pipeline_sl27():
+    cover, x, chars = sl2_chars(7)
+    table = HigmanDecompositionTable(cover, x)
+    assert higman_roux(cover, by_order(chars, 6)[0], x, table) is None
+    found = higman_roux(cover, by_order(chars, 2)[0], x, table)
+    assert found.params.coeffs == (0, 3, 0, 3)
+    assert verify_roux(found.roux).coeffs == found.params.coeffs
+    assert found.key.z_exponent == 1 and found.rad.r == 4
 
 
 def test_higman_axioms_s3_trivial():
@@ -298,8 +301,6 @@ def test_normalizer_identity_small_instances():
 
 
 def test_gram_idempotent_rank_sl27():
-    from rouxforge.roux import gram_from_idempotent, matrix_rank_by_threshold
-
     cover, x, chars = sl2_chars(7)
     quad = by_order(chars, 2)[0]
     rad = radicalize(cover, quad)

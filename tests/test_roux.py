@@ -6,18 +6,16 @@ import pytest
 from util import paley6_roux
 
 from rouxforge.cycalg import GroupAlgebraElement
+from rouxforge.oracles import gram_from_idempotent, idempotency_residual, matrix_rank_by_threshold
 from rouxforge.roux import (
     RouxAxiomError,
     RouxIdentityError,
     RouxMatrix,
     RouxParameters,
     compress_to_subgroup,
-    gram_from_idempotent,
-    idempotency_residual,
     idempotent_data,
     idempotent_report,
     is_real_lines,
-    matrix_rank_by_threshold,
     signature_matrix,
     switch,
     verify_roux,

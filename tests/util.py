@@ -1,4 +1,5 @@
-"""Shared test fixtures: small hand-built roux instances."""
+"""Shared test fixtures: small hand-built roux instances and random
+cover elements."""
 
 from rouxforge.field import FieldSpec, quadratic_residue_character
 from rouxforge.roux import RouxMatrix
@@ -22,3 +23,15 @@ def paley6_roux(r: int = 2) -> RouxMatrix:
                 exps[i][j] = 0 if chi.sign(diff) == 1 else r // 2
     # vertex 5 plays the role of infinity: all-identity row/column
     return RouxMatrix(n, r, exps)
+
+
+def random_outside_stabilizer(cover, rng, word_length: int = 24):
+    """Random cover element outside the stabilizer, as a generator word."""
+    ops = cover.ops
+    gens = cover.action.group.generators
+    while True:
+        g = ops.identity
+        for _ in range(word_length):
+            g = ops.mul(g, rng.choice(gens))
+        if g not in cover.stab_set:
+            return g
