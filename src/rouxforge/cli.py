@@ -437,6 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the tolerance flags hold for this call only
+    saved = lines.EIG_CLUSTER_RTOL, lines.ETF_TOL
     if args.tol_eig is not None:
         lines.EIG_CLUSTER_RTOL = args.tol_eig
     if args.tol_etf is not None:
@@ -449,6 +451,8 @@ def main(argv=None) -> int:
     except RadicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        lines.EIG_CLUSTER_RTOL, lines.ETF_TOL = saved
 
 
 if __name__ == "__main__":

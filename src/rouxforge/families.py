@@ -511,7 +511,7 @@ def su3_family(q: int, allow_large: bool = False) -> FamilyReport:
         "character_count", len(chars) == q * q - 1, f"{len(chars)} characters, expected q^2 - 1"
     )
 
-    table = HigmanDecompositionTable(cover, x, max_per_cell=None if q <= 3 else 2)
+    table = HigmanDecompositionTable(cover, x)
     for idx, alpha in enumerate(chars):
         prefer = None
         if alpha.modulus > 1:

@@ -72,6 +72,39 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], mod_poly: Sequence[int], p
     return [c % p for c in prod[:k]] + [0] * max(0, k - len(prod))
 
 
+def _poly_pow_mod(a: Sequence[int], e: int, mod_poly: Sequence[int], p: int) -> list[int]:
+    k = len(mod_poly) - 1
+    result = [1] + [0] * (k - 1)
+    base = list(a)
+    while e:
+        if e & 1:
+            result = _poly_mul_mod(result, base, mod_poly, p)
+        base = _poly_mul_mod(base, base, mod_poly, p)
+        e >>= 1
+    return result
+
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_gcd_degree(a: list[int], b: list[int], p: int) -> int:
+    """Degree of gcd(a, b) over F_p (coefficients low-degree-first, a != 0)."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        lead_inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            c = a[-1] * lead_inv % p
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bc) % p
+            _poly_trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
 class FieldSpec:
     """A finite field F_{p^k} with a fixed polynomial basis."""
 
@@ -105,33 +138,23 @@ class FieldSpec:
         self._inv_table: Optional[list[int]] = None
 
     def _check_irreducible(self) -> None:
-        # exhaustive root/factor check, practical for k <= 4
+        """Rabin's test: monic f of degree k is irreducible over F_p iff
+        x^(p^k) = x mod f and gcd(f, x^(p^(k/l)) - x) = 1 for every prime
+        l dividing k."""
         p, k, poly = self.p, self.k, self.irreducible
-        if k > 4:
-            return  # accepted as supplied
-        for a in range(p):
-            val = 0
-            for c in reversed(poly):
-                val = (val * a + c) % p
-            if val == 0:
-                raise FieldError(f"{poly} has root {a} mod {p}: not irreducible")
-        if k == 4:
-            # no roots rules out linear/cubic factors; scan quadratic divisors
-            for b0 in range(p):
-                for b1 in range(p):
-                    if self._divides_quadratic((b0, b1, 1)):
-                        raise FieldError(f"{poly} has quadratic factor: not irreducible")
-
-    def _divides_quadratic(self, quad: tuple[int, int, int]) -> bool:
-        p = self.p
-        rem = list(self.irreducible)
-        for d in range(len(rem) - 1, 1, -1):
-            c = rem[d]
-            if c:
-                rem[d] = 0
-                rem[d - 1] = (rem[d - 1] - c * quad[1]) % p
-                rem[d - 2] = (rem[d - 2] - c * quad[0]) % p
-        return rem[0] == 0 and rem[1] == 0
+        x = [0, 1] + [0] * (k - 2)
+        frobenius_powers = [x]  # x^(p^j) mod f
+        for _ in range(k):
+            frobenius_powers.append(_poly_pow_mod(frobenius_powers[-1], p, poly, p))
+        if frobenius_powers[k] != x:
+            raise FieldError(f"{poly} is not irreducible mod {p}")
+        for l in range(2, k + 1):
+            if k % l or not is_prime(l):
+                continue
+            h = list(frobenius_powers[k // l])
+            h[1] = (h[1] - 1) % p
+            if _poly_gcd_degree(list(poly), h, p) > 0:
+                raise FieldError(f"{poly} has a factor of degree dividing {k // l}: not irreducible")
 
     # -- encoding ---------------------------------------------------------
 
@@ -171,6 +194,8 @@ class FieldSpec:
                 if mul[a * q + b] == 1:
                     inv[a] = b
                     break
+            else:
+                raise FieldError(f"{self.decode(a)} has no inverse: {self.irreducible} is not irreducible")
         self._inv_table = inv
 
     def add(self, a: int, b: int) -> int:

@@ -1,10 +1,11 @@
 """Brute-force reference checks, kept apart from the production path.
 
 Each function here recomputes, straight from a definition, something the
-library computes faster elsewhere: double transitivity, double cosets,
-the Higman-pair axioms, the Cayley lift of Z[C_r], and the idempotent
-Gram of a roux.  Tests compare the fast paths against them on small
-cases.  No other rouxforge module imports this one.
+library computes faster elsewhere: double transitivity, double cosets
+and their decompositions, the Higman-pair axioms, the Cayley lift of
+Z[C_r], and the idempotent Gram of a roux.  Tests compare the fast
+paths against them on small cases.  No other rouxforge module imports
+this one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cycalg import AlgebraError, GroupAlgebraElement
 from .group import FiniteGroup, GroupAction, Subgroup, is_doubly_transitive
-from .radical import RadicalError
+from .radical import CoverData, RadicalError
 from .roux import RouxMatrix, RouxParameters, idempotent_data, signature_matrix, verify_roux
 
 RANK_RTOL = 1e-6
@@ -70,6 +71,19 @@ def coset_action(G: FiniteGroup, K: Subgroup) -> GroupAction:
 
 # ---------------------------------------------------------------------------
 # Higman pairs
+
+
+def double_coset_scan(cover: CoverData, x, y) -> list[tuple]:
+    """Every decomposition y = xi x eta with xi, eta in the stabilizer,
+    found by trying each xi in turn."""
+    ops = cover.ops
+    xinv = ops.inv(x)
+    found = []
+    for xi in cover.stab.elements:
+        eta = ops.mul(ops.mul(xinv, ops.inv(xi)), y)
+        if eta in cover.stab_set:
+            found.append((xi, eta))
+    return found
 
 
 @dataclass

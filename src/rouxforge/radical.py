@@ -243,68 +243,109 @@ def find_key(rad: Radicalization, x=None, prefer_exponent: Optional[int] = None)
 
 
 class HigmanDecompositionTable:
-    """Cached double-coset decompositions for one cover and one x.
+    """Double-coset decompositions for one cover and one x, read off an
+    orbit transversal of the stabilizer.
 
-    Every quantity depending only on the group geometry (and not on the
-    character) is computed here once: the coset transversal, the
-    decompositions x_i^{-1} x_j = xi x eta per roux cell, and the
-    decompositions x zeta x^{-1} = xi x eta behind the parameter count.
-    A character sweep over the same cover shares one table.
+    y = xi x eta with xi, eta in G0* means xi carries x.b to y.b (b the
+    base point).  A breadth-first search of G0* from x.b gives, for every
+    point p != b, an element xi_p of G0* with xi_p (x.b) = p, carried
+    together with u_p = x^{-1} xi_p^{-1}; then y = xi_p x (u_p y) with
+    p = y.b, two products per y.  Every other decomposition of y is
+    (xi s, x^{-1} s^{-1} x eta) for s in the two-point stabilizer G01* of
+    b and x.b, stored in ``g01`` as the pairs (s, x^{-1} s x).
 
-    ``max_per_cell`` limits how many decompositions are kept per cell
-    (None keeps all, enabling full uniqueness verification downstream).
+    ``cells`` maps each roux cell (i, j) to one decomposition of
+    x_i^{-1} x_j, and ``zeta_decomps`` holds (zeta, xi, eta) with
+    x zeta x^{-1} = xi x eta for every zeta whose conjugate leaves G0*.
+    None of it depends on a character, so a character sweep over the same
+    cover shares one table.
     """
 
-    def __init__(self, cover: CoverData, x, max_per_cell: Optional[int] = None):
+    def __init__(self, cover: CoverData, x):
         if cover.in_stabilizer(x):
             raise RadicalError("x lies in the stabilizer")
         self.cover = cover
         self.x = x
-        self.max_per_cell = max_per_cell
         ops = cover.ops
-        xinv = ops.inv(x)
-        pre = [(ops.mul(xinv, ops.inv(xi)), xi) for xi in cover.stab.elements]
-
         action = cover.action
-        transversal = action.transversal(cover.base_point)
+        base = cover.base_point
+        xinv = ops.inv(x)
+        xb = action.act(x, base)
+
+        # Schreier transversal of G0* on the points other than b
+        orbit = {xb: (ops.identity, xinv)}
+        frontier = [xb]
+        gens = [(g, ops.inv(g)) for g in cover.stab.generators]
+        while frontier:
+            new = []
+            for p in frontier:
+                xi, u = orbit[p]
+                for g, ginv in gens:
+                    q = action.act(g, p)
+                    if q not in orbit:
+                        orbit[q] = (ops.mul(g, xi), ops.mul(u, ginv))
+                        new.append(q)
+            frontier = new
+        if len(orbit) != action.degree - 1:
+            raise RadicalError("stabilizer is not transitive on the other points")
+
+        def decompose(y):
+            p = action.act(y, base)
+            if p == base:
+                raise RadicalError("no decomposition: the element fixes the base point")
+            xi, u = orbit[p]
+            eta = ops.mul(u, y)
+            if eta not in cover.stab_set:
+                raise RadicalError("stabilizer list is incomplete: eta fixes b but is not listed")
+            return xi, eta
+
+        transversal = action.transversal(base)
         if len(transversal) != action.degree:
             raise RadicalError("transversal size does not match point count")
         self.reps = [transversal[p] for p in action.points]
         inv_reps = [ops.inv(g) for g in self.reps]
         n = action.degree
-
-        def decompose(y, limit):
-            found = []
-            for u, xi in pre:
-                eta = ops.mul(u, y)
-                if eta in cover.stab_set:
-                    found.append((xi, eta))
-                    if limit is not None and len(found) >= limit:
-                        break
-            return found
-
-        self.cells: dict[tuple[int, int], list] = {}
+        self.cells: dict[tuple[int, int], tuple] = {}
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                y = ops.mul(inv_reps[i], self.reps[j])
-                if y in cover.stab_set:
-                    raise RadicalError("transversal elements share a coset")
-                found = decompose(y, max_per_cell)
-                if not found:
-                    raise RadicalError(f"no decomposition at cell ({i},{j})")
-                self.cells[(i, j)] = found
+                if i != j:
+                    self.cells[(i, j)] = decompose(ops.mul(inv_reps[i], self.reps[j]))
 
+        self.g01: list[tuple] = []
         self.zeta_decomps: list[tuple] = []
+        for s in cover.stab.elements:
+            if action.act(s, xb) == xb:
+                t = ops.mul(ops.mul(xinv, s), x)
+                if t not in cover.stab_set:
+                    raise RadicalError("stabilizer list is incomplete: x^-1 s x fixes b but is not listed")
+                self.g01.append((s, t))
         for zeta in cover.stab.elements:
             y = ops.mul(ops.mul(x, zeta), xinv)
-            if y in cover.stab_set:
-                continue
-            found = decompose(y, 1)
-            if not found:
-                raise RadicalError("conjugate fell outside both double cosets")
-            self.zeta_decomps.append((zeta,) + found[0])
+            if y not in cover.stab_set:
+                self.zeta_decomps.append((zeta,) + decompose(y))
+
+
+def _checked_table(
+    rad: Radicalization, key: Key, table: Optional[HigmanDecompositionTable]
+) -> HigmanDecompositionTable:
+    """The decomposition table for the key's x, once alpha is known to
+    agree on the two-point stabilizer.
+
+    The decompositions of one double coset differ by (xi s, x^{-1} s^{-1} x eta)
+    with s in G01*, which changes alpha(xi eta) by alpha(s) - alpha(x^{-1} s x).
+    So the roux entries and the parameter count are well defined exactly
+    when that difference vanishes on G01*.
+    """
+    if table is None:
+        table = HigmanDecompositionTable(rad.cover, key.x)
+    if table.x != key.x:
+        raise RadicalError("decomposition table was built for a different x")
+    for s, t in table.g01:
+        if rad.alpha_exp_r(s) != rad.alpha_exp_r(t):
+            raise RadicalError(
+                f"double-coset lookup is ambiguous: alpha(s) != alpha(x^-1 s x) at s = {s}"
+            )
+    return table
 
 
 def roux_params_from_radicalization(
@@ -316,18 +357,14 @@ def roux_params_from_radicalization(
     c_w = (n-1)/|G0*| * #{zeta : exists xi, eta with
           x zeta x^{-1} = xi x eta and alpha(xi eta zeta^{-1}) z^{-1} = w}.
     """
-    cover = rad.cover
-    if table is None:
-        table = HigmanDecompositionTable(cover, key.x, max_per_cell=1)
-    if table.x != key.x:
-        raise RadicalError("decomposition table was built for a different x")
+    table = _checked_table(rad, key, table)
     ze, r = key.z_exponent, key.r
     counts = [0] * r
     for zeta, xi, eta in table.zeta_decomps:
         w = (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - rad.alpha_exp_r(zeta) - ze) % r
         counts[w] += 1
     n = rad.n
-    size = cover.stab.order
+    size = rad.cover.stab.order
     c = []
     for w in range(r):
         num = (n - 1) * counts[w]
@@ -338,36 +375,22 @@ def roux_params_from_radicalization(
 
 
 def roux_from_higman_pair(
-    rad: Radicalization,
-    key: Key,
-    table: Optional[HigmanDecompositionTable] = None,
-    verify_uniqueness: bool = True,
+    rad: Radicalization, key: Key, table: Optional[HigmanDecompositionTable] = None
 ) -> RouxMatrix:
     """The roux of the Higman pair: entry (i, j) is the unique w in C_r
     with x_i^{-1} x_j in H (1,w) (x,z) H.
 
     The transversal is the lift (x_i, 1) of base-action coset
-    representatives found by orbit search.  With ``verify_uniqueness``
-    every cached decomposition of every cell is checked to give the same
-    w (all of them when the table is unlimited, otherwise two per cell).
+    representatives found by orbit search.  Each cell is read off one
+    decomposition; the check on G01* proves every other decomposition
+    gives the same w.
     """
-    cover = rad.cover
-    if table is None:
-        table = HigmanDecompositionTable(
-            cover, key.x, max_per_cell=None if verify_uniqueness else 2
-        )
-    if table.x != key.x:
-        raise RadicalError("decomposition table was built for a different x")
+    table = _checked_table(rad, key, table)
     ze, r = key.z_exponent, key.r
     n = rad.n
     exps = [[0] * n for _ in range(n)]
-    for (i, j), decomps in table.cells.items():
-        values = {
-            (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - ze) % r for xi, eta in decomps
-        }
-        if len(values) > 1:
-            raise RadicalError(f"double-coset lookup ambiguous at cell ({i},{j})")
-        exps[i][j] = values.pop()
+    for (i, j), (xi, eta) in table.cells.items():
+        exps[i][j] = (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - ze) % r
     return RouxMatrix(n, r, exps)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,6 +7,14 @@ import pytest
 from util import paley6_roux
 
 from rouxforge.cli import main
+
+
+# Digests of the JSON reports of `family psl2 --q 13` and `family psu3 --q 3`,
+# unchanged since the decomposition table used a stabilizer scan per cell.
+# Their float fields come from LAPACK, so another numpy or BLAS build may
+# change the last digits.
+PSL2_Q13_SHA256 = "ddc70eeb424ba41caddf85209a5ee525fd760c190dfe7a5885984c82cc1cb2dc"
+PSU3_Q3_SHA256 = "3c00db38f8a31a08a515f18289f86cb58ba46211065b2ab91659038248f75c08"
 
 
 def run(argv, capsys):
@@ -24,6 +33,7 @@ def test_family_psl2_q13(tmp_path, capsys):
     k1 = next(ls for ls in quad["line_sets"] if ls["k"] == 1)
     assert k1["etf"]["d"] == 7
     assert k1["real_algebraic"] is True
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PSL2_Q13_SHA256
 
 
 def test_family_psl2_q9_exit2(capsys):
@@ -48,6 +58,7 @@ def test_family_psu3_q3_blocks(tmp_path, capsys):
     )
     assert orders == [1, 2, 4, 4]
     assert report["passed"] is True
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PSU3_Q3_SHA256
 
 
 def test_family_reports_are_byte_identical(tmp_path, capsys):
@@ -221,6 +232,32 @@ def test_verify_twograph(tmp_path, capsys):
     assert report["regularity"]["d"] == pytest.approx(3)
 
 
+def test_verify_twograph_odd_4subset_at_31_vertices(tmp_path, capsys):
+    path = tmp_path / "tg31.json"
+    path.write_text(json.dumps({"n": 31, "triples": [[0, 1, 2]]}))
+    code, out, _ = run(["verify", str(path), "--kind", "twograph"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["error"]["message"] == "4-subset (0, 1, 2, 3) contains 1 triples"
+
+
+def test_detect_reducible_field_polynomial_exit2(tmp_path, capsys):
+    # x^5 + 1 = (x + 1)(x^4 + x^3 + x^2 + x + 1) over F_2
+    spec = {
+        "kind": "matrix",
+        "field": {"p": 2, "k": 5, "irreducible": [1, 0, 0, 0, 0, 1]},
+        "dim": 2,
+        "generators": [[1, 1, 0, 1], [0, 1, 1, 0]],
+        "action": "projective",
+    }
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(["detect", str(path)], capsys)
+    assert code == 2
+    assert "not irreducible" in err
+
+
 def test_verify_exported_psl27_roux(tmp_path, capsys):
     from rouxforge.families import sl2_family
 
@@ -248,13 +285,11 @@ def test_tolerance_override_flags(tmp_path, capsys):
     path = tmp_path / "gram.json"
     path.write_text(json.dumps(blob))
     default_tol = lines_mod.ETF_TOL
-    try:
-        assert run(["verify", str(path), "--kind", "etf"], capsys)[0] == 1
-        assert run(
-            ["verify", str(path), "--kind", "etf", "--tol-etf", "0.05"], capsys
-        )[0] == 0
-    finally:
-        lines_mod.ETF_TOL = default_tol
+    assert run(["verify", str(path), "--kind", "etf"], capsys)[0] == 1
+    assert run(["verify", str(path), "--kind", "etf", "--tol-etf", "0.05"], capsys)[0] == 0
+    # the flag holds for its own call only
+    assert run(["verify", str(path), "--kind", "etf"], capsys)[0] == 1
+    assert lines_mod.ETF_TOL == default_tol
 
 
 def test_tol_eig_sets_gram_rank(tmp_path, capsys):
@@ -273,13 +308,14 @@ def test_tol_eig_sets_gram_rank(tmp_path, capsys):
     path = tmp_path / "gram.json"
     path.write_text(json.dumps(blob))
     default_rtol = lines_mod.EIG_CLUSTER_RTOL
-    try:
-        _, out, _ = run(["verify", str(path), "--kind", "etf"], capsys)
-        assert json.loads(out)["certificate"]["d"] == 4
-        _, out, _ = run(["verify", str(path), "--kind", "etf", "--tol-eig", "1e-3"], capsys)
-        assert json.loads(out)["certificate"]["d"] == 3
-    finally:
-        lines_mod.EIG_CLUSTER_RTOL = default_rtol
+    _, out, _ = run(["verify", str(path), "--kind", "etf"], capsys)
+    assert json.loads(out)["certificate"]["d"] == 4
+    _, out, _ = run(["verify", str(path), "--kind", "etf", "--tol-eig", "1e-3"], capsys)
+    assert json.loads(out)["certificate"]["d"] == 3
+    # the flag holds for its own call only
+    _, out, _ = run(["verify", str(path), "--kind", "etf"], capsys)
+    assert json.loads(out)["certificate"]["d"] == 4
+    assert lines_mod.EIG_CLUSTER_RTOL == default_rtol
 
 
 def test_detect_character_cap_exit2(tmp_path, capsys, monkeypatch):

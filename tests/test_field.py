@@ -155,6 +155,38 @@ def test_irreducibility_check_rejects_reducible():
         FieldSpec(3, 2, irreducible=[2, 0, 1])  # x^2 - 1 = (x-1)(x+1)
     with pytest.raises(FieldError):
         FieldSpec(2, 4, irreducible=[1, 0, 1, 0, 1])  # (x^2+x+1)^2
+    with pytest.raises(FieldError):
+        FieldSpec(2, 5, irreducible=[1, 0, 0, 0, 0, 1])  # x^5+1 = (x+1)(x^4+x^3+x^2+x+1)
+    with pytest.raises(FieldError):
+        FieldSpec(2, 6, irreducible=[1, 1, 1, 1, 1, 1, 1])  # (x^3+x+1)(x^3+x^2+1), no roots
+
+
+@pytest.mark.parametrize("p,k", sorted(IRREDUCIBLE_TABLE))
+def test_builtin_polynomials_pass_the_irreducibility_test(p, k):
+    assert FieldSpec(p, k).irreducible == IRREDUCIBLE_TABLE[(p, k)]
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)])
+def test_irreducibility_test_matches_inverse_table(p, k):
+    # a monic polynomial is irreducible exactly when F_p[x]/(f) is a field,
+    # that is when every nonzero residue has an inverse
+    import itertools
+
+    for low in itertools.product(range(p), repeat=k):
+        poly = list(low) + [1]
+        try:
+            FieldSpec(p, k, irreducible=poly)
+            accepted = True
+        except FieldError:
+            accepted = False
+        unchecked = object.__new__(FieldSpec)
+        unchecked.p, unchecked.k, unchecked.q, unchecked.irreducible = p, k, p**k, tuple(poly)
+        try:
+            unchecked._build_tables()
+            is_field = True
+        except FieldError:
+            is_field = False
+        assert accepted == is_field, poly
 
 
 def test_spec_json_roundtrip():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -219,6 +220,55 @@ def test_two_graph_parity_enforced():
         bad.check_parity()
     with pytest.raises(LinesError):
         signature_from_two_graph(bad)
+
+
+def parity_by_scan(tg):
+    """The first 4-subset with an odd number of triples, as a message."""
+    for quad in itertools.combinations(range(tg.n), 4):
+        count = sum(1 for t in itertools.combinations(quad, 3) if frozenset(t) in tg.triples)
+        if count % 2:
+            return f"4-subset {quad} contains {count} triples"
+    return None
+
+
+@st.composite
+def perturbed_two_graphs(draw):
+    # the two-graph of a graph (triples holding an odd number of edges),
+    # with a few triples flipped so that parity may fail anywhere
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = {p for p in pairs if draw(st.booleans())}
+    triples = {
+        frozenset(t)
+        for t in itertools.combinations(range(n), 3)
+        if sum(p in edges for p in itertools.combinations(t, 2)) % 2
+    }
+    all_triples = list(itertools.combinations(range(n), 3))
+    if all_triples:
+        for t in draw(st.lists(st.sampled_from(all_triples), max_size=3)):
+            triples ^= {frozenset(t)}
+    return TwoGraph(n, frozenset(triples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_two_graphs())
+def test_check_parity_matches_scan(tg):
+    expected = parity_by_scan(tg)
+    try:
+        tg.check_parity()
+        found = None
+    except LinesError as exc:
+        found = str(exc)
+    assert found == expected
+
+
+def test_check_parity_beyond_30_vertices():
+    TwoGraph(31, frozenset()).check_parity()
+    with pytest.raises(LinesError, match=r"4-subset \(0, 1, 2, 3\) contains 1 triples"):
+        TwoGraph(31, frozenset({frozenset((0, 1, 2))})).check_parity()
+    # a triple away from 0 is still found, through the 4-subsets with 0
+    with pytest.raises(LinesError, match=r"4-subset \(0, 29, 30, 31\) contains 1 triples"):
+        TwoGraph(32, frozenset({frozenset((29, 30, 31))})).check_parity()
 
 
 def test_empty_two_graph_regularity():

@@ -11,7 +11,12 @@ from rouxforge.group import (
     enumerate_linear_characters,
     natural_permutation_action,
 )
-from rouxforge.oracles import gram_from_idempotent, matrix_rank_by_threshold, verify_higman_axioms
+from rouxforge.oracles import (
+    double_coset_scan,
+    gram_from_idempotent,
+    matrix_rank_by_threshold,
+    verify_higman_axioms,
+)
 from rouxforge.radical import (
     HigmanDecompositionTable,
     Key,
@@ -236,6 +241,107 @@ def test_shared_table_matches_fresh_runs():
         roux_params_from_radicalization(rad, key, table).coeffs
         == roux_params_from_radicalization(rad, key).coeffs
     )
+
+
+def s3_with_x():
+    cover = s3_cover()
+    return cover, cover.first_outside_stabilizer()
+
+
+# how to make each cover, and the stride through the sorted cells at which the
+# stabilizer-scan oracle is run (SU(3,3) has 756 cells and |G0*| = 216)
+DECOMPOSITION_CASES = {
+    "s3": (s3_with_x, 1),
+    "sl2_q5_materialized": (lambda: sl2_cover(5, materialize=True), 1),
+    "sl2_q5": (lambda: sl2_cover(5), 1),
+    "sl2_q7": (lambda: sl2_cover(7), 1),
+    "sl2_q13": (lambda: sl2_cover(13), 1),
+    "su3_q3": (lambda: su3_cover(3)[:2], 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSITION_CASES))
+def test_decomposition_table_matches_stabilizer_scan(case):
+    build, stride = DECOMPOSITION_CASES[case]
+    cover, x = build()
+    ops = cover.ops
+    n, order = cover.n, cover.stab.order
+    xinv = ops.inv(x)
+    table = HigmanDecompositionTable(cover, x)
+
+    # G01*: the elements fixing b and x.b, paired with their x-conjugates
+    xb = cover.action.act(x, cover.base_point)
+    assert len(table.g01) * (n - 1) == order
+    for s, t in table.g01:
+        assert cover.action.act(s, xb) == xb
+        assert t == ops.mul(ops.mul(xinv, s), x) and t in cover.stab_set
+
+    assert len(table.cells) == n * (n - 1)
+    y_of = {
+        (i, j): ops.mul(ops.inv(table.reps[i]), table.reps[j]) for (i, j) in table.cells
+    }
+    for cell, (xi, eta) in table.cells.items():
+        assert ops.mul(ops.mul(xi, x), eta) == y_of[cell]
+    assert len(table.zeta_decomps) == order - len(table.g01)
+    for zeta, xi, eta in table.zeta_decomps:
+        assert ops.mul(ops.mul(xi, x), eta) == ops.mul(ops.mul(x, zeta), xinv)
+
+    # the g01 expansion of each cell is the full set of decompositions
+    scanned = sorted(table.cells)[::stride]
+    scans = {}
+    for cell in scanned:
+        xi, eta = table.cells[cell]
+        scans[cell] = double_coset_scan(cover, x, y_of[cell])
+        expanded = {(ops.mul(xi, s), ops.mul(ops.inv(t), eta)) for s, t in table.g01}
+        assert expanded == set(scans[cell])
+
+    # a character passes the G01* check exactly when every scanned cell has
+    # one value, and then the roux equals the per-cell-unique scan
+    for alpha in enumerate_linear_characters(cover.stab):
+        rad = radicalize(cover, alpha, verify=False)
+        key = find_key(rad, x)
+        values = {
+            cell: {
+                (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - key.z_exponent) % rad.r
+                for xi, eta in decomps
+            }
+            for cell, decomps in scans.items()
+        }
+        unique = all(len(v) == 1 for v in values.values())
+        try:
+            B = roux_from_higman_pair(rad, key, table)
+        except RadicalError:
+            assert not detect_higman(cover, alpha, x)
+            if stride == 1:
+                assert not unique
+            continue
+        assert detect_higman(cover, alpha, x) and unique
+        assert all(B.exps[i, j] == values[(i, j)].pop() for (i, j) in scanned)
+
+
+def test_non_higman_character_is_refused():
+    cover, x, chars = sl2_chars(7)
+    sextic = by_order(chars, 6)[0]
+    rad = radicalize(cover, sextic)
+    key = find_key(rad, x)
+    table = HigmanDecompositionTable(cover, x)
+    with pytest.raises(RadicalError, match=r"alpha\(s\) != alpha\(x\^-1 s x\) at s = "):
+        roux_from_higman_pair(rad, key, table)
+    with pytest.raises(RadicalError, match="ambiguous"):
+        roux_params_from_radicalization(rad, key, table)
+
+
+def test_decomposition_table_rejects_an_incomplete_stabilizer():
+    cover, x = sl2_cover(5)
+    # drop the unipotent part: the torus alone is not transitive on the
+    # five points other than the base point
+    from rouxforge.group import FiniteGroup, small_generating_set
+    from rouxforge.radical import CoverData
+
+    torus = [g for g in cover.stab.elements if g[0][1] == 0]
+    stab = FiniteGroup(cover.ops, torus, small_generating_set(cover.ops, torus))
+    with pytest.raises(RadicalError, match="not transitive"):
+        HigmanDecompositionTable(CoverData(cover.action, stab, cover.base_point), x)
 
 
 def test_higman_roux_pipeline_sl27():

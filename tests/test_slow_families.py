@@ -1,10 +1,7 @@
-"""Opt-in large runs: pytest -m slow."""
-
-import pytest
+"""The largest family runs: sl2 up to its cap q = 31, su3 at q = 5, and
+the generic detect path on SU(3,3)."""
 
 from rouxforge.families import sl2_family, su3_family
-
-pytestmark = pytest.mark.slow
 
 
 def test_sl2_family_remaining_q():
