@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -30,7 +28,6 @@ from .group import (
     GroupError,
     enumerate_linear_characters,
     group_from_json,
-    parse_group_spec,
     is_doubly_transitive,
     natural_permutation_action,
     projective_line_action,
@@ -100,38 +97,6 @@ def _complex_matrix_from_json(data: dict) -> np.ndarray:
         raise InputError(f"expected {n * n} entries, got {len(entries)}")
     flat = [complex(re, im) for re, im in entries]
     return np.array(flat, dtype=complex).reshape(n, n)
-
-
-def _load_group_cached(data: dict) -> FiniteGroup:
-    """Group closure with optional memoization via ROUXFORGE_CACHE."""
-    cache_dir = os.environ.get("ROUXFORGE_CACHE")
-    if not cache_dir or data.get("kind") == "product":
-        return group_from_json(data)
-    digest = hashlib.sha256(
-        json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    path = Path(cache_dir) / f"group-{digest}.json"
-    if path.exists():
-        ops, gens, name = parse_group_spec(data)
-        cached = json.loads(path.read_text())
-        elements = [_decode_element(e) for e in cached["elements"]]
-        return FiniteGroup(ops, elements, gens, name=name)
-    G = group_from_json(data)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"elements": [_encode_element(e) for e in G.elements]}))
-    return G
-
-
-def _encode_element(el):
-    if isinstance(el, tuple) and el and isinstance(el[0], tuple):
-        return [list(row) for row in el]
-    return list(el)
-
-
-def _decode_element(el):
-    if el and isinstance(el[0], list):
-        return tuple(tuple(row) for row in el)
-    return tuple(el)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +197,7 @@ def cmd_detect(args) -> int:
     data = _load_json(args.group)
     action_kind = data.pop("action", "natural" if data.get("kind") == "permutation" else "projective")
     try:
-        G = _load_group_cached(data)
+        G = group_from_json(data)
         action = _action_for(G, action_kind)
         if not action.is_transitive():
             print("error: action is not transitive (H1 fails)", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Brute-force reference checks, kept apart from the production path.
 
 Each function here recomputes, straight from a definition, something the
-library computes faster elsewhere: double transitivity, double cosets
-and their decompositions, the Higman-pair axioms, the Cayley lift of
-Z[C_r], and the idempotent Gram of a roux.  Tests compare the fast
-paths against them on small cases.  No other rouxforge module imports
-this one.
+library computes faster elsewhere: the closure of a generating set,
+double transitivity, double cosets and their decompositions, the
+Higman-pair axioms, the Cayley lift of Z[C_r], and the idempotent Gram
+of a roux.  Tests compare the fast paths against them on small cases.
+No other rouxforge module imports this one.
 """
 
 from __future__ import annotations
@@ -25,6 +25,22 @@ RANK_RTOL = 1e-6
 
 # ---------------------------------------------------------------------------
 # groups
+
+
+def closure_bfs(generators: Sequence, ops) -> FiniteGroup:
+    """Breadth-first closure: every element times every generator."""
+    els = {ops.identity}
+    frontier = [ops.identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in generators:
+                c = ops.mul(a, g)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+        frontier = new
+    return FiniteGroup(ops, els, generators)
 
 
 def is_doubly_transitive_bruteforce(action: GroupAction) -> bool:

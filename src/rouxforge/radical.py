@@ -80,25 +80,35 @@ class CoverData:
         raise RadicalError("group equals its stabilizer")
 
     def verify(self) -> None:
-        """Check the covering invariants (materialized covers only)."""
+        """Check the covering invariants (materialized covers only).
+
+        The listed stabilizer lies in the stabilizer of b in G; by
+        orbit-stabilizer it is all of it exactly when
+        |stab| * |orbit(b)| = |G|.  The covering kernel fixes b, so it is
+        found among the stabilizer elements.
+        """
+        b = self.base_point
+        act = self.action.act
         for s in self.stab.elements:
-            if self.action.act(s, self.base_point) != self.base_point:
+            if act(s, b) != b:
                 raise RadicalError("stabilizer element moves the base point")
         G = self.group
         if G is None:
             return
-        for g in G.elements:
-            if g not in self.stab_set and self.action.act(g, self.base_point) == self.base_point:
-                raise RadicalError("stabilizer list is incomplete")
+        for s in self.stab.elements:
+            if s not in G:
+                raise RadicalError("stabilizer element lies outside the group")
+        if len(self.stab_set) * len(self.action.orbit(b)) != G.order:
+            raise RadicalError("stabilizer list is incomplete")
         # projection is a homomorphism (spot check on generators)
         for a in G.generators:
-            for b in G.generators:
-                pa, pb = self.projection(a), self.projection(b)
-                if self.projection(G.mul(a, b)) != tuple(pa[pb[i]] for i in range(len(pa))):
+            for c in G.generators:
+                pa, pc = self.projection(a), self.projection(c)
+                if self.projection(G.mul(a, c)) != tuple(pa[pc[i]] for i in range(len(pa))):
                     raise RadicalError("projection is not a homomorphism")
         # central kernel
-        identity_perm = tuple(range(self.n))
-        kernel = [g for g in G.elements if self.projection(g) == identity_perm]
+        points = self.action.points
+        kernel = [s for s in self.stab.elements if all(act(s, p) == p for p in points)]
         for z in kernel:
             for g in G.generators:
                 if G.mul(z, g) != G.mul(g, z):
@@ -174,10 +184,10 @@ def radicalize(cover: CoverData, alpha: LinearCharacter, verify: bool = True) ->
     """Build the radicalization, verifying the character and (when the
     product group is small enough) the normalizer identity N(H) = G~0*."""
     if verify:
-        alpha.verify_homomorphism(cover.stab)
         missing = [g for g in cover.stab.elements if g not in alpha.exponents]
         if missing:
             raise RadicalError("character not defined on the whole stabilizer")
+        alpha.verify_homomorphism(cover.stab)
     rad = Radicalization(cover, alpha)
     G = cover.group
     if verify and G is not None and G.order * rad.r <= NORMALIZER_VERIFY_CAP and cover.n >= 3:

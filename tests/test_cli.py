@@ -152,20 +152,6 @@ def test_detect_malformed_exit2(tmp_path, capsys):
     assert run(["detect", str(path)], capsys)[0] == 2
 
 
-def test_detect_cache_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ROUXFORGE_CACHE", str(tmp_path / "cache"))
-    spec = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
-    path = tmp_path / "s3.json"
-    path.write_text(json.dumps(spec))
-    code1, out1, _ = run(["detect", str(path)], capsys)
-    assert code1 == 0
-    cached = list((tmp_path / "cache").glob("group-*.json"))
-    assert len(cached) == 1
-    code2, out2, _ = run(["detect", str(path)], capsys)
-    assert code2 == 0
-    assert out1 == out2
-
-
 def test_verify_roux_file(tmp_path, capsys):
     B = paley6_roux(4)
     path = tmp_path / "roux.json"

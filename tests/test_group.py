@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rouxforge.field import FieldSpec
+from rouxforge.families import sl2_cover, su3_cover
 from rouxforge.group import (
     CapExceededError,
+    FiniteGroup,
     GroupError,
+    LinearCharacter,
     MatOps,
     PermOps,
+    abelianization,
     closure,
     derived_subgroup,
     direct_product_with_cyclic,
@@ -17,9 +22,10 @@ from rouxforge.group import (
     is_doubly_transitive,
     natural_permutation_action,
     projective_line_action,
+    small_generating_set,
     stabilizer,
 )
-from rouxforge.oracles import double_coset_decomposition, is_doubly_transitive_bruteforce
+from rouxforge.oracles import closure_bfs, double_coset_decomposition, is_doubly_transitive_bruteforce
 
 
 def s3():
@@ -59,9 +65,79 @@ def test_closure_sl25():
 
 
 def test_closure_cap():
-    ops = PermOps(5)
+    gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
     with pytest.raises(CapExceededError):
-        closure([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], ops, cap=10)
+        closure(gens, PermOps(5), cap=10)
+    # the cap is exact: |G| passes, |G| - 1 raises
+    assert closure(gens, PermOps(5), cap=120).order == 120
+    with pytest.raises(CapExceededError):
+        closure(gens, PermOps(5), cap=119)
+    U = su3_cover(3, materialize=True)[0].group
+    assert closure(U.generators, U.ops, cap=6048).order == 6048
+    with pytest.raises(CapExceededError):
+        closure(U.generators, U.ops, cap=6047)
+
+
+@st.composite
+def permutation_generators(draw):
+    n = draw(st.integers(2, 7))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return n, [tuple(g) for g in gens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutation_generators())
+def test_closure_matches_bfs_oracle_on_permutations(case):
+    n, gens = case
+    G = closure(gens, PermOps(n))
+    assert G.elements == closure_bfs(gens, PermOps(n)).elements
+    assert G.generators == gens
+
+
+def test_closure_matches_bfs_oracle_on_matrices_and_quotients():
+    G = sl2(5)
+    assert G.elements == closure_bfs(G.generators, G.ops).elements
+    U = su3_cover(3, materialize=True)[0].group
+    assert U.order == 6048
+    assert U.elements == closure_bfs(U.generators, U.ops).elements
+    B = stabilizer(projective_line_action(sl2(7)), (1, 0))
+    _, Q = abelianization(B)
+    assert Q.order == 6
+    assert closure(Q.generators, Q.ops).elements == closure_bfs(Q.generators, Q.ops).elements == Q.elements
+
+
+def greedy_generators_bfs(ops, elements):
+    """The greedy generating set, recomputing each closure by breadth-first search."""
+    gens = []
+    current = {ops.identity}
+    for el in sorted(elements):
+        if el not in current:
+            gens.append(el)
+            current = set(closure_bfs(gens, ops).elements)
+            if len(current) == len(elements):
+                break
+    return gens or [ops.identity]
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_small_generating_set_matches_greedy_oracle_borel(q):
+    stab = sl2_cover(q)[0].stab
+    assert small_generating_set(stab.ops, stab.elements) == greedy_generators_bfs(stab.ops, stab.elements)
+
+
+def test_small_generating_set_matches_greedy_oracle_su33_stabilizer():
+    stab = su3_cover(3)[0].stab
+    assert stab.order == 216
+    assert stab.generators == greedy_generators_bfs(stab.ops, stab.elements)
+
+
+def test_generator_table_rejects_a_bad_presentation():
+    ops = PermOps(3)
+    S3 = s3()
+    with pytest.raises(GroupError, match="do not generate"):
+        FiniteGroup(ops, S3.elements, [(1, 2, 0)]).generator_table
+    with pytest.raises(GroupError, match="not closed"):
+        FiniteGroup(ops, [(0, 1, 2), (1, 0, 2)], [(1, 2, 0)]).generator_table
 
 
 def test_stabilizer_s3():
@@ -167,6 +243,30 @@ def test_character_counts():
     # pairwise distinct
     sigs = {tuple(sorted(c.exponents.items())) + (c.modulus,) for c in chars}
     assert len(sigs) == 4
+
+
+def test_verify_homomorphism_rejects_one_corrupted_exponent():
+    B = stabilizer(projective_line_action(sl2(5)), (1, 0))
+    chi = next(c for c in enumerate_linear_characters(B) if c.image_order == 4)
+    target = next(g for g in B.elements if g not in B.generators and g != B.identity)
+    exponents = dict(chi.exponents)
+    exponents[target] = (exponents[target] + 1) % 4
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        LinearCharacter(4, exponents, chi.key).verify_homomorphism(B)
+
+
+def test_verify_homomorphism_reads_every_generator_row():
+    # f(t b) = f(t) + f(b) holds for the transposition t on every b, but
+    # f is not the sign: it fails on the 3-cycle's row
+    t, c = (1, 0, 2), (1, 2, 0)
+    S3 = FiniteGroup(PermOps(3), s3().elements, [t, c])
+    f = {S3.identity: 0, t: 1}
+    for b in (c, S3.mul(c, c)):
+        f[b] = 1
+        f[S3.mul(t, b)] = 0
+    assert all((f[t] + f[b]) % 2 == f[S3.mul(t, b)] for b in S3.elements)
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        LinearCharacter(2, f, (2, ())).verify_homomorphism(S3)
 
 
 def test_characters_trivial_abelianization():

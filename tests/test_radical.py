@@ -344,6 +344,47 @@ def test_decomposition_table_rejects_an_incomplete_stabilizer():
         HigmanDecompositionTable(CoverData(cover.action, stab, cover.base_point), x)
 
 
+def test_cover_verify_rejects_an_incomplete_stabilizer():
+    from rouxforge.group import FiniteGroup, small_generating_set
+    from rouxforge.radical import CoverData
+
+    cover, _ = sl2_cover(5, materialize=True)
+    cover.verify()
+    short = cover.stab.elements[:-1]
+    stab = FiniteGroup(cover.ops, short, small_generating_set(cover.ops, short))
+    with pytest.raises(RadicalError, match="stabilizer list is incomplete"):
+        CoverData(cover.action, stab, cover.base_point).verify()
+
+
+def test_cover_verify_rejects_a_stabilizer_element_outside_the_group():
+    from rouxforge.group import FiniteGroup, small_generating_set
+    from rouxforge.radical import CoverData
+
+    cover, _ = sl2_cover(5, materialize=True)
+    outside = ((2, 0), (0, 1))  # fixes the base point, determinant 2
+    assert outside not in cover.group
+    listed = cover.stab.elements[:-1] + [outside]
+    stab = FiniteGroup(cover.ops, listed, small_generating_set(cover.ops, listed))
+    with pytest.raises(RadicalError, match="outside the group"):
+        CoverData(cover.action, stab, cover.base_point).verify()
+
+
+def test_cover_verify_rejects_a_kernel_that_is_not_central():
+    # S4 on its three pair-partitions: the kernel V4 is normal, not central
+    from rouxforge.group import GroupAction
+
+    S4 = closure([(1, 0, 2, 3), (1, 2, 3, 0)], PermOps(4), name="S4")
+    partitions = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+
+    def apply(g, part):
+        return tuple(sorted(tuple(sorted((g[a], g[b]))) for a, b in part))
+
+    cover = cover_from_group(S4, GroupAction(S4, partitions, apply))
+    assert cover.stab.order == 8
+    with pytest.raises(RadicalError, match="covering kernel is not central"):
+        cover.verify()
+
+
 def test_higman_roux_pipeline_sl27():
     cover, x, chars = sl2_chars(7)
     table = HigmanDecompositionTable(cover, x)
