@@ -31,8 +31,9 @@ from .group import (
     is_doubly_transitive,
     natural_permutation_action,
     projective_line_action,
+    stabilizer,
 )
-from .radical import HigmanDecompositionTable, RadicalError, cover_from_group, higman_roux
+from .radical import CoverData, HigmanDecompositionTable, RadicalError, higman_roux
 from .roux import (
     RouxAxiomError,
     RouxIdentityError,
@@ -202,10 +203,11 @@ def cmd_detect(args) -> int:
         if not action.is_transitive():
             print("error: action is not transitive (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
-        if not is_doubly_transitive(action):
+        stab = stabilizer(action, action.points[0])
+        if not is_doubly_transitive(action, stab):
             print("error: action is not doubly transitive (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
-        cover = cover_from_group(G, action)
+        cover = CoverData(action, stab)
         cover.verify()
         chars = enumerate_linear_characters(cover.stab)
     except (GroupError, InputError, KeyError, TypeError, ValueError) as exc:
@@ -229,7 +231,7 @@ def cmd_detect(args) -> int:
 
     def run(item):
         idx, alpha = item
-        found = higman_roux(cover, alpha, x, table)
+        found = higman_roux(table, alpha)
         row = {
             "character": {
                 "index": idx,

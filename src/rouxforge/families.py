@@ -26,6 +26,7 @@ from .group import (
     closure,
     derived_subgroup,
     enumerate_linear_characters,
+    greedy_closure,
     projective_line_action,
     projective_point,
     small_generating_set,
@@ -369,20 +370,18 @@ def _line_set_records(B: RouxMatrix, params: RouxParameters) -> list[LineSetReco
 
 
 def _process_character(
-    cover: CoverData,
+    table: HigmanDecompositionTable,
     alpha,
-    x,
     index: int,
     compress_to: Optional[int] = None,
     prefer_exponent: Optional[int] = None,
-    table: Optional[HigmanDecompositionTable] = None,
 ) -> CharacterBlock:
     """Run detection and, on success, the full roux pipeline for one character."""
-    found = higman_roux(cover, alpha, x, table, prefer_exponent)
+    found = higman_roux(table, alpha, prefer_exponent)
     block = CharacterBlock(
         index=index,
         image_order=alpha.modulus,
-        exponents_on_generators=[alpha.exponent(g) for g in cover.stab.generators],
+        exponents_on_generators=[alpha.exponent(g) for g in table.cover.stab.generators],
         higman=found is not None,
     )
     if found is None:
@@ -436,7 +435,7 @@ def sl2_family(q: int) -> FamilyReport:
 
     table = HigmanDecompositionTable(cover, x)
     for idx, alpha in enumerate(chars):
-        block = _process_character(cover, alpha, x, idx, table=table)
+        block = _process_character(table, alpha, idx)
         report.characters.append(block)
 
     passing = [b for b in report.characters if b.higman]
@@ -517,13 +516,11 @@ def su3_family(q: int, allow_large: bool = False) -> FamilyReport:
         if alpha.modulus > 1:
             prefer = (2 * alpha.exponent(eta_b0)) % (2 * alpha.modulus)
         block = _process_character(
-            cover,
+            table,
             alpha,
-            x,
             idx,
             compress_to=alpha.modulus if alpha.modulus > 1 else None,
             prefer_exponent=prefer,
-            table=table,
         )
         report.characters.append(block)
 
@@ -929,8 +926,7 @@ def symplectic_witness(m: int, epsilon: int) -> WitnessReport:
 
     if m == 3:
         singular_units = [u for u in range(1, 1 << dim) if Q(u) == 1]
-        gens = small_generating_set(ops, [transvection(v) for v in singular_units])
-        O = closure(gens, ops, name=f"O({dim},2)")
+        O = greedy_closure(ops, [transvection(v) for v in singular_units])
         sp_order = 2 ** (m * m)
         for i in range(1, m + 1):
             sp_order *= 4**i - 1

@@ -279,21 +279,25 @@ def closure(generators: Sequence, ops, cap: int = CLOSURE_CAP, name: str = "") -
     return FiniteGroup(ops, elements, generators, name=name)
 
 
-def closure_elements(generators: Sequence, ops, cap: int = CLOSURE_CAP) -> set:
-    return set(closure(generators, ops, cap).elements)
+def greedy_closure(ops, elements: Sequence) -> FiniteGroup:
+    """The group generated by ``elements``, closed along a greedy
+    generating set: each element outside the running closure is added.
+    Returns the group the last closure built, with that set as its
+    generators ([identity] when every element is the identity)."""
+    G = closure([ops.identity], ops)
+    gens: list = []
+    for el in sorted(elements):
+        if el not in G:
+            gens.append(el)
+            G = closure(gens, ops)
+            if G.order == len(elements):
+                break
+    return G
 
 
 def small_generating_set(ops, elements: Sequence) -> list:
     """Greedy generating set: add the first element outside the running closure."""
-    gens: list = []
-    current = {ops.identity}
-    for el in sorted(elements):
-        if el not in current:
-            gens.append(el)
-            current = closure_elements(gens, ops)
-            if len(current) == len(elements):
-                break
-    return gens if gens else [ops.identity]
+    return greedy_closure(ops, elements).generators
 
 
 def direct_product_with_cyclic(G: FiniteGroup, r: int, cap: int = CLOSURE_CAP) -> FiniteGroup:
@@ -416,14 +420,14 @@ def stabilizer(action: GroupAction, point) -> Subgroup:
     return G.subgroup(members)
 
 
-def is_doubly_transitive(action: GroupAction) -> bool:
-    """True iff the stabilizer of one point is transitive on the rest."""
+def is_doubly_transitive(action: GroupAction, stab: FiniteGroup) -> bool:
+    """True iff ``stab``, the stabilizer of the first point, is
+    transitive on the rest."""
     if not action.is_transitive():
         raise GroupError("action is not transitive")
     if action.degree < 2:
         return False
     base = action.points[0]
-    stab = stabilizer(action, base)
     rest = [p for p in action.points if p != base]
     sub = GroupAction(stab, rest, action._apply)
     return len(sub.orbit(rest[0])) == len(rest)
@@ -442,7 +446,7 @@ def derived_subgroup(G: FiniteGroup, cap: int = 10**5) -> Subgroup:
     comms.discard(ops.identity)
     seeds = sorted(comms)
     while True:
-        members = closure_elements(seeds, ops) if seeds else {ops.identity}
+        members = set(closure(seeds or [ops.identity], ops).elements)
         new = []
         for g in gens:
             ginv = ops.inv(g)

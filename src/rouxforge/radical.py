@@ -22,11 +22,11 @@ from typing import Optional
 
 from .cycalg import GroupAlgebraElement
 from .group import (
+    CLOSURE_CAP,
     FiniteGroup,
     GroupAction,
     LinearCharacter,
     direct_product_with_cyclic,
-    stabilizer,
 )
 from .roux import RouxMatrix, RouxParameters, verify_roux
 
@@ -73,7 +73,7 @@ class CoverData:
     def first_outside_stabilizer(self):
         G = self.group
         if G is None:
-            raise RadicalError("cover group not materialized; pass x explicitly")
+            raise RadicalError("cover group not materialized")
         for g in G.elements:
             if g not in self.stab_set:
                 return g
@@ -113,12 +113,6 @@ class CoverData:
             for g in G.generators:
                 if G.mul(z, g) != G.mul(g, z):
                     raise RadicalError("covering kernel is not central")
-
-
-def cover_from_group(G: FiniteGroup, action: GroupAction, base_point=None) -> CoverData:
-    """Cover data for a materialized group, stabilizer found by enumeration."""
-    base = action.points[0] if base_point is None else base_point
-    return CoverData(action, stabilizer(action, base), base)
 
 
 @dataclass(frozen=True)
@@ -167,12 +161,12 @@ class Radicalization:
             raise RadicalError("cover group not materialized")
         return G.order * self.r
 
-    def materialize(self, cap: int = 10**6):
+    def materialize(self):
         """Explicit (G~*, H, G~0*) for brute-force work."""
         G = self.cover.group
         if G is None:
             raise RadicalError("cover group not materialized")
-        Gt = direct_product_with_cyclic(G, self.r, cap)
+        Gt = direct_product_with_cyclic(G, self.r, CLOSURE_CAP)
         H = Gt.subgroup(self.h_elements())
         Gt0 = Gt.subgroup(
             [(xi, z) for xi in self.cover.stab.elements for z in range(self.r)]
@@ -180,17 +174,16 @@ class Radicalization:
         return Gt, H, Gt0
 
 
-def radicalize(cover: CoverData, alpha: LinearCharacter, verify: bool = True) -> Radicalization:
+def radicalize(cover: CoverData, alpha: LinearCharacter) -> Radicalization:
     """Build the radicalization, verifying the character and (when the
     product group is small enough) the normalizer identity N(H) = G~0*."""
-    if verify:
-        missing = [g for g in cover.stab.elements if g not in alpha.exponents]
-        if missing:
-            raise RadicalError("character not defined on the whole stabilizer")
-        alpha.verify_homomorphism(cover.stab)
+    missing = [g for g in cover.stab.elements if g not in alpha.exponents]
+    if missing:
+        raise RadicalError("character not defined on the whole stabilizer")
+    alpha.verify_homomorphism(cover.stab)
     rad = Radicalization(cover, alpha)
     G = cover.group
-    if verify and G is not None and G.order * rad.r <= NORMALIZER_VERIFY_CAP and cover.n >= 3:
+    if G is not None and G.order * rad.r <= NORMALIZER_VERIFY_CAP and cover.n >= 3:
         Gt, H, Gt0 = rad.materialize()
         hset = set(H.elements)
         normalizer = [
@@ -203,55 +196,6 @@ def radicalize(cover: CoverData, alpha: LinearCharacter, verify: bool = True) ->
     return rad
 
 
-def detect_higman(cover: CoverData, alpha: LinearCharacter, x=None) -> bool:
-    """Higman-pair test: conjugation by x (any element outside the
-    stabilizer) must preserve the character wherever it returns to the
-    stabilizer.  The verdict does not depend on the choice of x."""
-    if x is None:
-        x = cover.first_outside_stabilizer()
-    if cover.in_stabilizer(x):
-        raise RadicalError("x lies in the stabilizer")
-    ops = cover.ops
-    xinv = ops.inv(x)
-    for xi in cover.stab.elements:
-        y = ops.mul(ops.mul(x, xi), xinv)
-        if y in cover.stab_set and alpha.exponent(y) != alpha.exponent(xi):
-            return False
-    return True
-
-
-def find_key(rad: Radicalization, x=None, prefer_exponent: Optional[int] = None) -> Key:
-    """A key (x, z) with z^2 = alpha(xi*eta) for a decomposition
-    x^{-1} = xi x eta.
-
-    The square alpha(xi*eta) does not depend on the decomposition, so the
-    only freedom is the sign of z; the smaller exponent is chosen unless
-    the caller prefers the other square root.
-    """
-    cover = rad.cover
-    if x is None:
-        x = cover.first_outside_stabilizer()
-    if cover.in_stabilizer(x):
-        raise RadicalError("x lies in the stabilizer")
-    ops = cover.ops
-    xinv = ops.inv(x)
-    r = rad.r
-    for xi in cover.stab.elements:
-        eta = ops.mul(ops.mul(xinv, ops.inv(xi)), xinv)
-        if eta in cover.stab_set:
-            a2 = (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta)) % r
-            if a2 % 2:
-                raise RadicalError("alpha(xi*eta) has an odd exponent in C_r")
-            roots = sorted(((a2 // 2) % r, (a2 // 2 + rad.r_prime) % r))
-            if prefer_exponent is not None:
-                pe = prefer_exponent % r
-                if pe not in roots:
-                    raise RadicalError("preferred exponent is not a square root")
-                return Key(x, pe, r)
-            return Key(x, roots[0], r)
-    raise RadicalError("no decomposition x^{-1} = xi x eta: action is not doubly transitive")
-
-
 class HigmanDecompositionTable:
     """Double-coset decompositions for one cover and one x, read off an
     orbit transversal of the stabilizer.
@@ -259,10 +203,11 @@ class HigmanDecompositionTable:
     y = xi x eta with xi, eta in G0* means xi carries x.b to y.b (b the
     base point).  A breadth-first search of G0* from x.b gives, for every
     point p != b, an element xi_p of G0* with xi_p (x.b) = p, carried
-    together with u_p = x^{-1} xi_p^{-1}; then y = xi_p x (u_p y) with
-    p = y.b, two products per y.  Every other decomposition of y is
-    (xi s, x^{-1} s^{-1} x eta) for s in the two-point stabilizer G01* of
-    b and x.b, stored in ``g01`` as the pairs (s, x^{-1} s x).
+    together with u_p = x^{-1} xi_p^{-1}; then ``decompose`` returns
+    y = xi_p x (u_p y) with p = y.b, one product per y.  Every other
+    decomposition of y is (xi s, x^{-1} s^{-1} x eta) for s in the
+    two-point stabilizer G01* of b and x.b, stored in ``g01`` as the
+    pairs (s, x^{-1} s x).
 
     ``cells`` maps each roux cell (i, j) to one decomposition of
     x_i^{-1} x_j, and ``zeta_decomps`` holds (zeta, xi, eta) with
@@ -279,11 +224,11 @@ class HigmanDecompositionTable:
         ops = cover.ops
         action = cover.action
         base = cover.base_point
-        xinv = ops.inv(x)
+        self.xinv = xinv = ops.inv(x)
         xb = action.act(x, base)
 
         # Schreier transversal of G0* on the points other than b
-        orbit = {xb: (ops.identity, xinv)}
+        self._orbit = orbit = {xb: (ops.identity, xinv)}
         frontier = [xb]
         gens = [(g, ops.inv(g)) for g in cover.stab.generators]
         while frontier:
@@ -299,16 +244,6 @@ class HigmanDecompositionTable:
         if len(orbit) != action.degree - 1:
             raise RadicalError("stabilizer is not transitive on the other points")
 
-        def decompose(y):
-            p = action.act(y, base)
-            if p == base:
-                raise RadicalError("no decomposition: the element fixes the base point")
-            xi, u = orbit[p]
-            eta = ops.mul(u, y)
-            if eta not in cover.stab_set:
-                raise RadicalError("stabilizer list is incomplete: eta fixes b but is not listed")
-            return xi, eta
-
         transversal = action.transversal(base)
         if len(transversal) != action.degree:
             raise RadicalError("transversal size does not match point count")
@@ -319,7 +254,7 @@ class HigmanDecompositionTable:
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    self.cells[(i, j)] = decompose(ops.mul(inv_reps[i], self.reps[j]))
+                    self.cells[(i, j)] = self.decompose(ops.mul(inv_reps[i], self.reps[j]))
 
         self.g01: list[tuple] = []
         self.zeta_decomps: list[tuple] = []
@@ -332,34 +267,75 @@ class HigmanDecompositionTable:
         for zeta in cover.stab.elements:
             y = ops.mul(ops.mul(x, zeta), xinv)
             if y not in cover.stab_set:
-                self.zeta_decomps.append((zeta,) + decompose(y))
+                self.zeta_decomps.append((zeta,) + self.decompose(y))
+
+    def decompose(self, y) -> tuple:
+        """One decomposition y = xi x eta with xi, eta in G0*."""
+        cover = self.cover
+        p = cover.action.act(y, cover.base_point)
+        if p == cover.base_point:
+            raise RadicalError("no decomposition: the element fixes the base point")
+        xi, u = self._orbit[p]
+        eta = cover.ops.mul(u, y)
+        if eta not in cover.stab_set:
+            raise RadicalError("stabilizer list is incomplete: eta fixes b but is not listed")
+        return xi, eta
 
 
-def _checked_table(
-    rad: Radicalization, key: Key, table: Optional[HigmanDecompositionTable]
-) -> HigmanDecompositionTable:
-    """The decomposition table for the key's x, once alpha is known to
-    agree on the two-point stabilizer.
+def _g01_mismatch(table: HigmanDecompositionTable, alpha: LinearCharacter):
+    """The first s in G01* with alpha(s) != alpha(x^-1 s x), or None."""
+    return next((s for s, t in table.g01 if alpha.exponent(s) != alpha.exponent(t)), None)
+
+
+def detect_higman(table: HigmanDecompositionTable, alpha: LinearCharacter) -> bool:
+    """Higman-pair test: conjugation by x must preserve the character
+    wherever it returns to the stabilizer, that is on the pairs
+    (s, x^{-1} s x) of ``table.g01``.  The verdict does not depend on
+    the choice of x."""
+    return _g01_mismatch(table, alpha) is None
+
+
+def find_key(
+    rad: Radicalization, table: HigmanDecompositionTable, prefer_exponent: Optional[int] = None
+) -> Key:
+    """A key (x, z) with z^2 = alpha(xi*eta) for a decomposition
+    x^{-1} = xi x eta, x the table's.
+
+    For a Higman pair the square alpha(xi*eta) does not depend on the
+    decomposition, so the only freedom is the sign of z; the smaller
+    exponent is chosen unless the caller prefers the other square root.
+    """
+    xi, eta = table.decompose(table.xinv)
+    r = rad.r
+    # alpha(xi*eta) has an even exponent in [0, r); its roots are half and half + r'
+    half = ((rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta)) % r) // 2
+    if prefer_exponent is None:
+        return Key(table.x, half, r)
+    if prefer_exponent % r not in (half, half + rad.r_prime):
+        raise RadicalError("preferred exponent is not a square root")
+    return Key(table.x, prefer_exponent % r, r)
+
+
+def _check_table(rad: Radicalization, key: Key, table: HigmanDecompositionTable) -> None:
+    """Refuse a table built for another x, or a character that disagrees
+    on the two-point stabilizer.
 
     The decompositions of one double coset differ by (xi s, x^{-1} s^{-1} x eta)
     with s in G01*, which changes alpha(xi eta) by alpha(s) - alpha(x^{-1} s x).
     So the roux entries and the parameter count are well defined exactly
     when that difference vanishes on G01*.
     """
-    if table is None:
-        table = HigmanDecompositionTable(rad.cover, key.x)
     if table.x != key.x:
         raise RadicalError("decomposition table was built for a different x")
-    for s, t in table.g01:
-        if rad.alpha_exp_r(s) != rad.alpha_exp_r(t):
-            raise RadicalError(
-                f"double-coset lookup is ambiguous: alpha(s) != alpha(x^-1 s x) at s = {s}"
-            )
-    return table
+    s = _g01_mismatch(table, rad.alpha)
+    if s is not None:
+        raise RadicalError(
+            f"double-coset lookup is ambiguous: alpha(s) != alpha(x^-1 s x) at s = {s}"
+        )
 
 
 def roux_params_from_radicalization(
-    rad: Radicalization, key: Key, table: Optional[HigmanDecompositionTable] = None
+    rad: Radicalization, key: Key, table: HigmanDecompositionTable
 ) -> RouxParameters:
     """Roux parameters by counting stabilizer elements whose conjugate by
     the key decomposes with a prescribed character defect.
@@ -367,7 +343,7 @@ def roux_params_from_radicalization(
     c_w = (n-1)/|G0*| * #{zeta : exists xi, eta with
           x zeta x^{-1} = xi x eta and alpha(xi eta zeta^{-1}) z^{-1} = w}.
     """
-    table = _checked_table(rad, key, table)
+    _check_table(rad, key, table)
     ze, r = key.z_exponent, key.r
     counts = [0] * r
     for zeta, xi, eta in table.zeta_decomps:
@@ -385,7 +361,7 @@ def roux_params_from_radicalization(
 
 
 def roux_from_higman_pair(
-    rad: Radicalization, key: Key, table: Optional[HigmanDecompositionTable] = None
+    rad: Radicalization, key: Key, table: HigmanDecompositionTable
 ) -> RouxMatrix:
     """The roux of the Higman pair: entry (i, j) is the unique w in C_r
     with x_i^{-1} x_j in H (1,w) (x,z) H.
@@ -395,7 +371,7 @@ def roux_from_higman_pair(
     decomposition; the check on G01* proves every other decomposition
     gives the same w.
     """
-    table = _checked_table(rad, key, table)
+    _check_table(rad, key, table)
     ze, r = key.z_exponent, key.r
     n = rad.n
     exps = [[0] * n for _ in range(n)]
@@ -415,22 +391,21 @@ class HigmanRoux:
 
 
 def higman_roux(
-    cover: CoverData,
-    alpha: LinearCharacter,
-    x,
     table: HigmanDecompositionTable,
+    alpha: LinearCharacter,
     prefer_exponent: Optional[int] = None,
 ) -> Optional[HigmanRoux]:
-    """The pipeline for one character: detect, radicalize, find the key,
-    count the parameters, build the roux and verify it exactly.
+    """The pipeline for one character on the table's cover and x: detect,
+    radicalize, find the key, count the parameters, build the roux and
+    verify it exactly.
 
     Returns None when alpha fails the Higman-pair test.  Raises
     RadicalError when the counted and the verified parameters disagree.
     """
-    if not detect_higman(cover, alpha, x):
+    if not detect_higman(table, alpha):
         return None
-    rad = radicalize(cover, alpha)
-    key = find_key(rad, x, prefer_exponent=prefer_exponent)
+    rad = radicalize(table.cover, alpha)
+    key = find_key(rad, table, prefer_exponent=prefer_exponent)
     params = roux_params_from_radicalization(rad, key, table)
     B = roux_from_higman_pair(rad, key, table)
     if verify_roux(B).coeffs != params.coeffs:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from util import random_outside_stabilizer
+from util import cover_of, random_outside_stabilizer
 
 from rouxforge.families import (
     psl2_parameters_closed_form,
@@ -32,7 +32,13 @@ from rouxforge.lines import (
     welch_bound,
 )
 from rouxforge.oracles import verify_higman_axioms
-from rouxforge.radical import cover_from_group, detect_higman, find_key, radicalize
+from rouxforge.radical import (
+    HigmanDecompositionTable,
+    Radicalization,
+    detect_higman,
+    find_key,
+    radicalize,
+)
 from rouxforge.roux import (
     idempotent_data,
     is_real_lines,
@@ -180,18 +186,20 @@ def test_criterion_5_detector_choice_independence():
         cover, x = sl2_cover(q)
         if q * (q * q - 1) > 10**4:
             continue
+        table = HigmanDecompositionTable(cover, x)
         for alpha in enumerate_linear_characters(cover.stab):
-            baseline = detect_higman(cover, alpha, x)
+            baseline = detect_higman(table, alpha)
             for _ in range(5):
                 y = random_outside_stabilizer(cover, rng)
-                ok = ok and detect_higman(cover, alpha, y) == baseline
+                ok = ok and detect_higman(HigmanDecompositionTable(cover, y), alpha) == baseline
             instances += 1
     cover, x, _ = su3_cover(3)  # |SU(3,3)| = 6048
+    table = HigmanDecompositionTable(cover, x)
     for alpha in enumerate_linear_characters(cover.stab):
-        baseline = detect_higman(cover, alpha, x)
+        baseline = detect_higman(table, alpha)
         for _ in range(5):
             y = random_outside_stabilizer(cover, rng)
-            ok = ok and detect_higman(cover, alpha, y) == baseline
+            ok = ok and detect_higman(HigmanDecompositionTable(cover, y), alpha) == baseline
         instances += 1
     criterion(
         5,
@@ -300,13 +308,14 @@ def test_criterion_10_negative_witnesses():
 def test_criterion_11_bruteforce_oracle_equivalence():
     # (S3, stabilizer, trivial character)
     S3 = closure([(1, 0, 2), (1, 2, 0)], PermOps(3), name="S3")
-    cover = cover_from_group(S3, natural_permutation_action(S3))
+    cover = cover_of(natural_permutation_action(S3))
     trivial = next(
         a for a in enumerate_linear_characters(cover.stab) if a.modulus == 1
     )
-    verdict = detect_higman(cover, trivial)
+    table = HigmanDecompositionTable(cover, cover.first_outside_stabilizer())
+    verdict = detect_higman(table, trivial)
     rad = radicalize(cover, trivial)
-    key = find_key(rad, cover.first_outside_stabilizer())
+    key = find_key(rad, table)
     Gt, H, _ = rad.materialize()
     report = verify_higman_axioms(Gt, H, (key.x, key.z_exponent))
     ok = report.passed == verdict is True
@@ -315,18 +324,19 @@ def test_criterion_11_bruteforce_oracle_equivalence():
     cover5, x5 = sl2_cover(5, materialize=True)
     chars = enumerate_linear_characters(cover5.stab)
     quad = next(a for a in chars if a.modulus == 2)
-    verdict5 = detect_higman(cover5, quad, x5)
+    table5 = HigmanDecompositionTable(cover5, x5)
+    verdict5 = detect_higman(table5, quad)
     rad5 = radicalize(cover5, quad)
-    key5 = find_key(rad5, x5)
+    key5 = find_key(rad5, table5)
     Gt5, H5, _ = rad5.materialize()
     report5 = verify_higman_axioms(Gt5, H5, (key5.x, key5.z_exponent))
     ok = ok and report5.passed == verdict5 is True
 
     # negative agreement: an order-4 character fails both routes
     quartic = next(a for a in chars if a.modulus == 4)
-    verdict4 = detect_higman(cover5, quartic, x5)
-    rad4 = radicalize(cover5, quartic, verify=False)
-    key4 = find_key(rad4, x5)
+    verdict4 = detect_higman(table5, quartic)
+    rad4 = Radicalization(cover5, quartic)
+    key4 = find_key(rad4, table5)
     Gt4, H4, _ = rad4.materialize()
     report4 = verify_higman_axioms(Gt4, H4, (key4.x, key4.z_exponent))
     ok = ok and verdict4 is False and not report4.passed and not report4.axioms["H5"]

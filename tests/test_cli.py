@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from util import paley6_roux
+from util import paley6_roux, record_calls
 
 from rouxforge.cli import main
 
@@ -125,6 +125,19 @@ def test_detect_sl25_projective(tmp_path, capsys):
     assert quad[0]["key"][1] == 0
     higman_count = sum(1 for row in report["characters"] if row["higman"])
     assert higman_count == 2
+
+
+def test_detect_computes_the_stabilizer_once(tmp_path, capsys, monkeypatch):
+    # the double-transitivity test and the cover share one stabilizer
+    from rouxforge import group
+
+    stabilizers = record_calls(monkeypatch, group, "stabilizer")
+    spec = {"kind": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(["detect", str(path)], capsys)
+    assert code == 0 and json.loads(out)["stabilizer_order"] == 6
+    assert [H.order for H in stabilizers] == [6]
 
 
 def test_detect_intransitive_exit3(tmp_path, capsys):
@@ -329,7 +342,7 @@ def test_parameter_disagreement_exit2(tmp_path, capsys, monkeypatch):
 
     counted = radical.roux_params_from_radicalization
 
-    def shifted(rad, key, table=None):
+    def shifted(rad, key, table):
         params = counted(rad, key, table)
         half = params.r // 2
         coeffs = params.coeffs[half:] + params.coeffs[:half]

@@ -1,4 +1,5 @@
 import pytest
+from util import record_calls
 
 from rouxforge.families import (
     FamilyError,
@@ -244,6 +245,16 @@ def test_symplectic_witness_m3():
         names = {c["name"]: c["passed"] for c in rep.checks}
         assert names["tau_involution"] and names["tau_outside_stabilizer"]
         assert names["derived_index_two"]
+
+
+def test_symplectic_witness_closes_the_stabilizer_once(monkeypatch):
+    # the greedy generating-set pass already closes O+(6,2), of order 8! = 40320
+    from rouxforge import group
+
+    closed = record_calls(monkeypatch, group, "closure")
+    report = symplectic_witness(3, +1)
+    assert report.passed
+    assert [G.order for G in closed].count(40320) == 1
 
 
 def test_symplectic_witness_m4():

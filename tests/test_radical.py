@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from util import random_outside_stabilizer
+from util import cover_of, random_outside_stabilizer
 
 from rouxforge.families import sl2_cover, su3_cover
 from rouxforge.group import (
@@ -12,6 +12,7 @@ from rouxforge.group import (
     natural_permutation_action,
 )
 from rouxforge.oracles import (
+    detect_higman_scan,
     double_coset_scan,
     gram_from_idempotent,
     matrix_rank_by_threshold,
@@ -21,7 +22,7 @@ from rouxforge.radical import (
     HigmanDecompositionTable,
     Key,
     RadicalError,
-    cover_from_group,
+    Radicalization,
     detect_higman,
     find_key,
     higman_roux,
@@ -34,7 +35,7 @@ from rouxforge.roux import signature_matrix, verify_roux
 
 def s3_cover():
     G = closure([(1, 0, 2), (1, 2, 0)], PermOps(3), name="S3")
-    return cover_from_group(G, natural_permutation_action(G))
+    return cover_of(natural_permutation_action(G))
 
 
 def sl2_chars(q, materialize=False):
@@ -97,7 +98,8 @@ def test_radicalize_su33_bookkeeping():
 
 def test_detect_sl25():
     cover, x, chars = sl2_chars(5)
-    detects = {c.modulus: detect_higman(cover, c, x) for c in chars}
+    table = HigmanDecompositionTable(cover, x)
+    detects = {c.modulus: detect_higman(table, c) for c in chars}
     assert detects[1] is True  # trivial character: condition reads 1 = 1
     assert detects[2] is True  # quadratic-residue character
     assert detects[4] is False  # order-4 characters fail
@@ -105,19 +107,20 @@ def test_detect_sl25():
 
 def test_detect_rejects_stabilizer_x():
     cover, x, chars = sl2_chars(5)
-    with pytest.raises(RadicalError):
-        detect_higman(cover, chars[0], cover.stab.elements[0])
+    with pytest.raises(RadicalError, match="x lies in the stabilizer"):
+        HigmanDecompositionTable(cover, cover.stab.elements[0])
 
 
 def test_detect_choice_independence():
     rng = random.Random(42)
     for q in (5, 7, 13):
         cover, x, chars = sl2_chars(q)
+        table = HigmanDecompositionTable(cover, x)
         for alpha in chars:
-            baseline = detect_higman(cover, alpha, x)
+            baseline = detect_higman(table, alpha)
             for _ in range(5):
                 y = random_outside_stabilizer(cover, rng)
-                assert detect_higman(cover, alpha, y) == baseline
+                assert detect_higman(HigmanDecompositionTable(cover, y), alpha) == baseline
 
 
 def test_find_key_psl_signs():
@@ -126,7 +129,7 @@ def test_find_key_psl_signs():
         cover, x, chars = sl2_chars(q)
         quad = by_order(chars, 2)[0]
         rad = radicalize(cover, quad)
-        key = find_key(rad, x)
+        key = find_key(rad, HigmanDecompositionTable(cover, x))
         assert key.z_exponent == expected, q
 
 
@@ -135,24 +138,25 @@ def test_find_key_su3_sign_choices():
     chars = enumerate_linear_characters(cover.stab)
     order4 = by_order(chars, 4)[0]
     rad = radicalize(cover, order4)
-    generic = find_key(rad, x)
+    table = HigmanDecompositionTable(cover, x)
+    generic = find_key(rad, table)
     assert generic.z_exponent == 0  # least square root of alpha(1) = 1
     preferred = (2 * order4.exponent(eta_b0)) % rad.r
     assert preferred == 4  # the opposite sign: exponent r' in C_r
-    key = find_key(rad, x, prefer_exponent=preferred)
+    key = find_key(rad, table, prefer_exponent=preferred)
     assert key.z_exponent == 4
     with pytest.raises(RadicalError):
-        find_key(rad, x, prefer_exponent=1)  # not a square root
+        find_key(rad, table, prefer_exponent=1)  # not a square root
 
 
 def test_find_key_requires_double_transitivity():
     ops = PermOps(4)
     C4 = closure([(1, 2, 3, 0)], ops, name="C4")
-    cover = cover_from_group(C4, natural_permutation_action(C4))
-    trivial = enumerate_linear_characters(cover.stab)[0]
-    rad = radicalize(cover, trivial, verify=False)
-    with pytest.raises(RadicalError):
-        find_key(rad, (1, 2, 3, 0))
+    cover = cover_of(natural_permutation_action(C4))
+    # find_key reads x^{-1} = xi x eta off the table, which needs G0*
+    # transitive on the points other than the base point
+    with pytest.raises(RadicalError, match="not transitive"):
+        HigmanDecompositionTable(cover, (1, 2, 3, 0))
 
 
 def test_params_sl2():
@@ -160,8 +164,9 @@ def test_params_sl2():
         cover, x, chars = sl2_chars(q)
         quad = by_order(chars, 2)[0]
         rad = radicalize(cover, quad)
-        key = find_key(rad, x)
-        params = roux_params_from_radicalization(rad, key)
+        table = HigmanDecompositionTable(cover, x)
+        key = find_key(rad, table)
+        params = roux_params_from_radicalization(rad, key, table)
         assert params.coeffs == expected
 
 
@@ -169,8 +174,9 @@ def test_params_trivial_character():
     cover, x, chars = sl2_chars(5)
     trivial = by_order(chars, 1)[0]
     rad = radicalize(cover, trivial)
-    key = find_key(rad, x)
-    params = roux_params_from_radicalization(rad, key)
+    table = HigmanDecompositionTable(cover, x)
+    key = find_key(rad, table)
+    params = roux_params_from_radicalization(rad, key, table)
     assert params.coeffs == (4, 0)  # c_1 = n-2, c_{-1} = 0
 
 
@@ -178,11 +184,12 @@ def test_roux_from_higman_pair_sl25():
     cover, x, chars = sl2_chars(5)
     quad = by_order(chars, 2)[0]
     rad = radicalize(cover, quad)
-    key = find_key(rad, x)
-    B = roux_from_higman_pair(rad, key)
+    table = HigmanDecompositionTable(cover, x)
+    key = find_key(rad, table)
+    B = roux_from_higman_pair(rad, key, table)
     assert (B.n, B.r) == (6, 4)
     params = verify_roux(B)
-    assert params.coeffs == roux_params_from_radicalization(rad, key).coeffs
+    assert params.coeffs == roux_params_from_radicalization(rad, key, table).coeffs
     # the k = 1 signature carries a (6, 3) equiangular tight frame
     from rouxforge.lines import gram_from_signature, verify_etf
 
@@ -195,8 +202,8 @@ def test_roux_from_higman_pair_sl27_not_real():
     cover, x, chars = sl2_chars(7)
     quad = by_order(chars, 2)[0]
     rad = radicalize(cover, quad)
-    key = find_key(rad, x)
-    B = roux_from_higman_pair(rad, key)
+    table = HigmanDecompositionTable(cover, x)
+    B = roux_from_higman_pair(rad, find_key(rad, table), table)
     assert (B.n, B.r) == (8, 4)
     from rouxforge.lines import gram_from_signature, is_real_line_sequence, verify_etf
 
@@ -211,17 +218,18 @@ def test_key_sign_flip_translates_parameters():
     cover, x, chars = sl2_chars(5)
     quad = by_order(chars, 2)[0]
     rad = radicalize(cover, quad)
-    key = find_key(rad, x)
+    table = HigmanDecompositionTable(cover, x)
+    key = find_key(rad, table)
     other = Key(key.x, (key.z_exponent + rad.r_prime) % rad.r, rad.r)
-    p1 = roux_params_from_radicalization(rad, key)
-    p2 = roux_params_from_radicalization(rad, other)
+    p1 = roux_params_from_radicalization(rad, key, table)
+    p2 = roux_params_from_radicalization(rad, other, table)
     shift = rad.r_prime
     assert all(
         p2.coeffs[w] == p1.coeffs[(w + shift) % rad.r] for w in range(rad.r)
     )
     # both keys generate the same lines: signature spectra coincide
-    B1 = roux_from_higman_pair(rad, key)
-    B2 = roux_from_higman_pair(rad, other)
+    B1 = roux_from_higman_pair(rad, key, table)
+    B2 = roux_from_higman_pair(rad, other, table)
     for k in range(rad.r):
         s1 = np.linalg.eigvalsh(signature_matrix(B1, k, p1))
         s2 = np.linalg.eigvalsh(signature_matrix(B2, k, p2))
@@ -231,16 +239,16 @@ def test_key_sign_flip_translates_parameters():
 
 
 def test_shared_table_matches_fresh_runs():
+    # a table shared by a character sweep keeps no character state
     cover, x, chars = sl2_chars(7)
-    table = HigmanDecompositionTable(cover, x)
-    quad = by_order(chars, 2)[0]
-    rad = radicalize(cover, quad)
-    key = find_key(rad, x)
-    assert roux_from_higman_pair(rad, key, table) == roux_from_higman_pair(rad, key)
-    assert (
-        roux_params_from_radicalization(rad, key, table).coeffs
-        == roux_params_from_radicalization(rad, key).coeffs
-    )
+    shared = HigmanDecompositionTable(cover, x)
+    for alpha in chars:
+        found = higman_roux(shared, alpha)
+        fresh = higman_roux(HigmanDecompositionTable(cover, x), alpha)
+        assert (found is None) == (fresh is None)
+        if found is not None:
+            assert found.key == fresh.key and found.roux == fresh.roux
+            assert found.params.coeffs == fresh.params.coeffs
 
 
 def s3_with_x():
@@ -298,8 +306,8 @@ def test_decomposition_table_matches_stabilizer_scan(case):
     # a character passes the G01* check exactly when every scanned cell has
     # one value, and then the roux equals the per-cell-unique scan
     for alpha in enumerate_linear_characters(cover.stab):
-        rad = radicalize(cover, alpha, verify=False)
-        key = find_key(rad, x)
+        rad = Radicalization(cover, alpha)
+        key = find_key(rad, table)
         values = {
             cell: {
                 (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - key.z_exponent) % rad.r
@@ -311,20 +319,54 @@ def test_decomposition_table_matches_stabilizer_scan(case):
         try:
             B = roux_from_higman_pair(rad, key, table)
         except RadicalError:
-            assert not detect_higman(cover, alpha, x)
+            assert not detect_higman(table, alpha)
             if stride == 1:
                 assert not unique
             continue
-        assert detect_higman(cover, alpha, x) and unique
+        assert detect_higman(table, alpha) and unique
         assert all(B.exps[i, j] == values[(i, j)].pop() for (i, j) in scanned)
+
+
+def scan_key(rad, x):
+    """The key read off the first decomposition x^{-1} = xi x eta that the
+    stabilizer scan finds, with every decomposition giving one square."""
+    squares = {
+        (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta)) % rad.r
+        for xi, eta in double_coset_scan(rad.cover, x, rad.cover.ops.inv(x))
+    }
+    assert len(squares) == 1
+    half = squares.pop() // 2
+    roots = sorted((half, (half + rad.r_prime) % rad.r))
+    return Key(x, roots[0], rad.r)
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSITION_CASES))
+def test_detector_and_key_match_the_stabilizer_scans(case):
+    build, _ = DECOMPOSITION_CASES[case]
+    cover, x = build()
+    xs = [x]
+    if cover.group is not None:
+        # three more elements outside the stabilizer, spread over the group
+        outside = [g for g in cover.group.elements if g != x and not cover.in_stabilizer(g)]
+        xs += outside[:: max(1, len(outside) // 3)][:3]
+        assert len(xs) == 4
+    chars = enumerate_linear_characters(cover.stab)
+    for y in xs:
+        table = HigmanDecompositionTable(cover, y)
+        for alpha in chars:
+            verdict = detect_higman(table, alpha)
+            assert verdict == detect_higman_scan(cover, alpha, y)
+            if verdict:
+                rad = radicalize(cover, alpha)
+                assert find_key(rad, table) == scan_key(rad, y)
 
 
 def test_non_higman_character_is_refused():
     cover, x, chars = sl2_chars(7)
     sextic = by_order(chars, 6)[0]
     rad = radicalize(cover, sextic)
-    key = find_key(rad, x)
     table = HigmanDecompositionTable(cover, x)
+    key = find_key(rad, table)
     with pytest.raises(RadicalError, match=r"alpha\(s\) != alpha\(x\^-1 s x\) at s = "):
         roux_from_higman_pair(rad, key, table)
     with pytest.raises(RadicalError, match="ambiguous"):
@@ -379,7 +421,7 @@ def test_cover_verify_rejects_a_kernel_that_is_not_central():
     def apply(g, part):
         return tuple(sorted(tuple(sorted((g[a], g[b]))) for a, b in part))
 
-    cover = cover_from_group(S4, GroupAction(S4, partitions, apply))
+    cover = cover_of(GroupAction(S4, partitions, apply))
     assert cover.stab.order == 8
     with pytest.raises(RadicalError, match="covering kernel is not central"):
         cover.verify()
@@ -388,8 +430,8 @@ def test_cover_verify_rejects_a_kernel_that_is_not_central():
 def test_higman_roux_pipeline_sl27():
     cover, x, chars = sl2_chars(7)
     table = HigmanDecompositionTable(cover, x)
-    assert higman_roux(cover, by_order(chars, 6)[0], x, table) is None
-    found = higman_roux(cover, by_order(chars, 2)[0], x, table)
+    assert higman_roux(table, by_order(chars, 6)[0]) is None
+    found = higman_roux(table, by_order(chars, 2)[0])
     assert found.params.coeffs == (0, 3, 0, 3)
     assert verify_roux(found.roux).coeffs == found.params.coeffs
     assert found.key.z_exponent == 1 and found.rad.r == 4
@@ -399,7 +441,7 @@ def test_higman_axioms_s3_trivial():
     cover = s3_cover()
     trivial = by_order(enumerate_linear_characters(cover.stab), 1)[0]
     rad = radicalize(cover, trivial)
-    key = find_key(rad, cover.first_outside_stabilizer())
+    key = find_key(rad, HigmanDecompositionTable(cover, cover.first_outside_stabilizer()))
     Gt, H, _ = rad.materialize()
     report = verify_higman_axioms(Gt, H, (key.x, key.z_exponent))
     assert report.passed, report.first_failure
@@ -409,23 +451,27 @@ def test_higman_axioms_sl25_quadratic():
     cover, x, chars = sl2_chars(5, materialize=True)
     quad = by_order(chars, 2)[0]
     rad = radicalize(cover, quad)
-    key = find_key(rad, x)
+    table = HigmanDecompositionTable(cover, x)
+    key = find_key(rad, table)
     Gt, H, _ = rad.materialize()
     report = verify_higman_axioms(Gt, H, (key.x, key.z_exponent))
     assert report.passed, report.first_failure
-    assert detect_higman(cover, quad, x) is True
+    assert detect_higman(table, quad) is True
 
 
 def test_higman_axioms_h5_fails_for_nonreal_character():
     cover, x, chars = sl2_chars(5, materialize=True)
     order4 = by_order(chars, 4)[0]
-    assert detect_higman(cover, order4, x) is False
-    rad = radicalize(cover, order4, verify=False)
-    candidate = find_key(rad, x)
+    table = HigmanDecompositionTable(cover, x)
+    assert detect_higman(table, order4) is False
+    rad = Radicalization(cover, order4)
+    candidate = find_key(rad, table)
     Gt, H, _ = rad.materialize()
-    report = verify_higman_axioms(Gt, H, (candidate.x, candidate.z_exponent))
-    assert not report.passed
-    assert not report.axioms["H5"]
+    # no key exists: H5 fails for the candidate and for every other z
+    for z in range(rad.r):
+        report = verify_higman_axioms(Gt, H, (candidate.x, z))
+        assert not report.passed
+        assert not report.axioms["H5"]
 
 
 def test_higman_axioms_rejects_key_in_normalizer():
@@ -451,8 +497,8 @@ def test_gram_idempotent_rank_sl27():
     cover, x, chars = sl2_chars(7)
     quad = by_order(chars, 2)[0]
     rad = radicalize(cover, quad)
-    key = find_key(rad, x)
-    B = roux_from_higman_pair(rad, key)
+    table = HigmanDecompositionTable(cover, x)
+    B = roux_from_higman_pair(rad, find_key(rad, table), table)
     G = gram_from_idempotent(B, 1, -1)
     assert matrix_rank_by_threshold(G) == 4
 
@@ -463,9 +509,10 @@ def test_real_line_shortcut_real_key():
         cover, x, chars = sl2_chars(q)
         quad = by_order(chars, 2)[0]
         rad = radicalize(cover, quad)
-        key = find_key(rad, x)
+        table = HigmanDecompositionTable(cover, x)
+        key = find_key(rad, table)
         assert key.z_exponent in (0, rad.r_prime)  # z = +-1
-        B = roux_from_higman_pair(rad, key)
+        B = roux_from_higman_pair(rad, key, table)
         params = verify_roux(B)
         from rouxforge.roux import is_real_lines
 
@@ -479,8 +526,9 @@ def test_real_line_shortcut_involution():
     chars = enumerate_linear_characters(cover.stab)
     real = [c for c in chars if c.modulus == 2][0]
     rad = radicalize(cover, real)
-    key = find_key(rad, x, prefer_exponent=(2 * real.exponent(eta_b0)) % rad.r)
-    B = roux_from_higman_pair(rad, key)
+    table = HigmanDecompositionTable(cover, x)
+    key = find_key(rad, table, prefer_exponent=(2 * real.exponent(eta_b0)) % rad.r)
+    B = roux_from_higman_pair(rad, key, table)
     params = verify_roux(B)
     from rouxforge.roux import is_real_lines
 

@@ -1,7 +1,11 @@
-"""Shared test fixtures: small hand-built roux instances and random
-cover elements."""
+"""Shared test fixtures: small hand-built roux instances, covers of
+enumerated groups, random cover elements and a call recorder."""
+
+import sys
 
 from rouxforge.field import FieldSpec, quadratic_residue_character
+from rouxforge.group import stabilizer
+from rouxforge.radical import CoverData
 from rouxforge.roux import RouxMatrix
 
 
@@ -35,3 +39,27 @@ def random_outside_stabilizer(cover, rng, word_length: int = 24):
             g = ops.mul(g, rng.choice(gens))
         if g not in cover.stab_set:
             return g
+
+
+def cover_of(action) -> CoverData:
+    """Cover data for an enumerated group's action, with the stabilizer
+    of the first point found by enumeration."""
+    return CoverData(action, stabilizer(action, action.points[0]))
+
+
+def record_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` in every rouxforge module that binds it (some
+    bind it with ``from ... import``); the returned list collects the
+    result of each call."""
+    original = getattr(module, name)
+    results = []
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "rouxforge" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return results
