@@ -36,6 +36,7 @@ from .group import (
 from .radical import CoverData, HigmanDecompositionTable, RadicalError, higman_roux
 from .roux import (
     RouxAxiomError,
+    RouxFormatError,
     RouxIdentityError,
     RouxMatrix,
     idempotent_report,
@@ -92,12 +93,21 @@ def _load_json(path: str) -> dict:
 
 
 def _complex_matrix_from_json(data: dict) -> np.ndarray:
-    n = int(data["n"])
-    entries = data["entries"]
-    if len(entries) != n * n:
-        raise InputError(f"expected {n * n} entries, got {len(entries)}")
-    flat = [complex(re, im) for re, im in entries]
-    return np.array(flat, dtype=complex).reshape(n, n)
+    """The n x n matrix of a file whose entries are n^2 [re, im] pairs, row-major."""
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise InputError(f"n must be a positive integer, got {n!r}")
+    try:
+        pairs = np.asarray(data["entries"])
+    except ValueError as exc:  # ragged rows
+        raise InputError(f"entries must be {n * n} [re, im] pairs") from exc
+    if pairs.shape != (n * n, 2) or pairs.dtype.kind not in "iuf":
+        raise InputError(f"entries must be {n * n} [re, im] pairs of numbers")
+    pairs = pairs.astype(float, copy=False)
+    if not np.isfinite(pairs).all():
+        raise InputError("entries must be finite")
+    # each contiguous [re, im] row of float64 is one complex128
+    return pairs.view(complex).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +304,7 @@ def cmd_verify(args) -> int:
         if kind == "twograph":
             return _verify_twograph_file(data, args)
         raise InputError(f"unknown kind {kind!r}")
-    except (InputError, KeyError, TypeError) as exc:
+    except (InputError, RouxFormatError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

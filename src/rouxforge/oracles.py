@@ -3,8 +3,9 @@
 Each function here recomputes, straight from a definition, something the
 library computes faster elsewhere: the closure of a generating set,
 double transitivity, double cosets and their decompositions, the
-Higman-pair test and axioms, the Cayley lift of Z[C_r], and the
-idempotent Gram of a roux.  Tests compare the fast paths against them on
+Higman-pair test and axioms, the roux identity and inverse-symmetry
+checked cell by cell, the Cayley lift of Z[C_r], and the idempotent
+Gram of a roux.  Tests compare the fast paths against them on
 small cases.
 No other rouxforge module imports this one.
 """
@@ -19,7 +20,14 @@ import numpy as np
 from .cycalg import AlgebraError, GroupAlgebraElement
 from .group import FiniteGroup, GroupAction, Subgroup, is_doubly_transitive, stabilizer
 from .radical import CoverData, RadicalError
-from .roux import RouxMatrix, RouxParameters, idempotent_data, signature_matrix, verify_roux
+from .roux import (
+    RouxIdentityError,
+    RouxMatrix,
+    RouxParameters,
+    idempotent_data,
+    signature_matrix,
+    verify_roux,
+)
 
 RANK_RTOL = 1e-6
 
@@ -176,6 +184,58 @@ def verify_higman_axioms(G: FiniteGroup, H: Subgroup, b) -> HigmanAxiomReport:
     record("H4", all(G.mul(G.mul(a, b), G.inv(a)) in HbH for a in K_members))
     record("H5", all(a in hset for a in K_members if G.mul(a, b) in HbH))
     return HigmanAxiomReport(axioms, first_failure)
+
+
+# ---------------------------------------------------------------------------
+# roux
+
+
+def first_r3_failure_loop(exps: np.ndarray, r: int) -> Optional[tuple]:
+    """First cell (i, j), i < j, in row-major order whose exponents do not
+    add up to 0 mod r; None if inverse-symmetry holds."""
+    n = len(exps)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (exps[i][j] + exps[j][i]) % r != 0:
+                return (i, j)
+    return None
+
+
+def verify_roux_loop(B: RouxMatrix) -> RouxParameters:
+    """The roux identity checked with r^2 integer matmuls and a loop over
+    every cell, diagonal cells first."""
+    n, r = B.n, B.r
+    off = ~np.eye(n, dtype=bool)
+    hot = [((B.exps == s) & off).astype(np.int64) for s in range(r)]
+    # square[s][i,j] = coefficient of exponent s in (B^2)_{ij}
+    square = [np.zeros((n, n), dtype=np.int64) for _ in range(r)]
+    for u in range(r):
+        for v in range(r):
+            square[(u + v) % r] += hot[u] @ hot[v]
+    # diagonal must be (n-1) * identity of the algebra
+    for i in range(n):
+        for s in range(r):
+            expected = n - 1 if s == 0 else 0
+            if square[s][i, i] != expected:
+                raise RouxIdentityError(
+                    f"(B^2) diagonal cell ({i},{i}) is not (n-1)*identity", cell=(i, i)
+                )
+    if n < 2:
+        raise RouxIdentityError("roux needs n >= 2")
+    # read parameters off cell (0,1): (B^2)_{ij} must equal sum_w c_w (w + B_ij)
+    base = int(B.exps[0, 1])
+    c = [int(square[(w + base) % r][0, 1]) for w in range(r)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            e = int(B.exps[i, j])
+            for w in range(r):
+                if square[(w + e) % r][i, j] != c[w]:
+                    raise RouxIdentityError(
+                        f"B^2 identity fails at cell ({i},{j})", cell=(i, j)
+                    )
+    return RouxParameters(n, r, GroupAlgebraElement(r, c))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ data, signature matrices, and the real-lines detector.
 A roux over C_r is an n x n matrix with zero diagonal, off-diagonal
 entries in C_r, inverse-symmetry across the diagonal, and
 B^2 = (n-1) I + sum_g c_g g B for nonnegative integers {c_g} summing to
-n-2 with c_{g^{-1}} = c_g.  Verification of that identity is exact
-integer arithmetic; floating point enters only through characters,
-eigenproblems, and ranks.
+n-2 with c_{g^{-1}} = c_g.  Verification of that identity is exact:
+its float32 products of 0/1 matrices only ever hold integers of at most
+n (see ``verify_roux``).  Inexact floating point enters only through
+characters, eigenproblems, and ranks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,14 @@ import numpy as np
 from .cycalg import GroupAlgebraElement
 
 IDEMPOTENT_TOL = 1e-9
+# Rows of B^2 computed per block of verify_roux; bounds its temporaries.
+VERIFY_ROW_BLOCK = 64
+# float32 holds every integer up to 2^24 exactly.
+FLOAT32_EXACT_MAX = 2**24
+
+
+class RouxFormatError(ValueError):
+    """A roux file that does not describe an n x n exponent grid."""
 
 
 class RouxAxiomError(ValueError):
@@ -59,17 +68,10 @@ class RouxMatrix:
         self._check_r3()
 
     def _check_r3(self) -> None:
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.exps[i, j] + self.exps[j, i]) % self.r != 0:
-                    raise RouxAxiomError(
-                        f"inverse-symmetry fails at cell ({i},{j})", cell=(i, j)
-                    )
-
-    def one_hot(self) -> list[np.ndarray]:
-        """Indicator matrix per exponent (diagonal excluded)."""
-        off = ~np.eye(self.n, dtype=bool)
-        return [((self.exps == s) & off).astype(np.int64) for s in range(self.r)]
+        bad = np.triu((self.exps + self.exps.T) % self.r != 0, 1)
+        if bad.any():
+            i, j = (int(x) for x in np.argwhere(bad)[0])
+            raise RouxAxiomError(f"inverse-symmetry fails at cell ({i},{j})", cell=(i, j))
 
     def __eq__(self, other) -> bool:
         return (
@@ -88,25 +90,39 @@ class RouxMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "RouxMatrix":
-        n, r = int(data["n"]), int(data["r"])
-        entries = data["entries"]
-        grid = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                v = entries[i][j]
-                if i == j:
-                    if v not in (None, 0):
-                        raise RouxAxiomError(f"diagonal cell ({i},{i}) must be zero", cell=(i, i))
-                else:
-                    if v is None:
-                        raise RouxAxiomError(f"off-diagonal cell ({i},{j}) missing", cell=(i, j))
-                    grid[i][j] = int(v)
-        return cls(n, r, grid)
+        """Parse ``{"n": n, "r": r, "entries": n rows of n cells}``, each
+        cell null or an integer exponent.
 
-    @classmethod
-    def all_ones(cls, n: int) -> "RouxMatrix":
-        """J - I as a roux over the trivial group C_1."""
-        return cls(n, 1, [[0] * n for _ in range(n)])
+        A file that is not such a grid raises ``RouxFormatError``.  A
+        non-zero diagonal cell or a missing off-diagonal cell raises
+        ``RouxAxiomError`` at the first such cell in row-major order.
+        """
+        n, r = data["n"], data["r"]
+        for name, value in (("n", n), ("r", r)):
+            if type(value) is not int or value < 1:
+                raise RouxFormatError(f"{name} must be a positive integer, got {value!r}")
+        cells = np.array(data["entries"], dtype=object)
+        if cells.shape != (n, n):
+            raise RouxFormatError(f"entries must be {n} rows of {n} cells")
+        if {type(v) for v in cells.flat} - {int, type(None)}:
+            (i, j), v = next(
+                (cell, v) for cell, v in np.ndenumerate(cells) if v is not None and type(v) is not int
+            )
+            raise RouxFormatError(f"cell ({i},{j}) must be null or an integer, got {v!r}")
+        missing = np.equal(cells, None)
+        fault = missing.copy()
+        np.fill_diagonal(fault, ~missing.diagonal() & (cells.diagonal() != 0))
+        if fault.any():
+            i, j = (int(x) for x in np.argwhere(fault)[0])
+            if i == j:
+                raise RouxAxiomError(f"diagonal cell ({i},{i}) must be zero", cell=(i, i))
+            raise RouxAxiomError(f"off-diagonal cell ({i},{j}) missing", cell=(i, j))
+        cells[missing] = 0
+        try:
+            exps = cells.astype(np.int64)
+        except OverflowError as exc:
+            raise RouxFormatError("exponents must lie in the 64-bit integer range") from exc
+        return cls(n, r, exps)
 
 
 @dataclass(frozen=True)
@@ -152,41 +168,51 @@ class RouxParameters:
 def verify_roux(B: RouxMatrix) -> RouxParameters:
     """Exact check of the quadratic identity; returns the parameters.
 
-    B^2 is computed in the integer group algebra via one-hot indicator
-    matrices; the parameter vector is read off row 1 and every cell is
-    cross-checked.  Zero tolerance; failures pinpoint a cell.
+    Column block u of the n x rn matrix ``stacked`` is the indicator H_u
+    of exponent u off the diagonal, so one product of rows of H_u with
+    ``stacked`` gives H_u H_v for every v, and the coefficient of
+    exponent s in (B^2)_{ij} is sum_u (H_u H_{s-u})_{ij}.  Every entry
+    and partial sum of these products is an integer of at most n, which
+    float32 holds exactly for n <= 2^24, so the BLAS products are exact.
+    The parameter vector is read off cell (0,1) and every off-diagonal
+    cell is checked against it; the first failing cell in row-major order
+    is reported.  Zero tolerance.
+
+    The diagonal needs no check: (B^2)_{ii} = sum_{k != i} B_ik B_ki, and
+    R3, which ``RouxMatrix`` enforces on its read-only grid, makes every
+    term the identity of C_r, so (B^2)_{ii} = (n-1) * identity.
     """
     n, r = B.n, B.r
-    hot = B.one_hot()
-    # square[s][i,j] = coefficient of exponent s in (B^2)_{ij}
-    square = [np.zeros((n, n), dtype=np.int64) for _ in range(r)]
-    for u in range(r):
-        for v in range(r):
-            square[(u + v) % r] += hot[u] @ hot[v]
-    # diagonal must be (n-1) * identity of the algebra
-    for i in range(n):
-        for s in range(r):
-            expected = n - 1 if s == 0 else 0
-            if square[s][i, i] != expected:
-                raise RouxIdentityError(
-                    f"(B^2) diagonal cell ({i},{i}) is not (n-1)*identity", cell=(i, i)
-                )
     if n < 2:
         raise RouxIdentityError("roux needs n >= 2")
-    # read parameters off cell (0,1): (B^2)_{ij} must equal sum_w c_w (w + B_ij)
-    base = int(B.exps[0, 1])
-    c = [int(square[(w + base) % r][0, 1]) for w in range(r)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            e = int(B.exps[i, j])
-            for w in range(r):
-                if square[(w + e) % r][i, j] != c[w]:
-                    raise RouxIdentityError(
-                        f"B^2 identity fails at cell ({i},{j})", cell=(i, j)
-                    )
-    return RouxParameters(n, r, GroupAlgebraElement(r, c))
+    if n > FLOAT32_EXACT_MAX:
+        raise RouxIdentityError(f"n = {n} exceeds 2^24, beyond exact float32 integers")
+    idx = np.arange(n)
+    hot = np.zeros((n, r, n), dtype=np.float32)
+    hot[idx[:, None], B.exps, idx[None, :]] = 1
+    hot[idx, 0, idx] = 0  # the diagonal holds exponent 0 but is no entry of B
+    stacked = hot.reshape(n, r * n)
+    c = None
+    for start in range(0, n, VERIFY_ROW_BLOCK):
+        rows = slice(start, min(start + VERIFY_ROW_BLOCK, n))
+        # square[i, s, j] = coefficient of exponent s in (B^2)_{start+i, j}
+        square = np.zeros((rows.stop - start, r, n), dtype=np.float32)
+        for u in range(r):
+            products = (stacked[rows, u * n : (u + 1) * n] @ stacked).reshape(-1, r, n)
+            square += np.roll(products, u, axis=1)
+        # (B^2)_{ij} must equal sum_w c_w (w + B_ij): shifted[i, w, j] is
+        # the coefficient of w + B_ij, to be compared with c_w
+        shifts = (np.arange(r)[:, None] + B.exps[rows, None, :]) % r
+        shifted = np.take_along_axis(square, shifts, axis=1)
+        if c is None:
+            c = shifted[0, :, 1]
+        bad = (shifted != c[:, None]).any(axis=1)
+        bad[idx[rows] - start, idx[rows]] = False
+        if bad.any():
+            i, j = (int(x) for x in np.argwhere(bad)[0])
+            i += start
+            raise RouxIdentityError(f"B^2 identity fails at cell ({i},{j})", cell=(i, j))
+    return RouxParameters(n, r, GroupAlgebraElement(r, [int(x) for x in c]))
 
 
 def switch(B: RouxMatrix, diagonal: Sequence[int], verify: bool = True) -> RouxMatrix:

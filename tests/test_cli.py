@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from util import paley6_roux, record_calls
+from util import paley6_roux, paley_exponents, record_calls
 
 from rouxforge.cli import main
+from rouxforge.roux import RouxMatrix, switch
 
 
 # Digests of the JSON reports of `family psl2 --q 13` and `family psu3 --q 3`,
@@ -187,6 +189,110 @@ def test_verify_corrupted_roux_locates_cell(tmp_path, capsys):
     report = json.loads(out)
     assert report["passed"] is False
     assert report["error"]["cell"] == [0, 1]
+
+
+# Digests of the `verify --kind roux` reports for the Paley C_4 roux at
+# p = 29 switched by a seeded diagonal, and for a copy with cell (0,1)
+# shifted by 2.  Unchanged since the identity was checked with r^2
+# integer matmuls.
+PALEY29_ROUX_SHA256 = "406d6e342a30667019b70d3e5f751977cf1247c22aa95809034c1547228cda43"
+PALEY29_CORRUPTED_SHA256 = "2ae9715ccb0475da1ddf6ad4bc618c244ec44d457db287ea8361a335c081a9ee"
+
+
+def test_verify_switched_paley29_reports_are_pinned(tmp_path, capsys):
+    rng = random.Random(29)
+    B = switch(RouxMatrix(30, 4, paley_exponents(29)), [rng.randrange(4) for _ in range(30)], verify=False)
+    blob = B.to_json()
+    path = tmp_path / "paley29.json"
+    path.write_text(json.dumps(blob))
+    code, out, _ = run(["verify", str(path), "--kind", "roux"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"]["c"] == [14, 0, 14, 0]
+    assert hashlib.sha256(out.encode()).hexdigest() == PALEY29_ROUX_SHA256
+    blob["entries"][0][1] = (blob["entries"][0][1] + 2) % 4
+    path.write_text(json.dumps(blob))
+    code, out, _ = run(["verify", str(path), "--kind", "roux"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["cell"] == [0, 1]
+    assert hashlib.sha256(out.encode()).hexdigest() == PALEY29_CORRUPTED_SHA256
+
+
+PALEY6 = paley6_roux(4).to_json()
+SHORT_ROW = [row[:] for row in PALEY6["entries"]]
+SHORT_ROW[3].pop()
+STRING_EXPONENT = [row[:] for row in PALEY6["entries"]]
+STRING_EXPONENT[2][4] = "2"
+HALF_EXPONENT = [row[:] for row in PALEY6["entries"]]
+HALF_EXPONENT[2][4] = 1.5
+BOOL_EXPONENT = [row[:] for row in PALEY6["entries"]]
+BOOL_EXPONENT[2][4] = True
+HUGE_EXPONENT = [row[:] for row in PALEY6["entries"]]
+HUGE_EXPONENT[2][4] = 2**70
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        dict(PALEY6, entries=STRING_EXPONENT),
+        dict(PALEY6, entries=SHORT_ROW),
+        dict(PALEY6, entries=HALF_EXPONENT),
+        dict(PALEY6, entries=BOOL_EXPONENT),
+        dict(PALEY6, entries=HUGE_EXPONENT),
+        dict(PALEY6, entries=PALEY6["entries"][:5]),
+        dict(PALEY6, entries="none"),
+        dict(PALEY6, n=-1),
+        dict(PALEY6, n="6"),
+        dict(PALEY6, r=0),
+        dict(PALEY6, r=4.0),
+        {"n": 6, "entries": PALEY6["entries"]},
+    ],
+    ids=["string", "short-row", "half", "bool", "huge", "missing-row", "not-a-grid",
+         "n-negative", "n-string", "r-zero", "r-float", "no-r"],
+)
+def test_verify_malformed_roux_file_exit2(tmp_path, capsys, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(["verify", str(path), "--kind", "roux"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_roux_r1_faults_keep_exit1_and_cell(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for cell, value, message in [
+        ((2, 2), 1, "diagonal cell (2,2) must be zero"),
+        ((3, 1), None, "off-diagonal cell (3,1) missing"),
+    ]:
+        entries = [row[:] for row in PALEY6["entries"]]
+        entries[cell[0]][cell[1]] = value
+        entries[4][4] = 3  # a later fault: the first one in row-major order is reported
+        path.write_text(json.dumps(dict(PALEY6, entries=entries)))
+        code, out, _ = run(["verify", str(path), "--kind", "roux"], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == {"message": message, "cell": list(cell)}
+
+
+@pytest.mark.parametrize("kind", ["signature", "etf"])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0.0, 0.0, 0.0]] * 4,
+        [[0.0, 0.0]] * 3,
+        [[0.0, 0.0]] * 3 + [[1.0]],
+        [[0.0, 0.0]] * 3 + [["1", "0"]],
+        [[0.0, 0.0]] * 3 + [[None, 0.0]],
+        [[0.0, 0.0]] * 3 + [[float("nan"), 0.0]],
+    ],
+    ids=["three-numbers", "too-few", "ragged", "string", "null", "nan"],
+)
+def test_verify_malformed_matrix_file_exit2(tmp_path, capsys, kind, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "entries": entries}))
+    code, out, err = run(["verify", str(path), "--kind", kind], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_signature_all_ones(tmp_path, capsys):

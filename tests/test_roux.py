@@ -1,12 +1,24 @@
 import math
 import random
+from functools import lru_cache
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from util import paley6_roux
+from hypothesis import example, given, settings, strategies as st
+from util import all_ones_roux, paley6_roux, paley_exponents
 
+from rouxforge import roux
 from rouxforge.cycalg import GroupAlgebraElement
-from rouxforge.oracles import gram_from_idempotent, idempotency_residual, matrix_rank_by_threshold
+from rouxforge.families import sl2_family, su3_family
+from rouxforge.oracles import (
+    first_r3_failure_loop,
+    gram_from_idempotent,
+    idempotency_residual,
+    matrix_rank_by_threshold,
+    verify_roux_loop,
+)
 from rouxforge.roux import (
     RouxAxiomError,
     RouxIdentityError,
@@ -24,7 +36,7 @@ from rouxforge.roux import (
 
 def test_all_ones_roux():
     for n in (3, 4, 7):
-        params = verify_roux(RouxMatrix.all_ones(n))
+        params = verify_roux(all_ones_roux(n))
         assert params.coeffs == (n - 2,)
 
 
@@ -48,6 +60,124 @@ def test_b_squared_failure_reports_cell():
     with pytest.raises(RouxIdentityError) as err:
         verify_roux(RouxMatrix(4, 2, exps))
     assert err.value.cell is not None
+
+
+@lru_cache(maxsize=None)
+def known_roux() -> tuple:
+    """Roux over C_r for r in {2, 4, 8}: Paley C_4 roux at p = 5, 13, 17,
+    29 and 97 (n = 98 spans two row blocks), the 6-point Paley roux over
+    C_2 and C_4, and every Higman roux (over C_r and compressed) of the
+    psl2 q = 7, 13 and psu3 q = 3 families."""
+    found = [RouxMatrix(p + 1, 4, paley_exponents(p)) for p in (5, 13, 17, 29, 97)]
+    found += [paley6_roux(2), paley6_roux(4)]
+    for report in (sl2_family(7), sl2_family(13), su3_family(3)):
+        for block in report.characters:
+            if block.roux_matrix is not None:
+                found += [block.roux_matrix, block.working_roux]
+    assert {B.r for B in found} == {2, 4, 8}
+    return tuple(found)
+
+
+def outcome(verify, B):
+    """Parameters, or the message and cell of the identity failure."""
+    try:
+        return verify(B)
+    except RouxIdentityError as exc:
+        return str(exc), exc.cell
+
+
+# Row blocks of 1 to 3 rows put the cells of these small grids in
+# different blocks of verify_roux; 64 is the block size it uses.
+row_blocks = st.sampled_from([1, 2, 3, 64])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_verify_roux_matches_loop_on_switched_and_corrupted_roux(data):
+    pool = known_roux()
+    B = pool[data.draw(st.integers(0, len(pool) - 1), label="roux")]
+    n, r = B.n, B.r
+    diagonal = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n), label="switch")
+    switched = switch(B, diagonal, verify=False)
+    i = data.draw(st.integers(0, n - 2), label="i")
+    j = data.draw(st.integers(i + 1, n - 1), label="j")
+    t = data.draw(st.integers(1, r - 1), label="t")
+    exps = switched.exps.copy()
+    exps[i, j] += t
+    exps[j, i] -= t  # keeps R3
+    corrupted = RouxMatrix(n, r, exps)
+    with patch.object(roux, "VERIFY_ROW_BLOCK", data.draw(row_blocks, label="block")):
+        assert verify_roux(switched) == verify_roux_loop(switched) == verify_roux(B)
+        fast = outcome(verify_roux, corrupted)
+    assert isinstance(fast, tuple) and fast[0].startswith("B^2 identity fails at cell")
+    assert fast == outcome(verify_roux_loop, corrupted)
+
+
+@st.composite
+def r3_grids(draw, max_n: int = 9, max_r: int = 4):
+    """n x n exponent grids over C_r with inverse-symmetry, mostly not roux."""
+    n = draw(st.integers(2, max_n))
+    r = draw(st.integers(1, max_r))
+    exps = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            exps[i][j] = draw(st.integers(0, r - 1))
+            exps[j][i] = -exps[i][j]
+    return RouxMatrix(n, r, exps)
+
+
+# Row 0 of B^2 holds here, so the first failure, at (1,2), lies past the
+# first block when blocks have one row.
+ROW_ONE_FAILURE = RouxMatrix(4, 3, [[0, 0, 0, 0], [0, 0, 2, 1], [0, 1, 0, 2], [0, 2, 1, 0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(r3_grids(), row_blocks)
+@example(ROW_ONE_FAILURE, 1)
+def test_verify_roux_first_failure_matches_loop(B, block):
+    with patch.object(roux, "VERIFY_ROW_BLOCK", block):
+        fast = outcome(verify_roux, B)
+    assert fast == outcome(verify_roux_loop, B)
+    # R3 makes every diagonal cell of B^2 the (n-1)-fold identity, so the
+    # loop's diagonal branch, which the fast path drops, never fires
+    assert not (isinstance(fast, tuple) and "diagonal" in fast[0])
+
+
+@st.composite
+def broken_r3_grids(draw, max_n: int = 9, max_r: int = 5):
+    """Exponent grids with inverse-symmetry except at up to three cells."""
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(1, max_r))
+    exps = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            exps[i][j] = draw(st.integers(-7, 7))
+            exps[j][i] = -exps[i][j] + r * draw(st.integers(-1, 1))
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            exps[i][j] += draw(st.integers(0, 2 * r))
+    return r, exps
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_r3_grids())
+def test_check_r3_matches_loop(case):
+    r, exps = case
+    expected = first_r3_failure_loop(exps, r)
+    if expected is None:
+        RouxMatrix(len(exps), r, exps)
+    else:
+        with pytest.raises(RouxAxiomError) as err:
+            RouxMatrix(len(exps), r, exps)
+        assert err.value.cell == expected
+        assert str(err.value) == f"inverse-symmetry fails at cell ({expected[0]},{expected[1]})"
+
+
+def test_verify_roux_refuses_n_beyond_exact_float32():
+    huge = SimpleNamespace(n=2**24 + 1, r=2, exps=None)
+    with pytest.raises(RouxIdentityError, match="2\\^24"):
+        verify_roux(huge)
 
 
 def test_parameter_invariants_enforced():
@@ -88,7 +218,7 @@ def test_compress_support_violation():
 
 
 def test_idempotent_trivial_branch_exact():
-    params = verify_roux(RouxMatrix.all_ones(6))
+    params = verify_roux(all_ones_roux(6))
     plus, minus = idempotent_data(params, 0)
     assert (plus.mu, plus.d) == (1.0, 1.0)
     assert minus.d == 5.0  # exactly n-1
@@ -117,7 +247,7 @@ def test_idempotent_unitary_shape():
 
 def test_idempotent_identities_all_characters():
     cases = [
-        verify_roux(RouxMatrix.all_ones(9)),
+        verify_roux(all_ones_roux(9)),
         verify_roux(paley6_roux()),
         verify_roux(paley6_roux(4)),
         RouxParameters(28, 4, GroupAlgebraElement(4, [2, 8, 8, 8])),

@@ -29,6 +29,26 @@ def paley6_roux(r: int = 2) -> RouxMatrix:
     return RouxMatrix(n, r, exps)
 
 
+def all_ones_roux(n: int) -> RouxMatrix:
+    """J - I as a roux over the trivial group C_1."""
+    return RouxMatrix(n, 1, [[0] * n for _ in range(n)])
+
+
+def paley_exponents(p: int) -> list[list[int]]:
+    """The Paley-type roux over C_4 for a prime p = 1 mod 4: exponent 0 on
+    quadratic residue differences, 2 on non-residues, and point p as
+    infinity with exponent 0 to and from every other point.  Its
+    parameters are ((p-1)/2, 0, (p-1)/2, 0)."""
+    residues = {(x * x) % p for x in range(1, p)}
+    n = p + 1
+    exps = [[0] * n for _ in range(n)]
+    for i in range(p):
+        for j in range(p):
+            if i != j:
+                exps[i][j] = 0 if (i - j) % p in residues else 2
+    return exps
+
+
 def random_outside_stabilizer(cover, rng, word_length: int = 24):
     """Random cover element outside the stabilizer, as a generator word."""
     ops = cover.ops
