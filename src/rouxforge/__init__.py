@@ -2,18 +2,17 @@
 line packings (equiangular tight frames) from finite-group data.
 
 The layers, bottom to top: exact finite-field arithmetic (``field``),
-enumerable finite groups with actions and characters (``group``), the
-integer group algebra of a cyclic group (``cycalg``), roux matrices and
-their idempotent data (``roux``), radicalization and Higman-pair
-machinery (``radical``), the numeric line-packing layer (``lines``), the
-built-in group families and refutation witnesses (``families``), and a
-CLI (``cli``).  The brute-force reference checks that the tests compare
-against live in ``rouxforge.oracles``, which no other module imports.
+enumerable finite groups with actions and characters (``group``), roux
+matrices with their parameters and idempotent data (``roux``),
+radicalization and Higman-pair machinery (``radical``), the numeric
+line-packing layer (``lines``), the built-in group families and
+refutation witnesses (``families``), and a CLI (``cli``).  The
+brute-force reference checks that the tests compare against live in
+``rouxforge.oracles``, which no other module imports.
 """
 
-from .field import FieldSpec, FieldElement, MultiplicativeCharacter
+from .field import FieldSpec, FieldElement
 from .group import FiniteGroup, GroupAction, LinearCharacter, Subgroup
-from .cycalg import CyclicCharacter, CyclicElement, GroupAlgebraElement
 from .roux import IdempotentData, RouxMatrix, RouxParameters, verify_roux
 from .radical import CoverData, Key, Radicalization, detect_higman, radicalize
 from .lines import ETFCertificate, LineGram, TwoGraph, verify_etf
@@ -23,20 +22,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoverData",
-    "CyclicCharacter",
-    "CyclicElement",
     "ETFCertificate",
     "FamilyReport",
     "FieldElement",
     "FieldSpec",
     "FiniteGroup",
     "GroupAction",
-    "GroupAlgebraElement",
     "IdempotentData",
     "Key",
     "LineGram",
     "LinearCharacter",
-    "MultiplicativeCharacter",
     "Radicalization",
     "RouxMatrix",
     "RouxParameters",

@@ -135,9 +135,6 @@ def cmd_family(args) -> int:
             report = families.symplectic_witness(args.m, eps)
         else:
             raise InputError(f"unknown family {name!r}")
-    except families.UnsupportedFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except families.FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -304,7 +301,7 @@ def cmd_verify(args) -> int:
         if kind == "twograph":
             return _verify_twograph_file(data, args)
         raise InputError(f"unknown kind {kind!r}")
-    except (InputError, RouxFormatError, KeyError, TypeError) as exc:
+    except (InputError, RouxFormatError, lines.TwoGraphFormatError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -422,10 +419,7 @@ def main(argv=None) -> int:
         lines.ETF_TOL = args.tol_etf
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RadicalError as exc:
+    except (InputError, RadicalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

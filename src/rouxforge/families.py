@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .cycalg import GroupAlgebraElement
 from .field import FieldSpec, primitive_element
 from .group import (
     FiniteGroup,
@@ -322,7 +321,7 @@ def psl2_parameters_closed_form(q: int) -> RouxParameters:
     """Quadratic-residue-character roux parameters over C_4."""
     half = (q - 1) // 2
     c = (half, 0, half, 0) if q % 4 == 1 else (0, half, 0, half)
-    return RouxParameters(q + 1, 4, GroupAlgebraElement(4, c))
+    return RouxParameters(q + 1, 4, c)
 
 
 def psu3_parameters_closed_form(q: int, r_prime: int) -> RouxParameters:
@@ -331,11 +330,11 @@ def psu3_parameters_closed_form(q: int, r_prime: int) -> RouxParameters:
         raise FamilyError(f"r' = {r_prime} must be a nontrivial divisor of q+1 = {q + 1}")
     bulk = (q + 1) // r_prime * (q * q - 1)
     c = [bulk + q - q * q] + [bulk] * (r_prime - 1)
-    return RouxParameters(q**3 + 1, r_prime, GroupAlgebraElement(r_prime, c))
+    return RouxParameters(q**3 + 1, r_prime, c)
 
 
 def trivial_parameters_closed_form(n: int) -> RouxParameters:
-    return RouxParameters(n, 2, GroupAlgebraElement(2, (n - 2, 0)))
+    return RouxParameters(n, 2, (n - 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def _line_set_records(B: RouxMatrix, params: RouxParameters) -> list[LineSetReco
     n, r = B.n, B.r
     for k in range(r):
         plus, minus = idempotent_data(params, k)
-        S = signature_matrix(B, k, params)
+        S = signature_matrix(B, k)
         gram = gram_from_signature(S)
         cert = verify_etf(gram)
         comp_cert = None

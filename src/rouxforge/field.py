@@ -5,14 +5,10 @@ irreducible f of degree k.  An element sum_i c_i x^i (0 <= c_i < p) is
 encoded as the integer sum_i c_i p^i, so elements are canonical and
 hashable.  Arithmetic is table-driven for small q and falls back to
 polynomial arithmetic above ``TABLE_LIMIT``.
-
-Characters of the multiplicative group are stored as exponent maps
-(integers mod q-1), never as floating-point phases.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -239,9 +235,6 @@ class FieldSpec:
             e >>= 1
         return result
 
-    def frobenius_code(self, a: int, power: int = 1) -> int:
-        return self.pow(a, self.p ** (power % self.k))
-
     # -- element-level API -------------------------------------------------
 
     def element(self, coeffs: Sequence[int] | int) -> FieldElement:
@@ -281,9 +274,6 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, k={self.k})"
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "k": self.k, "irreducible": list(self.irreducible)}
 
     @classmethod
     def from_json(cls, data: dict) -> FieldSpec:
@@ -359,11 +349,6 @@ class FieldElement:
         return f"F{self.spec.q}:{self.coeffs}"
 
 
-def frobenius(a: FieldElement, power: int = 1) -> FieldElement:
-    """The p^power-th power map, a field automorphism fixing F_p."""
-    return FieldElement(a.spec, a.spec.frobenius_code(a.code, power))
-
-
 def primitive_element(spec: FieldSpec) -> FieldElement:
     """Smallest-code element of multiplicative order q-1 (exhaustive search)."""
     for code in range(1, spec.q):
@@ -371,51 +356,3 @@ def primitive_element(spec: FieldSpec) -> FieldElement:
         if el.multiplicative_order() == spec.q - 1:
             return el
     raise FieldError("no primitive element found")  # unreachable for a field
-
-
-class MultiplicativeCharacter:
-    """Character of F_q^x determined by a primitive element and a level.
-
-    With generator lam and level l, the character sends lam^j to the
-    root of unity with exponent j*l in Z_{q-1}.  Exponents are exact
-    integers.
-    """
-
-    def __init__(self, generator: FieldElement, level: int):
-        self.spec = generator.spec
-        self.generator = generator
-        self.modulus = self.spec.q - 1
-        self.level = level % self.modulus
-        if generator.multiplicative_order() != self.modulus:
-            raise FieldError("character generator must be primitive")
-        self._dlog: dict[int, int] = {}
-        acc = 1
-        for j in range(self.modulus):
-            self._dlog[acc] = j
-            acc = self.spec.mul(acc, generator.code)
-
-    @property
-    def image_order(self) -> int:
-        return self.modulus // math.gcd(self.level, self.modulus)
-
-    def exponent(self, a: FieldElement) -> int:
-        """Exponent of the character value in Z_{q-1}."""
-        if a.code == 0:
-            raise FieldError("character undefined at zero")
-        return (self._dlog[a.code] * self.level) % self.modulus
-
-    def sign(self, a: FieldElement) -> int:
-        """+1/-1 for real-valued characters."""
-        e = self.exponent(a)
-        if e == 0:
-            return 1
-        if 2 * e == self.modulus:
-            return -1
-        raise FieldError("character is not real-valued at this element")
-
-
-def quadratic_residue_character(spec: FieldSpec) -> MultiplicativeCharacter:
-    """The unique nontrivial real character of F_q^x (q odd): +1 on squares."""
-    if spec.p == 2:
-        raise FieldError("q even: the only real-valued character of F_q^x is trivial")
-    return MultiplicativeCharacter(primitive_element(spec), (spec.q - 1) // 2)

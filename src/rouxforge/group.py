@@ -478,14 +478,6 @@ class LinearCharacter:
     def exponent(self, gkey) -> int:
         return self.exponents[gkey]
 
-    @property
-    def image_order(self) -> int:
-        return self.modulus
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.modulus == 1
-
     def verify_homomorphism(self, G: FiniteGroup) -> None:
         """Verify chi(ab) = chi(a) + chi(b) for all a, b in G.
 
@@ -649,24 +641,3 @@ def group_from_json(data: dict, cap: int = CLOSURE_CAP) -> FiniteGroup:
         return direct_product_with_cyclic(base, int(data["r"]), cap)
     ops, gens, name = parse_group_spec(data)
     return closure(gens, ops, cap, name=name)
-
-
-def group_to_json(G: FiniteGroup) -> dict:
-    ops = G.ops
-    if isinstance(ops, PermOps):
-        return {
-            "kind": "permutation",
-            "degree": ops.degree,
-            "generators": [list(g) for g in G.generators],
-        }
-    if isinstance(ops, MatOps):
-        return {
-            "kind": "matrix",
-            "field": ops.spec.to_json(),
-            "dim": ops.dim,
-            "generators": [
-                [list(ops.spec.decode(e)) for row in g for e in row] for g in G.generators
-            ],
-        }
-    raise GroupError("only permutation and matrix groups serialize")
-

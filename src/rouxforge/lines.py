@@ -7,7 +7,6 @@ Tolerances are pinned as module constants.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +22,10 @@ REAL_TOL = 1e-9
 
 class LinesError(ValueError):
     pass
+
+
+class TwoGraphFormatError(LinesError):
+    """A two-graph that does not list 3-subsets of range(n)."""
 
 
 class SignatureAxiomError(LinesError):
@@ -212,7 +215,7 @@ class TwoGraph:
     def __post_init__(self):
         for t in self.triples:
             if len(t) != 3 or not all(0 <= v < self.n for v in t):
-                raise LinesError(f"bad triple {sorted(t)}")
+                raise TwoGraphFormatError(f"bad triple {sorted(t)}")
 
     def check_parity(self) -> None:
         """Every 4-subset must contain an even number of triples.
@@ -250,29 +253,17 @@ class TwoGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "TwoGraph":
-        return cls(int(data["n"]), frozenset(frozenset(t) for t in data["triples"]))
-
-
-def two_graph_from_lines(S: np.ndarray, tol: float = REAL_TOL) -> TwoGraph:
-    """Triples with signature triple product -1 (real lines only).
-
-    Triple products are independent of the choice of representatives, so
-    they are read off the signature matrix directly.
-    """
-    S = check_signature(S)
-    if not is_real_line_sequence(S, tol):
-        raise LinesError("two-graphs require a real line sequence")
-    n = S.shape[0]
-    triples = set()
-    for i, j, k in itertools.combinations(range(n), 3):
-        prod = (S[i, j] * S[j, k] * S[k, i]).real
-        if abs(abs(prod) - 1) > 1e-6:
-            raise LinesError("triple product is not unimodular")
-        if prod < 0:
-            triples.add(frozenset((i, j, k)))
-    tg = TwoGraph(n, frozenset(triples))
-    tg.check_parity()
-    return tg
+        """Parse ``{"n": n, "triples": [[i, j, k], ...]}``, each triple
+        three distinct integer vertices in range(n); anything else raises
+        ``TwoGraphFormatError``."""
+        n, triples = data["n"], data["triples"]
+        if type(n) is not int or n < 1:
+            raise TwoGraphFormatError(f"n must be a positive integer, got {n!r}")
+        if not isinstance(triples, list) or not all(
+            isinstance(t, list) and all(type(v) is int for v in t) for t in triples
+        ):
+            raise TwoGraphFormatError("triples must be a list of lists of integer vertices")
+        return cls(n, frozenset(frozenset(t) for t in triples))
 
 
 def signature_from_two_graph(tg: TwoGraph) -> np.ndarray:

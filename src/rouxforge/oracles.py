@@ -4,21 +4,22 @@ Each function here recomputes, straight from a definition, something the
 library computes faster elsewhere: the closure of a generating set,
 double transitivity, double cosets and their decompositions, the
 Higman-pair test and axioms, the roux identity and inverse-symmetry
-checked cell by cell, the Cayley lift of Z[C_r], and the idempotent
-Gram of a roux.  Tests compare the fast paths against them on
-small cases.
+checked cell by cell, the idempotent Gram of a roux, and the two-graph
+of a real line sequence read off its triple products.  Tests compare
+the fast paths against them on small cases.
 No other rouxforge module imports this one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cycalg import AlgebraError, GroupAlgebraElement
 from .group import FiniteGroup, GroupAction, Subgroup, is_doubly_transitive, stabilizer
+from .lines import REAL_TOL, LinesError, TwoGraph, check_signature, is_real_line_sequence
 from .radical import CoverData, RadicalError
 from .roux import (
     RouxIdentityError,
@@ -235,45 +236,7 @@ def verify_roux_loop(B: RouxMatrix) -> RouxParameters:
                     raise RouxIdentityError(
                         f"B^2 identity fails at cell ({i},{j})", cell=(i, j)
                     )
-    return RouxParameters(n, r, GroupAlgebraElement(r, c))
-
-
-# ---------------------------------------------------------------------------
-# the integer group algebra of C_r
-
-
-def circulant(r: int, coeffs: Sequence) -> np.ndarray:
-    """Cayley representation of sum_e coeffs[e] * (exponent e) in C_r.
-
-    Row u, column v carries coeffs[(u - v) mod r]; exponent e maps to the
-    left-regular permutation matrix, so the map is multiplicative.
-    """
-    out = np.zeros((r, r), dtype=np.int64)
-    for e, c in enumerate(coeffs):
-        if c:
-            for v in range(r):
-                out[(v + e) % r, v] = c
-    return out
-
-
-def cayley_lift(entries, r: int) -> np.ndarray:
-    """Lift an n x n matrix over Z[C_r] to an rn x rn integer matrix.
-
-    ``entries[i][j]`` is a length-r coefficient vector (or a
-    GroupAlgebraElement).  The lift replaces each group element with its
-    r x r Cayley representation and is a *-algebra homomorphism.
-    """
-    n = len(entries)
-    out = np.zeros((r * n, r * n), dtype=np.int64)
-    for i in range(n):
-        row = entries[i]
-        if len(row) != n:
-            raise AlgebraError("matrix must be square")
-        for j in range(n):
-            cell = row[j]
-            coeffs = cell.coeffs if isinstance(cell, GroupAlgebraElement) else cell
-            out[i * r : (i + 1) * r, j * r : (j + 1) * r] = circulant(r, coeffs)
-    return out
+    return RouxParameters(n, r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +256,7 @@ def gram_from_idempotent(
     n, r = B.n, B.r
     plus, minus = idempotent_data(params, k)
     mu = plus.mu if eps > 0 else minus.mu
-    inner = np.eye(n, dtype=complex) + mu * signature_matrix(B, (-k) % r, params)
+    inner = np.eye(n, dtype=complex) + mu * signature_matrix(B, (-k) % r)
     w = np.exp(2j * np.pi * (np.arange(r) * k % r) / r)
     F = np.outer(w, w.conj())
     return np.kron(inner, F)
@@ -315,3 +278,29 @@ def idempotency_residual(G: np.ndarray) -> float:
         return float("inf")
     c = tr2 / tr
     return float(np.max(np.abs(G @ G - c * G)))
+
+
+# ---------------------------------------------------------------------------
+# two-graphs
+
+
+def two_graph_from_lines(S: np.ndarray, tol: float = REAL_TOL) -> TwoGraph:
+    """Triples with signature triple product -1 (real lines only).
+
+    Triple products are independent of the choice of representatives, so
+    they are read off the signature matrix directly.
+    """
+    S = check_signature(S)
+    if not is_real_line_sequence(S, tol):
+        raise LinesError("two-graphs require a real line sequence")
+    n = S.shape[0]
+    triples = set()
+    for i, j, k in itertools.combinations(range(n), 3):
+        prod = (S[i, j] * S[j, k] * S[k, i]).real
+        if abs(abs(prod) - 1) > 1e-6:
+            raise LinesError("triple product is not unimodular")
+        if prod < 0:
+            triples.add(frozenset((i, j, k)))
+    tg = TwoGraph(n, frozenset(triples))
+    tg.check_parity()
+    return tg

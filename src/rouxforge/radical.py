@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .cycalg import GroupAlgebraElement
 from .group import (
     CLOSURE_CAP,
     FiniteGroup,
@@ -357,7 +356,7 @@ def roux_params_from_radicalization(
         if num % size:
             raise RadicalError("parameter count is not integral")
         c.append(num // size)
-    return RouxParameters(n, r, GroupAlgebraElement(r, c))
+    return RouxParameters(n, r, c)
 
 
 def roux_from_higman_pair(

@@ -18,8 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cycalg import GroupAlgebraElement
-
 IDEMPOTENT_TOL = 1e-9
 # Rows of B^2 computed per block of verify_roux; bounds its temporaries.
 VERIFY_ROW_BLOCK = 64
@@ -127,28 +125,26 @@ class RouxMatrix:
 
 @dataclass(frozen=True)
 class RouxParameters:
-    """The integers {c_g} in B^2 = (n-1)I + sum c_g gB."""
+    """The integers {c_g} in B^2 = (n-1)I + sum c_g gB; ``coeffs[e]`` is
+    the coefficient of the element of C_r with exponent e."""
 
     n: int
     r: int
-    c: GroupAlgebraElement
+    coeffs: tuple
 
     def __post_init__(self):
-        coeffs = self.c.coeffs
+        coeffs = tuple(int(x) for x in self.coeffs)
         if len(coeffs) != self.r:
             raise RouxIdentityError("parameter vector has wrong length")
-        if any(x < 0 or x != int(x) for x in coeffs):
+        if coeffs != tuple(self.coeffs) or any(x < 0 for x in coeffs):
             raise RouxIdentityError("roux parameters must be nonnegative integers")
         if sum(coeffs) != self.n - 2:
             raise RouxIdentityError(
                 f"roux parameters sum to {sum(coeffs)}, expected n-2 = {self.n - 2}"
             )
-        if not self.c.is_symmetric():
+        if any(coeffs[e] != coeffs[-e % self.r] for e in range(self.r)):
             raise RouxIdentityError("roux parameters must satisfy c_g = c_{g^{-1}}")
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.c.coeffs
+        object.__setattr__(self, "coeffs", coeffs)
 
     def fourier(self, k: int) -> float:
         """Fourier transform at the k-th character (real by symmetry)."""
@@ -212,7 +208,7 @@ def verify_roux(B: RouxMatrix) -> RouxParameters:
             i, j = (int(x) for x in np.argwhere(bad)[0])
             i += start
             raise RouxIdentityError(f"B^2 identity fails at cell ({i},{j})", cell=(i, j))
-    return RouxParameters(n, r, GroupAlgebraElement(r, [int(x) for x in c]))
+    return RouxParameters(n, r, c)
 
 
 def switch(B: RouxMatrix, diagonal: Sequence[int], verify: bool = True) -> RouxMatrix:
@@ -301,11 +297,10 @@ def idempotent_data(params: RouxParameters, k: int) -> tuple[IdempotentData, Ide
     return out[0], out[1]
 
 
-def signature_matrix(B: RouxMatrix, k: int, params: Optional[RouxParameters] = None) -> np.ndarray:
-    """Entrywise character image of a verified roux: a signature matrix."""
-    if params is None:
-        verify_roux(B)
-    n, r = B.n, B.r
+def signature_matrix(B: RouxMatrix, k: int) -> np.ndarray:
+    """Entrywise image of a roux under the k-th character of C_r: a
+    signature matrix (``RouxMatrix`` guarantees R1-R3)."""
+    r = B.r
     phases = np.exp(2j * np.pi * (np.arange(r) * k % r) / r)
     S = phases[B.exps]
     np.fill_diagonal(S, 0)

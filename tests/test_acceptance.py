@@ -26,12 +26,11 @@ from rouxforge.lines import (
     gram_from_signature,
     is_real_line_sequence,
     naimark_complement,
-    two_graph_from_lines,
     two_graph_regularity,
     verify_etf,
     welch_bound,
 )
-from rouxforge.oracles import verify_higman_axioms
+from rouxforge.oracles import two_graph_from_lines, verify_higman_axioms
 from rouxforge.radical import (
     HigmanDecompositionTable,
     Radicalization,
@@ -219,7 +218,7 @@ def test_criterion_6_real_lines_cross_validation(psl_runs, psu_run):
             numeric = (
                 True
                 if k == 0
-                else is_real_line_sequence(signature_matrix(B, k, params), tol=1e-9)
+                else is_real_line_sequence(signature_matrix(B, k), tol=1e-9)
             )
             ok = ok and algebraic == numeric
             checked += 1
@@ -232,7 +231,7 @@ def test_criterion_7_switching_invariance(psl_runs, psu_run):
     for B in _all_family_roux(psl_runs, psu_run):
         params = verify_roux(B)
         spectra = {
-            k: np.sort(np.linalg.eigvalsh(signature_matrix(B, k, params)))
+            k: np.sort(np.linalg.eigvalsh(signature_matrix(B, k)))
             for k in range(B.r)
         }
         for _ in range(20):
@@ -240,7 +239,7 @@ def test_criterion_7_switching_invariance(psl_runs, psu_run):
             switched = switch(B, diag, verify=False)
             ok = ok and verify_roux(switched).coeffs == params.coeffs
             for k in range(B.r):
-                s = np.sort(np.linalg.eigvalsh(signature_matrix(switched, k, params)))
+                s = np.sort(np.linalg.eigvalsh(signature_matrix(switched, k)))
                 ok = ok and np.max(np.abs(s - spectra[k])) < 1e-9
     criterion(7, ok, "20 random switches preserve parameters exactly and spectra to 1e-9")
 

@@ -324,7 +324,7 @@ def test_verify_etf_gram(tmp_path, capsys):
 
 
 def test_verify_twograph(tmp_path, capsys):
-    from rouxforge.lines import two_graph_from_lines
+    from rouxforge.oracles import two_graph_from_lines
     from rouxforge.roux import signature_matrix
 
     tg = two_graph_from_lines(signature_matrix(paley6_roux(4), 1))
@@ -345,6 +345,30 @@ def test_verify_twograph_odd_4subset_at_31_vertices(tmp_path, capsys):
     report = json.loads(out)
     assert report["passed"] is False
     assert report["error"]["message"] == "4-subset (0, 1, 2, 3) contains 1 triples"
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"n": "x", "triples": []},
+        {"n": 4.7, "triples": []},
+        {"n": 0, "triples": []},
+        {"n": 4, "triples": [[0, 1]]},
+        {"n": 4, "triples": [[0, 1, 9]]},
+        {"n": 4, "triples": [[0, 0, 1]]},
+        {"n": 4, "triples": [[0, 1, 2.0]]},
+        {"n": 4, "triples": "none"},
+    ],
+    ids=["n-string", "n-float", "n-zero", "short-triple", "out-of-range", "repeated-vertex",
+         "float-vertex", "not-a-list"],
+)
+def test_verify_malformed_twograph_file_exit2(tmp_path, capsys, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(["verify", str(path), "--kind", "twograph"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_detect_reducible_field_polynomial_exit2(tmp_path, capsys):
@@ -443,7 +467,6 @@ def test_parameter_disagreement_exit2(tmp_path, capsys, monkeypatch):
     # counted parameters that differ from the verified roux: both the
     # family and the detect pipeline report it as a RadicalError, exit 2
     from rouxforge import radical
-    from rouxforge.cycalg import GroupAlgebraElement
     from rouxforge.roux import RouxParameters
 
     counted = radical.roux_params_from_radicalization
@@ -452,7 +475,7 @@ def test_parameter_disagreement_exit2(tmp_path, capsys, monkeypatch):
         params = counted(rad, key, table)
         half = params.r // 2
         coeffs = params.coeffs[half:] + params.coeffs[:half]
-        return RouxParameters(params.n, params.r, GroupAlgebraElement(params.r, coeffs))
+        return RouxParameters(params.n, params.r, coeffs)
 
     monkeypatch.setattr(radical, "roux_params_from_radicalization", shifted)
     code, _, err = run(["family", "psl2", "--q", "5"], capsys)

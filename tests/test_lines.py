@@ -17,11 +17,11 @@ from rouxforge.lines import (
     naimark_complement,
     normalized_signature,
     signature_from_two_graph,
-    two_graph_from_lines,
     two_graph_regularity,
     verify_etf,
     welch_bound,
 )
+from rouxforge.oracles import two_graph_from_lines
 from rouxforge.roux import signature_matrix
 
 

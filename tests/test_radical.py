@@ -193,7 +193,7 @@ def test_roux_from_higman_pair_sl25():
     # the k = 1 signature carries a (6, 3) equiangular tight frame
     from rouxforge.lines import gram_from_signature, verify_etf
 
-    gram = gram_from_signature(signature_matrix(B, 1, params))
+    gram = gram_from_signature(signature_matrix(B, 1))
     cert = verify_etf(gram)
     assert cert.passed and cert.d == 3 and cert.real
 
@@ -231,10 +231,10 @@ def test_key_sign_flip_translates_parameters():
     B1 = roux_from_higman_pair(rad, key, table)
     B2 = roux_from_higman_pair(rad, other, table)
     for k in range(rad.r):
-        s1 = np.linalg.eigvalsh(signature_matrix(B1, k, p1))
-        s2 = np.linalg.eigvalsh(signature_matrix(B2, k, p2))
+        s1 = np.linalg.eigvalsh(signature_matrix(B1, k))
+        s2 = np.linalg.eigvalsh(signature_matrix(B2, k))
         assert np.allclose(sorted(s1), sorted(s2), atol=1e-9) or np.allclose(
-            sorted(s1), sorted(np.linalg.eigvalsh(signature_matrix(B2, (-k) % rad.r, p2))), atol=1e-9
+            sorted(s1), sorted(np.linalg.eigvalsh(signature_matrix(B2, (-k) % rad.r))), atol=1e-9
         )
 
 

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from util import all_ones_roux, paley6_roux, paley_exponents
 
 from rouxforge import roux
-from rouxforge.cycalg import GroupAlgebraElement
 from rouxforge.families import sl2_family, su3_family
 from rouxforge.oracles import (
     first_r3_failure_loop,
@@ -182,9 +181,32 @@ def test_verify_roux_refuses_n_beyond_exact_float32():
 
 def test_parameter_invariants_enforced():
     with pytest.raises(RouxIdentityError):
-        RouxParameters(6, 2, GroupAlgebraElement(2, [3, 2]))  # sum != n-2
+        RouxParameters(6, 2, (3, 2))  # sum != n-2
     with pytest.raises(RouxIdentityError):
-        RouxParameters(6, 4, GroupAlgebraElement(4, [1, 2, 0, 1]))  # not symmetric
+        RouxParameters(6, 4, (1, 2, 0, 1))  # not symmetric
+    with pytest.raises(RouxIdentityError):
+        RouxParameters(6, 2, (3.5, 0.5))  # not integers
+    params = RouxParameters(6, 4, [np.int64(2), 0, 2.0, 0])
+    assert params.coeffs == (2, 0, 2, 0)
+    assert all(type(c) is int for c in params.coeffs)
+
+
+def test_fourier_examples():
+    c = RouxParameters(6, 4, (2, 0, 2, 0))
+    assert c.fourier(0) == pytest.approx(4)
+    assert c.fourier(1) == pytest.approx(0)
+    assert RouxParameters(14, 8, (3, 0) * 4).fourier(2) == pytest.approx(0)
+
+
+def test_signature_square_is_the_fourier_identity():
+    # the roux identity under the k-th character of C_r:
+    # S_k S_k = (n-1) I + c^(k) S_k
+    for B in known_roux():
+        params = verify_roux(B)
+        for k in range(B.r):
+            S = signature_matrix(B, k)
+            residual = S @ S - (B.n - 1) * np.eye(B.n) - params.fourier(k) * S
+            assert np.max(np.abs(residual)) < 1e-9, (B.n, B.r, k)
 
 
 def test_switch_identity_and_involution():
@@ -227,7 +249,7 @@ def test_idempotent_trivial_branch_exact():
 
 def test_idempotent_balanced_branch():
     # n=8 with vanishing Fourier transform: mu = +-1/sqrt(7), d = 4 both
-    params = RouxParameters(8, 4, GroupAlgebraElement(4, [0, 3, 0, 3]))
+    params = RouxParameters(8, 4, (0, 3, 0, 3))
     plus, minus = idempotent_data(params, 1)
     assert plus.mu == pytest.approx(1 / math.sqrt(7), abs=1e-12)
     assert minus.mu == pytest.approx(-1 / math.sqrt(7), abs=1e-12)
@@ -237,7 +259,7 @@ def test_idempotent_balanced_branch():
 
 def test_idempotent_unitary_shape():
     # n=28 with Fourier transform q - q^2 = -6 at q=3
-    params = RouxParameters(28, 4, GroupAlgebraElement(4, [2, 8, 8, 8]))
+    params = RouxParameters(28, 4, (2, 8, 8, 8))
     plus, minus = idempotent_data(params, 1)
     assert plus.mu == pytest.approx(1 / 9, abs=1e-12)
     assert minus.mu == pytest.approx(-1 / 3, abs=1e-12)
@@ -250,7 +272,7 @@ def test_idempotent_identities_all_characters():
         verify_roux(all_ones_roux(9)),
         verify_roux(paley6_roux()),
         verify_roux(paley6_roux(4)),
-        RouxParameters(28, 4, GroupAlgebraElement(4, [2, 8, 8, 8])),
+        RouxParameters(28, 4, (2, 8, 8, 8)),
     ]
     for params in cases:
         n = params.n
@@ -301,7 +323,7 @@ def test_same_lines_correspondence():
     G_big = gram_from_idempotent(B, (-k) % r, +1, params)
     reps = [i * r for i in range(n)]
     G_small = G_big[np.ix_(reps, reps)]
-    S = signature_matrix(B, k, params)
+    S = signature_matrix(B, k)
     assert np.max(np.abs(G_small - (np.eye(n) + plus.mu * S))) < 1e-8
     # within each line block the r columns are phase-duplicates of one span
     for i in range(n):
@@ -313,9 +335,9 @@ def test_same_lines_correspondence():
 
 
 def test_is_real_lines():
-    psl13_like = RouxParameters(14, 4, GroupAlgebraElement(4, [6, 0, 6, 0]))
+    psl13_like = RouxParameters(14, 4, (6, 0, 6, 0))
     assert is_real_lines(psl13_like, 1)
-    psl7_like = RouxParameters(8, 4, GroupAlgebraElement(4, [0, 3, 0, 3]))
+    psl7_like = RouxParameters(8, 4, (0, 3, 0, 3))
     assert not is_real_lines(psl7_like, 1)
     assert is_real_lines(psl7_like, 0)  # trivial character is always real
 

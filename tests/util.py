@@ -3,30 +3,22 @@ enumerated groups, random cover elements and a call recorder."""
 
 import sys
 
-from rouxforge.field import FieldSpec, quadratic_residue_character
+import numpy as np
+
 from rouxforge.group import stabilizer
 from rouxforge.radical import CoverData
 from rouxforge.roux import RouxMatrix
 
 
 def paley6_roux(r: int = 2) -> RouxMatrix:
-    """The 6-point Paley-type roux: entries from the quadratic character of F_5.
+    """The 6-point Paley-type roux: ``paley_exponents(5)``, its exponents
+    scaled from C_4 to C_r for r = 2 or 4.
 
     Over C_2 it has parameters (2, 2); doubling the exponents embeds it
     into C_4 with parameters (2, 0, 2, 0).  Its nontrivial signature is a
     symmetric conference matrix, so the lines form a (6, 3) ETF.
     """
-    F5 = FieldSpec(5)
-    chi = quadratic_residue_character(F5)
-    n = 6
-    exps = [[0] * n for _ in range(n)]
-    for i in range(5):
-        for j in range(5):
-            if i != j:
-                diff = F5.element(i) - F5.element(j)
-                exps[i][j] = 0 if chi.sign(diff) == 1 else r // 2
-    # vertex 5 plays the role of infinity: all-identity row/column
-    return RouxMatrix(n, r, exps)
+    return RouxMatrix(6, r, np.array(paley_exponents(5)) * r // 4)
 
 
 def all_ones_roux(n: int) -> RouxMatrix:
