@@ -11,8 +11,8 @@ brute-force reference checks that the tests compare against live in
 ``rouxforge.oracles``, which no other module imports.
 """
 
-from .field import FieldSpec, FieldElement
-from .group import FiniteGroup, GroupAction, LinearCharacter, Subgroup
+from .field import FieldSpec
+from .group import FiniteGroup, GroupAction, LinearCharacter
 from .roux import IdempotentData, RouxMatrix, RouxParameters, verify_roux
 from .radical import CoverData, Key, Radicalization, detect_higman, radicalize
 from .lines import ETFCertificate, LineGram, TwoGraph, verify_etf
@@ -24,7 +24,6 @@ __all__ = [
     "CoverData",
     "ETFCertificate",
     "FamilyReport",
-    "FieldElement",
     "FieldSpec",
     "FiniteGroup",
     "GroupAction",
@@ -35,7 +34,6 @@ __all__ = [
     "Radicalization",
     "RouxMatrix",
     "RouxParameters",
-    "Subgroup",
     "TwoGraph",
     "detect_higman",
     "radicalize",

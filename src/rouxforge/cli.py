@@ -25,7 +25,6 @@ import numpy as np
 from . import families, lines
 from .group import (
     FiniteGroup,
-    GroupError,
     enumerate_linear_characters,
     group_from_json,
     is_doubly_transitive,
@@ -217,10 +216,7 @@ def cmd_detect(args) -> int:
         cover = CoverData(action, stab)
         cover.verify()
         chars = enumerate_linear_characters(cover.stab)
-    except (GroupError, InputError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, GroupError) and "transitive" in str(exc):
-            print(f"error: {exc} (H1 fails)", file=sys.stderr)
-            return EXIT_NOT_2TRANSITIVE
+    except (KeyError, TypeError, ValueError) as exc:  # GroupError and InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,7 +22,6 @@ from .group import (
     GeneratedGroup,
     GroupAction,
     MatOps,
-    closure,
     derived_subgroup,
     enumerate_linear_characters,
     greedy_closure,
@@ -192,7 +191,7 @@ class FamilyReport:
 # covers
 
 
-def sl2_cover(q: int, materialize: bool = False) -> tuple[CoverData, tuple]:
+def sl2_cover(q: int) -> tuple[CoverData, tuple]:
     """SL(2,q) acting on the projective line, with its Borel stabilizer.
 
     Returns the cover data and the antidiagonal involution-like element
@@ -201,7 +200,7 @@ def sl2_cover(q: int, materialize: bool = False) -> tuple[CoverData, tuple]:
     p, k = prime_power(q)
     spec = FieldSpec(p, k)
     ops = MatOps(spec, 2)
-    lam = primitive_element(spec).code
+    lam = primitive_element(spec)
     gens = []
     t = 1
     for _ in range(k):
@@ -209,11 +208,7 @@ def sl2_cover(q: int, materialize: bool = False) -> tuple[CoverData, tuple]:
         t = spec.mul(t, lam)
     x = ((0, 1), (spec.neg(1), 0))
     gens.append(x)
-    if materialize:
-        G = closure(gens, ops, name=f"SL(2,{q})")
-    else:
-        G = GeneratedGroup(ops, gens, name=f"SL(2,{q})")
-    action = projective_line_action(G)
+    action = projective_line_action(GeneratedGroup(ops, gens, name=f"SL(2,{q})"))
     base = projective_point(spec, (1, 0))
     borel = [
         ((a, b), (0, spec.inv(a)))
@@ -257,7 +252,7 @@ def isotropic_line_action(G, q: Optional[int] = None) -> GroupAction:
     return GroupAction(G, points, lambda g, pt: projective_point(spec2, ops.apply(g, pt)))
 
 
-def su3_cover(q: int, materialize: bool = False) -> tuple[CoverData, tuple, tuple]:
+def su3_cover(q: int) -> tuple[CoverData, tuple, tuple]:
     """SU(3,q) acting on the isotropic lines of its Hermitian form.
 
     Returns the cover data, the antidiagonal involution x, and the
@@ -293,18 +288,14 @@ def su3_cover(q: int, materialize: bool = False) -> tuple[CoverData, tuple, tupl
         ops, stab_elements, small_generating_set(ops, stab_elements), name=f"Stab(SU(3,{q}))"
     )
     x = ((0, 0, 1), (0, spec2.neg(1), 0), (1, 0, 0))
-    gens = list(stab.generators) + [x]
-    if materialize:
-        G = closure(gens, ops, name=f"SU(3,{q})")
-    else:
-        G = GeneratedGroup(ops, gens, name=f"SU(3,{q})")
+    G = GeneratedGroup(ops, list(stab.generators) + [x], name=f"SU(3,{q})")
     action = isotropic_line_action(G, q)
     if action.degree != q**3 + 1:
         raise FamilyError("wrong isotropic point count")
     base = projective_point(spec2, (1, 0, 0))
 
     if q % 2:
-        lam = primitive_element(spec2).code
+        lam = primitive_element(spec2)
         b0 = spec2.pow(lam, (q + 1) // 2)
         if spec2.pow(b0, q - 1) != spec2.neg(1):
             raise FamilyError("trace-zero witness is wrong")
@@ -360,6 +351,7 @@ def _line_set_records(B: RouxMatrix, params: RouxParameters) -> list[LineSetReco
                 d_minus=minus.d,
                 signature_rank=gram.d,
                 real_algebraic=is_real_lines(params, k),
+                # gram_from_signature has checked S
                 real_numeric=is_real_line_sequence(S) if k % r else True,
                 etf=cert,
                 complement=comp_cert,

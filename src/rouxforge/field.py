@@ -9,8 +9,7 @@ polynomial arithmetic above ``TABLE_LIMIT``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 TABLE_LIMIT = 4096
 
@@ -235,32 +234,6 @@ class FieldSpec:
             e >>= 1
         return result
 
-    # -- element-level API -------------------------------------------------
-
-    def element(self, coeffs: Sequence[int] | int) -> FieldElement:
-        if isinstance(coeffs, int):
-            return FieldElement(self, coeffs % self.p if self.k == 1 else self._embed_int(coeffs))
-        if len(coeffs) > self.k:
-            raise FieldError("too many coefficients")
-        padded = list(coeffs) + [0] * (self.k - len(coeffs))
-        return FieldElement(self, self.encode(padded))
-
-    def _embed_int(self, n: int) -> int:
-        # integers embed through the prime subfield
-        return n % self.p
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator[FieldElement]:
-        for code in range(self.q):
-            yield FieldElement(self, code)
-
     # -- identity / serialization ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -277,82 +250,27 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> FieldSpec:
-        return cls(int(data["p"]), int(data["k"]), data.get("irreducible"))
+        irreducible = data.get("irreducible")
+        if irreducible is not None:
+            irreducible = [json_int(c, "irreducible") for c in irreducible]
+        return cls(json_int(data["p"], "p"), json_int(data["k"], "k"), irreducible)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldSpec, in canonical reduced form."""
-
-    spec: FieldSpec
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.decode(self.code)
-
-    def _coerce(self, other) -> FieldElement:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise FieldError("mismatched field specs")
-            return other
-        if isinstance(other, int):
-            return self.spec.element(other)
-        return NotImplemented
-
-    def __add__(self, other) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.spec, self.spec.add(self.code, other.code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.spec, self.spec.sub(self.code, other.code))
-
-    def __rsub__(self, other) -> FieldElement:
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.spec, self.spec.mul(self.code, other.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.spec, self.spec.mul(self.code, self.spec.inv(other.code)))
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec.neg(self.code))
-
-    def __pow__(self, e: int) -> FieldElement:
-        return FieldElement(self.spec, self.spec.pow(self.code, e))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec.inv(self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def multiplicative_order(self) -> int:
-        if self.code == 0:
-            raise FieldError("zero has no multiplicative order")
-        n = 1
-        acc = self.code
-        while acc != 1:
-            acc = self.spec.mul(acc, self.code)
-            n += 1
-        return n
-
-    def __repr__(self) -> str:
-        return f"F{self.spec.q}:{self.coeffs}"
+def json_int(value, key: str, error: type = FieldError) -> int:
+    """A value read from JSON under ``key``, which must be an integer:
+    a float or a bool raises ``error`` instead of being truncated."""
+    if type(value) is not int:
+        raise error(f"{key}: expected an integer, got {value!r}")
+    return value
 
 
-def primitive_element(spec: FieldSpec) -> FieldElement:
-    """Smallest-code element of multiplicative order q-1 (exhaustive search)."""
+def primitive_element(spec: FieldSpec) -> int:
+    """Smallest code of multiplicative order q-1 (exhaustive search)."""
     for code in range(1, spec.q):
-        el = FieldElement(spec, code)
-        if el.multiplicative_order() == spec.q - 1:
-            return el
+        order, acc = 1, code
+        while acc != 1:
+            acc = spec.mul(acc, code)
+            order += 1
+        if order == spec.q - 1:
+            return code
     raise FieldError("no primitive element found")  # unreachable for a field

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .field import FieldSpec
+from .field import FieldError, FieldSpec, json_int
 
 CLOSURE_CAP = 10**6
+DERIVED_CAP = 10**5
+CHARACTER_CAP = 10**4
 
 
 class GroupError(ValueError):
@@ -164,8 +166,13 @@ class FiniteGroup:
         label = self.name or "group"
         return f"<{label} of order {self.order}>"
 
-    def subgroup(self, elements: Iterable, generators: Optional[Sequence] = None) -> "Subgroup":
-        return Subgroup(self, elements, generators)
+    def subgroup(self, elements: Iterable, generators: Optional[Sequence] = None) -> FiniteGroup:
+        """A subgroup on the same backend; generators default to a greedy
+        generating set of ``elements``."""
+        elements = list(elements)
+        if generators is None:
+            generators = small_generating_set(self.ops, elements)
+        return FiniteGroup(self.ops, elements, generators, name=f"subgroup of {self.name}")
 
     @cached_property
     def generator_table(self) -> list[list[int]]:
@@ -226,17 +233,6 @@ class GeneratedGroup:
 
     def __repr__(self) -> str:
         return f"<generated group {self.name or '?'}>"
-
-
-class Subgroup(FiniteGroup):
-    """A subgroup sharing its parent's backend, with its own element list."""
-
-    def __init__(self, parent: FiniteGroup, elements: Iterable, generators: Optional[Sequence] = None):
-        self.parent = parent
-        elements = list(elements)
-        if generators is None:
-            generators = small_generating_set(parent.ops, elements)
-        super().__init__(parent.ops, elements, generators, name=f"subgroup of {parent.name}")
 
 
 def closure(generators: Sequence, ops, cap: int = CLOSURE_CAP, name: str = "") -> FiniteGroup:
@@ -300,9 +296,9 @@ def small_generating_set(ops, elements: Sequence) -> list:
     return greedy_closure(ops, elements).generators
 
 
-def direct_product_with_cyclic(G: FiniteGroup, r: int, cap: int = CLOSURE_CAP) -> FiniteGroup:
+def direct_product_with_cyclic(G: FiniteGroup, r: int) -> FiniteGroup:
     """G x C_r with componentwise multiplication."""
-    if G.order * r > cap:
+    if G.order * r > CLOSURE_CAP:
         raise CapExceededError("product order exceeds cap")
     ops = ProductOps(G.ops, r)
     elements = [(g, z) for g in G.elements for z in range(r)]
@@ -325,7 +321,6 @@ class GroupAction:
     def __init__(self, group, points: Iterable, apply: Callable):
         self.group = group
         self.points = sorted(points)
-        self.point_index = {p: i for i, p in enumerate(self.points)}
         self._apply = apply
 
     @property
@@ -334,13 +329,6 @@ class GroupAction:
 
     def act(self, gkey, point):
         return self._apply(gkey, point)
-
-    def act_index(self, gkey, i: int) -> int:
-        return self.point_index[self._apply(gkey, self.points[i])]
-
-    def permutation_of(self, gkey) -> tuple:
-        """The permutation of point indices induced by a group element."""
-        return tuple(self.act_index(gkey, i) for i in range(self.degree))
 
     def orbit(self, point) -> set:
         seen = {point}
@@ -411,7 +399,7 @@ def projective_line_action(G: FiniteGroup) -> GroupAction:
     return GroupAction(G, points, lambda g, p: projective_point(spec, ops.apply(g, p)))
 
 
-def stabilizer(action: GroupAction, point) -> Subgroup:
+def stabilizer(action: GroupAction, point) -> FiniteGroup:
     """Point stabilizer {g : g.point = point}, by full enumeration."""
     G = action.group
     if not isinstance(G, FiniteGroup):
@@ -433,9 +421,9 @@ def is_doubly_transitive(action: GroupAction, stab: FiniteGroup) -> bool:
     return len(sub.orbit(rest[0])) == len(rest)
 
 
-def derived_subgroup(G: FiniteGroup, cap: int = 10**5) -> Subgroup:
+def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
     """Commutator subgroup: normal closure of generator commutators."""
-    if G.order > cap:
+    if G.order > DERIVED_CAP:
         raise CapExceededError("derived subgroup cap exceeded")
     ops = G.ops
     gens = G.generators
@@ -536,7 +524,7 @@ def abelianization(G: FiniteGroup) -> tuple[dict, FiniteGroup]:
     return rep_of, Q
 
 
-def enumerate_linear_characters(G: FiniteGroup, cap: int = 10**4) -> list[LinearCharacter]:
+def enumerate_linear_characters(G: FiniteGroup) -> list[LinearCharacter]:
     """All homomorphisms G -> T, one per element of the dual of G/[G,G].
 
     The abelianization is decomposed along a chain of cyclic extensions,
@@ -545,7 +533,7 @@ def enumerate_linear_characters(G: FiniteGroup, cap: int = 10**4) -> list[Linear
     (trivial character first) and each character is stored in reduced form.
     """
     rep_of, Q = abelianization(G)
-    if Q.order > cap:
+    if Q.order > CHARACTER_CAP:
         raise CapExceededError("abelianization exceeds character cap")
     exponent = 1
     for el in Q.elements:
@@ -608,36 +596,43 @@ def enumerate_linear_characters(G: FiniteGroup, cap: int = 10**4) -> list[Linear
 
 
 def parse_group_spec(data: dict) -> tuple:
-    """Backend, generator keys, and name from a JSON group spec (no closure)."""
+    """Backend, generator keys, and name from a JSON group spec (no closure).
+
+    Every count, image and entry must be a JSON integer; a float or a bool
+    raises ``GroupError`` (``FieldError`` inside the field spec).
+    """
     kind = data.get("kind")
     if kind == "permutation":
-        degree = int(data["degree"])
+        degree = json_int(data["degree"], "degree", GroupError)
         ops = PermOps(degree)
-        gens = [tuple(int(i) for i in g) for g in data["generators"]]
+        gens = [tuple(json_int(i, "generators", GroupError) for i in g) for g in data["generators"]]
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise GroupError(f"not a permutation of [{degree}]: {g}")
         return ops, gens, data.get("name", "permutation group")
     if kind == "matrix":
         spec = FieldSpec.from_json(data["field"])
-        dim = int(data["dim"])
+        dim = json_int(data["dim"], "dim", GroupError)
         ops = MatOps(spec, dim)
         gens = []
         for flat in data["generators"]:
             if len(flat) != dim * dim:
                 raise GroupError("generator has wrong number of entries")
-            entries = [
-                spec.element(e if isinstance(e, list) else [e]).code for e in flat
-            ]
+            entries = []
+            for e in flat:
+                coeffs = [json_int(c, "generators", GroupError) for c in (e if isinstance(e, list) else [e])]
+                if len(coeffs) > spec.k:
+                    raise FieldError("too many coefficients")
+                entries.append(spec.encode(coeffs))
             gens.append(tuple(tuple(entries[i * dim + j] for j in range(dim)) for i in range(dim)))
         return ops, gens, data.get("name", "matrix group")
     raise GroupError(f"unknown group kind {kind!r}")
 
 
-def group_from_json(data: dict, cap: int = CLOSURE_CAP) -> FiniteGroup:
+def group_from_json(data: dict) -> FiniteGroup:
     """Build a group from its JSON spec; see README for the format."""
     if data.get("kind") == "product":
-        base = group_from_json(data["base"], cap)
-        return direct_product_with_cyclic(base, int(data["r"]), cap)
+        base = group_from_json(data["base"])
+        return direct_product_with_cyclic(base, json_int(data["r"], "r", GroupError))
     ops, gens, name = parse_group_spec(data)
-    return closure(gens, ops, cap, name=name)
+    return closure(gens, ops, name=name)

@@ -34,7 +34,7 @@ class SignatureAxiomError(LinesError):
         self.cell = cell
 
 
-def check_signature(S: np.ndarray, tol: float = SIG_TOL) -> np.ndarray:
+def check_signature(S: np.ndarray) -> np.ndarray:
     """Validate S1 (zero diagonal), S2 (unimodular off-diagonal), S3 (Hermitian).
 
     The first failure is reported: any diagonal cell first, then cells in
@@ -44,13 +44,13 @@ def check_signature(S: np.ndarray, tol: float = SIG_TOL) -> np.ndarray:
     n = S.shape[0]
     if S.shape != (n, n):
         raise SignatureAxiomError("signature matrix must be square")
-    bad_diag = np.abs(np.diagonal(S)) > tol
+    bad_diag = np.abs(np.diagonal(S)) > SIG_TOL
     if bad_diag.any():
         i = int(np.argmax(bad_diag))
         raise SignatureAxiomError(f"nonzero diagonal at ({i},{i})", cell=(i, i))
-    bad_mod = np.abs(np.abs(S) - 1) > tol
+    bad_mod = np.abs(np.abs(S) - 1) > SIG_TOL
     np.fill_diagonal(bad_mod, False)
-    bad_herm = np.abs(S - S.conj().T) > tol
+    bad_herm = np.abs(S - S.conj().T) > SIG_TOL
     bad = bad_mod | bad_herm
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), n)
@@ -80,16 +80,10 @@ class LineGram:
         d = int((w > EIG_CLUSTER_RTOL * w[-1]).sum())
         return cls(n, d, G)
 
-    def factor(self) -> np.ndarray:
-        """A d x n matrix Phi with Phi* Phi equal to the Gram."""
-        w, V = np.linalg.eigh(self.matrix)
-        keep = w > EIG_CLUSTER_RTOL * w[-1]
-        return (np.sqrt(w[keep])[:, None] * V[:, keep].conj().T)
-
 
 def gram_from_signature(S: np.ndarray) -> LineGram:
     """Scale by the least eigenvalue: G = -S/lambda_min + I is a unit
-    diagonal PSD Gram (``factor()`` gives its unit-norm vectors)."""
+    diagonal PSD Gram."""
     S = check_signature(S)
     w = np.linalg.eigvalsh(S)
     lam = w[0]
@@ -140,22 +134,14 @@ def welch_bound(n: int, d: int) -> float:
 
 
 def verify_etf(data) -> ETFCertificate:
-    """Certify an ETF from either a LineGram or a d x n matrix of columns.
+    """Certify an ETF from a LineGram or a square Gram matrix.
 
     Residuals: tightness is measured on the Gram as |G^2 - (n/d) G|_max
     (equivalently the frame operator being (n/d) I), equiangularity as
-    the spread of off-diagonal moduli.
+    the spread of off-diagonal moduli.  The lines are real when (G - I)/mu
+    is a signature matrix whose normalized form is real.
     """
-    if isinstance(data, LineGram):
-        gram = data
-    elif isinstance(data, np.ndarray) and data.ndim == 2 and data.shape[0] != data.shape[1]:
-        Phi = np.asarray(data, dtype=complex)
-        norms = np.linalg.norm(Phi, axis=0)
-        if np.max(np.abs(norms - 1)) > ETF_TOL:
-            raise LinesError("columns must be unit-norm")
-        gram = LineGram.from_matrix(Phi.conj().T @ Phi)
-    else:
-        gram = LineGram.from_matrix(np.asarray(data, dtype=complex))
+    gram = data if isinstance(data, LineGram) else LineGram.from_matrix(data)
     n, d, G = gram.n, gram.d, gram.matrix
     off = ~np.eye(n, dtype=bool)
     mods = np.abs(G[off])
@@ -168,11 +154,10 @@ def verify_etf(data) -> ETFCertificate:
     welch_eq = abs(mu - welch) < ETF_TOL
     real = False
     if mu > 0 and equiang < ETF_TOL:
-        S = (G - np.eye(n)) / mu
         try:
-            real = is_real_line_sequence(S)
+            real = is_real_line_sequence(check_signature((G - np.eye(n)) / mu))
         except SignatureAxiomError:
-            real = False
+            pass
     return ETFCertificate(n, d, mu, tight, equiang, welch_eq, real)
 
 
@@ -192,17 +177,17 @@ def naimark_complement(gram: LineGram) -> LineGram:
 
 
 def normalized_signature(S: np.ndarray) -> np.ndarray:
-    """The switching-equivalent signature with first row and column all ones."""
-    S = check_signature(S)
-    n = S.shape[0]
+    """The switching-equivalent signature with first row and column all
+    ones, of a signature matrix that ``check_signature`` has passed."""
     d = S[0].conjugate().copy()
     d[0] = 1.0
     return S * (d[None, :] / d[:, None])
 
 
-def is_real_line_sequence(S: np.ndarray, tol: float = REAL_TOL) -> bool:
-    """Real lines iff the normalized signature matrix is real-valued."""
-    return bool(np.max(np.abs(normalized_signature(S).imag)) < tol)
+def is_real_line_sequence(S: np.ndarray) -> bool:
+    """Real lines iff the normalized signature matrix is real-valued (S
+    as ``check_signature`` returned it)."""
+    return bool(np.max(np.abs(normalized_signature(S).imag)) < REAL_TOL)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ double transitivity, double cosets and their decompositions, the
 Higman-pair test and axioms, the roux identity and inverse-symmetry
 checked cell by cell, the idempotent Gram of a roux, and the two-graph
 of a real line sequence read off its triple products.  Tests compare
-the fast paths against them on small cases.
+the fast paths against them on small cases, and ``gram_vectors`` builds
+their frame inputs.
 No other rouxforge module imports this one.
 """
 
@@ -18,8 +19,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .group import FiniteGroup, GroupAction, Subgroup, is_doubly_transitive, stabilizer
-from .lines import REAL_TOL, LinesError, TwoGraph, check_signature, is_real_line_sequence
+from .group import FiniteGroup, GroupAction, is_doubly_transitive, stabilizer
+from .lines import (
+    EIG_CLUSTER_RTOL,
+    LineGram,
+    LinesError,
+    TwoGraph,
+    check_signature,
+    is_real_line_sequence,
+)
 from .radical import CoverData, RadicalError
 from .roux import (
     RouxIdentityError,
@@ -65,7 +73,7 @@ def is_doubly_transitive_bruteforce(action: GroupAction) -> bool:
     return reached == pairs
 
 
-def double_coset_decomposition(G: FiniteGroup, H: Subgroup) -> list[list]:
+def double_coset_decomposition(G: FiniteGroup, H: FiniteGroup) -> list[list]:
     """Partition of G into double cosets HxH, cells sorted by min element."""
     assigned: dict = {}
     cells = []
@@ -80,7 +88,7 @@ def double_coset_decomposition(G: FiniteGroup, H: Subgroup) -> list[list]:
     return cells
 
 
-def coset_action(G: FiniteGroup, K: Subgroup) -> GroupAction:
+def coset_action(G: FiniteGroup, K: FiniteGroup) -> GroupAction:
     """Left multiplication action of G on left cosets xK (keyed by min element)."""
     rep_of: dict = {}
     reps = []
@@ -138,7 +146,7 @@ class HigmanAxiomReport:
         return all(self.axioms.values())
 
 
-def verify_higman_axioms(G: FiniteGroup, H: Subgroup, b) -> HigmanAxiomReport:
+def verify_higman_axioms(G: FiniteGroup, H: FiniteGroup, b) -> HigmanAxiomReport:
     """Brute-force check of the Higman pair axioms for (G, H) with key b.
 
     K is the normalizer of H.  Checks, literally: double transitivity of
@@ -281,17 +289,25 @@ def idempotency_residual(G: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# two-graphs
+# lines and two-graphs
 
 
-def two_graph_from_lines(S: np.ndarray, tol: float = REAL_TOL) -> TwoGraph:
+def gram_vectors(gram: LineGram) -> np.ndarray:
+    """A d x n matrix Phi with Phi* Phi equal to the Gram: unit-norm
+    vectors spanning the lines."""
+    w, V = np.linalg.eigh(gram.matrix)
+    keep = w > EIG_CLUSTER_RTOL * w[-1]
+    return np.sqrt(w[keep])[:, None] * V[:, keep].conj().T
+
+
+def two_graph_from_lines(S: np.ndarray) -> TwoGraph:
     """Triples with signature triple product -1 (real lines only).
 
     Triple products are independent of the choice of representatives, so
     they are read off the signature matrix directly.
     """
     S = check_signature(S)
-    if not is_real_line_sequence(S, tol):
+    if not is_real_line_sequence(S):
         raise LinesError("two-graphs require a real line sequence")
     n = S.shape[0]
     triples = set()

@@ -8,6 +8,7 @@ import pytest
 from util import paley6_roux, paley_exponents, record_calls
 
 from rouxforge.cli import main
+from rouxforge.oracles import gram_vectors
 from rouxforge.roux import RouxMatrix, switch
 
 
@@ -167,6 +168,36 @@ def test_detect_malformed_exit2(tmp_path, capsys):
     assert run(["detect", str(path)], capsys)[0] == 2
 
 
+S3_SPEC = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+SL25_SPEC = {
+    "kind": "matrix",
+    "field": {"p": 5, "k": 1, "irreducible": [0, 1]},
+    "dim": 2,
+    "generators": [[1, 1, 0, 1], [0, 1, 4, 0]],
+    "action": "projective",
+}
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        (dict(S3_SPEC, degree=3.5), "degree"),
+        (dict(SL25_SPEC, field=dict(SL25_SPEC["field"], p=5.9)), "p"),
+        (dict(SL25_SPEC, dim=2.2), "dim"),
+        (dict(S3_SPEC, generators=[[1, 0, 2], [1, 2, 0.0]]), "generators"),
+        (dict(SL25_SPEC, generators=[[1, 1.5, 0, 1], [0, 1, 4, 0]]), "generators"),
+    ],
+    ids=["degree", "p", "dim", "image", "entry"],
+)
+def test_detect_non_integer_group_spec_exit2(tmp_path, capsys, spec, key):
+    # a float is refused, not truncated to a smaller group
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key}: expected an integer") and err.count("\n") == 1
+
+
 def test_verify_roux_file(tmp_path, capsys):
     B = paley6_roux(4)
     path = tmp_path / "roux.json"
@@ -201,7 +232,7 @@ PALEY29_CORRUPTED_SHA256 = "2ae9715ccb0475da1ddf6ad4bc618c244ec44d457db287ea8361
 
 def test_verify_switched_paley29_reports_are_pinned(tmp_path, capsys):
     rng = random.Random(29)
-    B = switch(RouxMatrix(30, 4, paley_exponents(29)), [rng.randrange(4) for _ in range(30)], verify=False)
+    B = switch(RouxMatrix(30, 4, paley_exponents(29)), [rng.randrange(4) for _ in range(30)])
     blob = B.to_json()
     path = tmp_path / "paley29.json"
     path.write_text(json.dumps(blob))
@@ -405,8 +436,7 @@ def test_tolerance_override_flags(tmp_path, capsys):
     from rouxforge.lines import gram_from_signature
     from rouxforge.roux import signature_matrix
 
-    gram = gram_from_signature(signature_matrix(paley6_roux(4), 1))
-    vectors = gram.factor()
+    vectors = gram_vectors(gram_from_signature(signature_matrix(paley6_roux(4), 1)))
     vectors[1, 0] += 0.01  # tilt one vector: still a Gram, no longer equiangular
     vectors[:, 0] /= np.linalg.norm(vectors[:, 0])
     M = vectors.conj().T @ vectors
@@ -428,7 +458,7 @@ def test_tol_eig_sets_gram_rank(tmp_path, capsys):
 
     # the (6,3) frame with one vector tilted 1e-2 into a fourth axis: the
     # Gram gains an eigenvalue near 2.5e-5 of its largest
-    vectors = gram_from_signature(signature_matrix(paley6_roux(4), 1)).factor()
+    vectors = gram_vectors(gram_from_signature(signature_matrix(paley6_roux(4), 1)))
     Phi = np.vstack([vectors, np.zeros((1, 6))])
     Phi[3, 0] = 1e-2
     Phi[:, 0] /= np.linalg.norm(Phi[:, 0])

@@ -25,6 +25,7 @@ from rouxforge.group import (
     stabilizer,
 )
 from rouxforge.oracles import closure_bfs, double_coset_decomposition, is_doubly_transitive_bruteforce
+from util import materialized
 
 
 def s3():
@@ -71,7 +72,7 @@ def test_closure_cap():
     assert closure(gens, PermOps(5), cap=120).order == 120
     with pytest.raises(CapExceededError):
         closure(gens, PermOps(5), cap=119)
-    U = su3_cover(3, materialize=True)[0].group
+    U = materialized(su3_cover(3)[0]).group
     assert closure(U.generators, U.ops, cap=6048).order == 6048
     with pytest.raises(CapExceededError):
         closure(U.generators, U.ops, cap=6047)
@@ -96,7 +97,7 @@ def test_closure_matches_bfs_oracle_on_permutations(case):
 def test_closure_matches_bfs_oracle_on_matrices_and_quotients():
     G = sl2(5)
     assert G.elements == closure_bfs(G.generators, G.ops).elements
-    U = su3_cover(3, materialize=True)[0].group
+    U = materialized(su3_cover(3)[0]).group
     assert U.order == 6048
     assert U.elements == closure_bfs(U.generators, U.ops).elements
     B = stabilizer(projective_line_action(sl2(7)), (1, 0))

@@ -21,7 +21,7 @@ from rouxforge.lines import (
     verify_etf,
     welch_bound,
 )
-from rouxforge.oracles import two_graph_from_lines
+from rouxforge.oracles import gram_vectors, two_graph_from_lines
 from rouxforge.roux import signature_matrix
 
 
@@ -33,7 +33,7 @@ def test_gram_from_all_ones_signature():
     n = 4
     S = np.ones((n, n)) - np.eye(n)
     gram = gram_from_signature(S)
-    vectors = gram.factor()
+    vectors = gram_vectors(gram)
     assert gram.d == 1
     assert np.allclose(gram.matrix, np.ones((n, n)), atol=1e-9)
     assert vectors.shape == (1, n)
@@ -41,7 +41,7 @@ def test_gram_from_all_ones_signature():
 
 def test_gram_from_etf63_signature():
     gram = gram_from_signature(etf63_signature())
-    vectors = gram.factor()
+    vectors = gram_vectors(gram)
     assert (gram.n, gram.d) == (6, 3)
     off = ~np.eye(6, dtype=bool)
     assert np.allclose(np.abs(gram.matrix[off]), 1 / math.sqrt(5), atol=1e-9)
@@ -146,9 +146,14 @@ def test_verify_etf_perturbed_fails():
     assert not cert.passed
 
 
-def test_verify_etf_rejects_non_unit_columns():
-    with pytest.raises(LinesError):
-        verify_etf(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+def test_verify_etf_realness_needs_a_signature():
+    # a diagonal off by 1e-10 is a unit Gram (ETF_TOL) but (G - I)/mu is
+    # no signature matrix (SIG_TOL), so the lines are not certified real
+    G = gram_from_signature(etf63_signature()).matrix.copy()
+    assert verify_etf(G).real
+    G[2, 2] += 1e-10
+    cert = verify_etf(G)
+    assert cert.passed and not cert.real
 
 
 def test_naimark_complement_63():
@@ -173,7 +178,7 @@ def test_naimark_rejects_untight_and_square():
 
 
 def test_normalized_signature():
-    S = etf63_signature()
+    S = check_signature(etf63_signature())
     N = normalized_signature(S)
     assert np.allclose(N[0, 1:], 1, atol=1e-12)
     assert np.allclose(N[1:, 0], 1, atol=1e-12)
@@ -181,12 +186,12 @@ def test_normalized_signature():
     # any diagonal switch is undone exactly
     phases = np.exp(2j * np.pi * np.arange(6) / 6)
     switched = N * np.outer(phases.conj(), phases)
-    assert np.allclose(normalized_signature(switched), N, atol=1e-12)
+    assert np.allclose(normalized_signature(check_signature(switched)), N, atol=1e-12)
 
 
 def test_is_real_line_sequence():
-    assert is_real_line_sequence(np.ones((5, 5)) - np.eye(5))
-    assert is_real_line_sequence(etf63_signature())  # real after normalization
+    assert is_real_line_sequence(check_signature(np.ones((5, 5)) - np.eye(5)))
+    assert is_real_line_sequence(check_signature(etf63_signature()))  # real after normalization
 
 
 def test_two_graph_from_trivial_signatures():
@@ -298,7 +303,7 @@ def test_signature_gram_roundtrip():
     # rebuilding mu^-1 (Phi* Phi - I) from the unit-norm factors recovers S
     S = etf63_signature()
     gram = gram_from_signature(S)
-    vectors = gram.factor()
+    vectors = gram_vectors(gram)
     rebuilt = vectors.conj().T @ vectors
     mu = 1 / math.sqrt(5)
     assert np.max(np.abs((rebuilt - np.eye(6)) / mu - S)) < 1e-8

@@ -1,6 +1,7 @@
 """The brute-force oracles stay apart from the production path: only the
 tests import ``rouxforge.oracles``.  Code only the tests reach belongs
-there, so every other module-level definition has a production use."""
+there, so every other module-level definition, and every method and
+property of a production class, has a production use."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,10 @@ def test_only_tests_import_oracles():
     assert "oracles" not in rouxforge.__all__
 
 
+def production_paths(package: Path) -> list[Path]:
+    return [p for p in sorted(package.glob("*.py")) if p.name not in ("__init__.py", "oracles.py")]
+
+
 def dead_definitions(package: Path) -> list[str]:
     """Module-level functions and classes of the production modules that
     no live production code references.
@@ -38,7 +43,7 @@ def dead_definitions(package: Path) -> list[str]:
     does a definition's reference to itself, and a reference from inside
     a dead definition does not keep a name alive.
     """
-    paths = [p for p in sorted(package.glob("*.py")) if p.name not in ("__init__.py", "oracles.py")]
+    paths = production_paths(package)
     modules = {path.stem for path in paths}
     defs = {}  # "module.name" -> (name, names referenced in its body)
     outside = set()  # names referenced outside every definition
@@ -66,3 +71,69 @@ def dead_definitions(package: Path) -> list[str]:
 
 def test_no_production_definition_is_dead():
     assert dead_definitions(PACKAGE) == []
+
+
+def attribute_loads(nodes) -> set:
+    return {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def dead_members(package: Path) -> list[str]:
+    """Non-dunder methods and properties of production classes whose
+    attribute name no live production code loads.
+
+    Live code is every production module-level definition that
+    ``dead_definitions`` keeps, and a member's own body or the body of a
+    dead member does not keep a name alive.  Names are matched as
+    attribute names, whatever object they are loaded from.
+    """
+    dead_defs = set(dead_definitions(package))
+    members = {}  # "module.Class.name" -> (name, attribute names its body loads)
+    outside = set()  # attribute names loaded outside every member body
+    for path in production_paths(package):
+        for node in ast.parse(path.read_text()).body:
+            if f"{path.stem}.{getattr(node, 'name', '')}" in dead_defs:
+                continue
+            inside = set()  # ids of the nodes in member bodies
+            for cls in (n for n in ast.walk(node) if isinstance(n, ast.ClassDef)):
+                for item in cls.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        body = list(ast.walk(item))
+                        inside |= {id(n) for n in body}
+                        members[f"{path.stem}.{cls.name}.{item.name}"] = (item.name, attribute_loads(body))
+            outside |= attribute_loads(n for n in ast.walk(node) if id(n) not in inside)
+    dead: set = set()
+    while True:
+        newly = set()
+        for key, (name, _) in members.items():
+            others = (used for k, (_, used) in members.items() if k != key and k not in dead)
+            if key not in dead and name not in outside.union(*others):
+                newly.add(key)
+        if not newly:
+            return sorted(dead)
+        dead |= newly
+
+
+def test_dead_members_flags_members_only_tests_reach(tmp_path):
+    (tmp_path / "shapes.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, w):\n"
+        "        self.w = w\n"
+        "    def area(self):\n"
+        "        return self.w * self.w\n"
+        "    def grow(self):\n"  # only the dead member below calls it
+        "        return Box(self.w + 1)\n"
+        "    def regrow(self):\n"
+        "        return self.grow().regrow()\n"  # its own name keeps nothing alive
+        "\n"
+        "def report(box):\n"
+        "    return box.area()\n"
+        "\n"
+        "print(report(Box(2)))\n"
+    )
+    assert dead_members(tmp_path) == ["shapes.Box.grow", "shapes.Box.regrow"]
+
+
+def test_no_production_member_is_dead():
+    assert dead_members(PACKAGE) == []

@@ -97,7 +97,7 @@ def test_verify_roux_matches_loop_on_switched_and_corrupted_roux(data):
     B = pool[data.draw(st.integers(0, len(pool) - 1), label="roux")]
     n, r = B.n, B.r
     diagonal = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n), label="switch")
-    switched = switch(B, diagonal, verify=False)
+    switched = switch(B, diagonal)
     i = data.draw(st.integers(0, n - 2), label="i")
     j = data.draw(st.integers(i + 1, n - 1), label="j")
     t = data.draw(st.integers(1, r - 1), label="t")
@@ -222,21 +222,21 @@ def test_switch_identity_and_involution():
 
 def test_compress_roundtrip():
     B4 = paley6_roux(4)
-    B2 = compress_to_subgroup(B4, 2)
+    B2 = compress_to_subgroup(B4, 2, verify_roux(B4))
     assert B2.r == 2
     assert verify_roux(B2).coeffs == (2, 2)
 
 
 def test_compress_identity_case():
     B = paley6_roux(2)
-    same = compress_to_subgroup(B, 2)
+    same = compress_to_subgroup(B, 2, verify_roux(B))
     assert verify_roux(same).coeffs == (2, 2)
 
 
 def test_compress_support_violation():
     B = paley6_roux(2)
     with pytest.raises(RouxAxiomError):
-        compress_to_subgroup(B, 1)
+        compress_to_subgroup(B, 1, verify_roux(B))
 
 
 def test_idempotent_trivial_branch_exact():

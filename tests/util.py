@@ -1,11 +1,12 @@
 """Shared test fixtures: small hand-built roux instances, covers of
-enumerated groups, random cover elements and a call recorder."""
+enumerated groups, closed copies of the built-in covers, random cover
+elements and a call recorder."""
 
 import sys
 
 import numpy as np
 
-from rouxforge.group import stabilizer
+from rouxforge.group import GroupAction, closure, stabilizer
 from rouxforge.radical import CoverData
 from rouxforge.roux import RouxMatrix
 
@@ -57,6 +58,14 @@ def cover_of(action) -> CoverData:
     """Cover data for an enumerated group's action, with the stabilizer
     of the first point found by enumeration."""
     return CoverData(action, stabilizer(action, action.points[0]))
+
+
+def materialized(cover) -> CoverData:
+    """The same cover with its group closed: the built-in covers act
+    through an unenumerated generated group."""
+    G = cover.action.group
+    action = GroupAction(closure(G.generators, G.ops, name=G.name), cover.action.points, cover.action.act)
+    return CoverData(action, cover.stab, cover.base_point)
 
 
 def record_calls(monkeypatch, module, name: str) -> list:
