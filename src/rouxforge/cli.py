@@ -356,11 +356,10 @@ def _verify_etf_file(data: dict, args) -> int:
 def _verify_twograph_file(data: dict, args) -> int:
     tg = lines.TwoGraph.from_json(data)
     try:
-        tg.check_parity()
+        reg = lines.two_graph_regularity(tg)
     except lines.LinesError as exc:
         _emit({"kind": "twograph", "passed": False, "error": {"message": str(exc)}}, args)
         return EXIT_CERT_FAIL
-    reg = lines.two_graph_regularity(tg)
     payload = {"kind": "twograph", "passed": True, "regularity": reg}
     _emit(payload, args)
     return EXIT_OK

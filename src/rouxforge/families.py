@@ -223,9 +223,9 @@ def isotropic_line_action(G, q: Optional[int] = None) -> GroupAction:
     """Action of a 3x3 matrix group over F_{q^2} on the isotropic lines of
     the Hermitian form (u, v) = u1 v3^q + u2 v2^q + u3 v1^q."""
     ops = G.ops
-    spec2 = ops.spec
-    if ops.dim != 3:
+    if not (isinstance(ops, MatOps) and ops.dim == 3):
         raise FamilyError("isotropic actions need 3x3 matrices")
+    spec2 = ops.spec
     if q is None:
         q = math.isqrt(spec2.q)
     if q * q != spec2.q:

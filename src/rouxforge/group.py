@@ -221,16 +221,6 @@ class GeneratedGroup:
         self.generators = list(generators)
         self.name = name
 
-    @property
-    def identity(self):
-        return self.ops.identity
-
-    def mul(self, a, b):
-        return self.ops.mul(a, b)
-
-    def inv(self, a):
-        return self.ops.inv(a)
-
     def __repr__(self) -> str:
         return f"<generated group {self.name or '?'}>"
 
@@ -377,8 +367,9 @@ class GroupAction:
 
 
 def natural_permutation_action(G: FiniteGroup) -> GroupAction:
-    degree = G.ops.degree
-    return GroupAction(G, range(degree), lambda g, p: g[p])
+    if not isinstance(G.ops, PermOps):
+        raise GroupError("the natural action needs a permutation group")
+    return GroupAction(G, range(G.ops.degree), lambda g, p: g[p])
 
 
 def projective_point(spec: FieldSpec, v: Sequence[int]) -> tuple:
@@ -393,6 +384,8 @@ def projective_point(spec: FieldSpec, v: Sequence[int]) -> tuple:
 def projective_line_action(G: FiniteGroup) -> GroupAction:
     """Action of a 2x2 matrix group on the q+1 points of the projective line."""
     ops = G.ops
+    if not (isinstance(ops, MatOps) and ops.dim == 2):
+        raise GroupError("the projective action needs a 2x2 matrix group")
     spec = ops.spec
     points = [projective_point(spec, (1, t)) for t in range(spec.q)]
     points.append(projective_point(spec, (0, 1)))
@@ -595,15 +588,24 @@ def enumerate_linear_characters(G: FiniteGroup) -> list[LinearCharacter]:
 # JSON group specs
 
 
+def _json_count(data: dict, key: str) -> int:
+    """``data[key]`` as a JSON integer of at least 1."""
+    value = json_int(data[key], key, GroupError)
+    if value < 1:
+        raise GroupError(f"{key}: expected at least 1, got {value}")
+    return value
+
+
 def parse_group_spec(data: dict) -> tuple:
     """Backend, generator keys, and name from a JSON group spec (no closure).
 
-    Every count, image and entry must be a JSON integer; a float or a bool
-    raises ``GroupError`` (``FieldError`` inside the field spec).
+    Every count, image and entry must be a JSON integer, and ``degree``
+    and ``dim`` at least 1; anything else raises ``GroupError``
+    (``FieldError`` inside the field spec).
     """
     kind = data.get("kind")
     if kind == "permutation":
-        degree = json_int(data["degree"], "degree", GroupError)
+        degree = _json_count(data, "degree")
         ops = PermOps(degree)
         gens = [tuple(json_int(i, "generators", GroupError) for i in g) for g in data["generators"]]
         for g in gens:
@@ -612,7 +614,7 @@ def parse_group_spec(data: dict) -> tuple:
         return ops, gens, data.get("name", "permutation group")
     if kind == "matrix":
         spec = FieldSpec.from_json(data["field"])
-        dim = json_int(data["dim"], "dim", GroupError)
+        dim = _json_count(data, "dim")
         ops = MatOps(spec, dim)
         gens = []
         for flat in data["generators"]:
@@ -633,6 +635,6 @@ def group_from_json(data: dict) -> FiniteGroup:
     """Build a group from its JSON spec; see README for the format."""
     if data.get("kind") == "product":
         base = group_from_json(data["base"])
-        return direct_product_with_cyclic(base, json_int(data["r"], "r", GroupError))
+        return direct_product_with_cyclic(base, _json_count(data, "r"))
     ops, gens, name = parse_group_spec(data)
     return closure(gens, ops, name=name)

@@ -233,9 +233,6 @@ class TwoGraph:
                 count = int(f[j, k]) + int(g[i, j]) + int(g[i, k]) + int(g[j, k])
                 raise LinesError(f"4-subset {(0, i, j, k)} contains {count} triples")
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "triples": sorted(sorted(t) for t in self.triples)}
-
     @classmethod
     def from_json(cls, data: dict) -> "TwoGraph":
         """Parse ``{"n": n, "triples": [[i, j, k], ...]}``, each triple

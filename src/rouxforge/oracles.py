@@ -1,13 +1,14 @@
 """Brute-force reference checks, kept apart from the production path.
 
 Each function here recomputes, straight from a definition, something the
-library computes faster elsewhere: the closure of a generating set,
-double transitivity, double cosets and their decompositions, the
-Higman-pair test and axioms, the roux identity and inverse-symmetry
-checked cell by cell, the idempotent Gram of a roux, and the two-graph
-of a real line sequence read off its triple products.  Tests compare
-the fast paths against them on small cases, and ``gram_vectors`` builds
-their frame inputs.
+library computes faster elsewhere or only proves: the closure of a
+generating set, double transitivity, double cosets and their
+decompositions, the groups of a radicalization and the normalizer of
+H, the Higman-pair test and axioms, the roux identity and
+inverse-symmetry checked cell by cell, the idempotent Gram of a roux,
+and the two-graph of a real line sequence read off its triple products.
+Tests compare the fast paths against them on small cases, and
+``gram_vectors`` builds their frame inputs.
 No other rouxforge module imports this one.
 """
 
@@ -19,7 +20,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .group import FiniteGroup, GroupAction, is_doubly_transitive, stabilizer
+from .group import (
+    FiniteGroup,
+    GroupAction,
+    direct_product_with_cyclic,
+    is_doubly_transitive,
+    stabilizer,
+)
 from .lines import (
     EIG_CLUSTER_RTOL,
     LineGram,
@@ -28,7 +35,7 @@ from .lines import (
     check_signature,
     is_real_line_sequence,
 )
-from .radical import CoverData, RadicalError
+from .radical import CoverData, RadicalError, Radicalization
 from .roux import (
     RouxIdentityError,
     RouxMatrix,
@@ -103,8 +110,28 @@ def coset_action(G: FiniteGroup, K: FiniteGroup) -> GroupAction:
     return GroupAction(G, reps, lambda g, p: rep_of[G.mul(g, p)])
 
 
+def normalizer(G: FiniteGroup, H: FiniteGroup) -> list:
+    """The g in G with g h g^{-1} in H for every h in H, in G's order."""
+    hset = set(H.elements)
+    return [g for g in G.elements if all(G.mul(G.mul(g, h), G.inv(g)) in hset for h in H.elements)]
+
+
 # ---------------------------------------------------------------------------
 # Higman pairs
+
+
+def radicalization_groups(rad: Radicalization) -> tuple:
+    """The explicit (G~*, H, G~0*) of a radicalization of a materialized
+    cover: G* x C_r, H = {(xi, alpha(xi)^{-1})} and G0* x C_r."""
+    G = rad.cover.group
+    if G is None:
+        raise RadicalError("cover group not materialized")
+    r = rad.r
+    Gt = direct_product_with_cyclic(G, r)
+    stab = rad.cover.stab.elements
+    H = Gt.subgroup([(xi, -rad.alpha_exp_r(xi) % r) for xi in stab])
+    Gt0 = Gt.subgroup([(xi, z) for xi in stab for z in range(r)])
+    return Gt, H, Gt0
 
 
 def double_coset_scan(cover: CoverData, x, y) -> list[tuple]:
@@ -155,11 +182,7 @@ def verify_higman_axioms(G: FiniteGroup, H: FiniteGroup, b) -> HigmanAxiomReport
     failing axiom but evaluates all five.
     """
     hset = set(H.elements)
-    K_members = [
-        g
-        for g in G.elements
-        if all(G.mul(G.mul(g, h), G.inv(g)) in hset for h in H.elements)
-    ]
+    K_members = normalizer(G, H)
     K = G.subgroup(K_members)
     kset = set(K_members)
     if b in kset:

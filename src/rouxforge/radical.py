@@ -20,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .group import FiniteGroup, GroupAction, LinearCharacter, direct_product_with_cyclic
+from .group import FiniteGroup, GroupAction, LinearCharacter
 from .roux import RouxMatrix, RouxParameters, verify_roux
-
-NORMALIZER_VERIFY_CAP = 10**4
 
 
 class RadicalError(ValueError):
@@ -113,8 +111,8 @@ class Key:
 class Radicalization:
     """The pair (G* x C_r, ker alpha~) for a cover and character.
 
-    Stored symbolically: the product group is only materialized on
-    demand.  ``alpha`` must be in reduced form (modulus = image order).
+    Stored symbolically: the product group is never built.  ``alpha``
+    must be in reduced form (modulus = image order).
     """
 
     cover: CoverData
@@ -136,43 +134,27 @@ class Radicalization:
         """Exponent of alpha(g) inside C_r (always even)."""
         return (2 * self.alpha.exponent(gkey)) % self.r
 
-    def h_elements(self) -> list:
-        """ker alpha~ = {(xi, alpha(xi)^{-1})} as product-group keys."""
-        return [(xi, (-self.alpha_exp_r(xi)) % self.r) for xi in self.cover.stab.elements]
-
-    def materialize(self):
-        """Explicit (G~*, H, G~0*) for brute-force work."""
-        G = self.cover.group
-        if G is None:
-            raise RadicalError("cover group not materialized")
-        Gt = direct_product_with_cyclic(G, self.r)
-        H = Gt.subgroup(self.h_elements())
-        Gt0 = Gt.subgroup(
-            [(xi, z) for xi in self.cover.stab.elements for z in range(self.r)]
-        )
-        return Gt, H, Gt0
-
 
 def radicalize(cover: CoverData, alpha: LinearCharacter) -> Radicalization:
-    """Build the radicalization, verifying the character and (when the
-    product group is small enough) the normalizer identity N(H) = G~0*."""
+    """Build the radicalization after checking that alpha is a character
+    of the whole stabilizer.
+
+    Its normalizer identity N(H) = G~0* = G0* x C_r, for n >= 3, needs no
+    check: it follows from the premises that ``detect`` proves first (a
+    doubly transitive action, a full stabilizer G0* of b, and alpha a
+    homomorphism on G0*) and that the families hold by construction.
+    G~0* normalizes H, because H is the kernel of the homomorphism
+    (xi, z) -> alpha(xi) z on G~0*.  Conversely, if (g, z) normalizes H,
+    then g normalizes G0*, the projection of H, so
+    G0* = g G0* g^{-1} = Stab(g.b) fixes g.b.  G0* is transitive on the
+    n - 1 >= 2 other points, so it fixes none of them: g.b = b, and
+    (g, z) lies in G~0*.
+    """
     missing = [g for g in cover.stab.elements if g not in alpha.exponents]
     if missing:
         raise RadicalError("character not defined on the whole stabilizer")
     alpha.verify_homomorphism(cover.stab)
-    rad = Radicalization(cover, alpha)
-    G = cover.group
-    if G is not None and G.order * rad.r <= NORMALIZER_VERIFY_CAP and cover.n >= 3:
-        Gt, H, Gt0 = rad.materialize()
-        hset = set(H.elements)
-        normalizer = [
-            g
-            for g in Gt.elements
-            if all(Gt.mul(Gt.mul(g, h), Gt.inv(g)) in hset for h in H.elements)
-        ]
-        if sorted(normalizer) != Gt0.elements:
-            raise RadicalError("normalizer of H is not the extended stabilizer")
-    return rad
+    return Radicalization(cover, alpha)
 
 
 class HigmanDecompositionTable:

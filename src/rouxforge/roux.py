@@ -79,13 +79,6 @@ class RouxMatrix:
             and (self.exps == other.exps).all()
         )
 
-    def to_json(self) -> dict:
-        entries = [
-            [None if i == j else int(self.exps[i, j]) for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return {"n": self.n, "r": self.r, "entries": entries}
-
     @classmethod
     def from_json(cls, data: dict) -> "RouxMatrix":
         """Parse ``{"n": n, "r": r, "entries": n rows of n cells}``, each
@@ -227,7 +220,7 @@ def compress_to_subgroup(B: RouxMatrix, r_new: int, params: RouxParameters) -> R
     """Rewrite a roux over C_r as one over a subgroup C_{r'}, r' | r.
 
     Requires the parameters of B to be supported on the subgroup (exponents
-    divisible by r/r').  Switches so that row 1 becomes the identity;
+    divisible by r/r').  Switches so that row 0 becomes the identity;
     after that every off-diagonal exponent lies in the subgroup, and the
     grid reinterprets with exponents divided by r/r'.
     """
@@ -239,12 +232,11 @@ def compress_to_subgroup(B: RouxMatrix, r_new: int, params: RouxParameters) -> R
         raise RouxAxiomError(
             f"parameters supported outside the subgroup of order {r_new}"
         )
-    diagonal = [(-int(B.exps[0, j])) % r for j in range(n)]
-    normalized = switch(B, diagonal)
+    normalized = switch(B, B.exps[0])
     if (normalized.exps % step).any():
-        # cannot happen when the support condition holds (the normalized
-        # second-row columns redistribute exactly per the parameters), but
-        # reported as a diagnostic rather than silently mangling exponents
+        # With row 0 the identity, (B^2)_{0j} is the sum of the B_kj over
+        # k != 0, j, so column j holds the exponents the parameters
+        # count: this fires only when ``params`` are not B's parameters
         bad = np.argwhere(normalized.exps % step != 0)[0]
         raise RouxAxiomError(
             "first-row normalization left an exponent outside the subgroup",

@@ -31,7 +31,7 @@ from rouxforge.lines import (
     verify_etf,
     welch_bound,
 )
-from rouxforge.oracles import two_graph_from_lines, verify_higman_axioms
+from rouxforge.oracles import radicalization_groups, two_graph_from_lines, verify_higman_axioms
 from rouxforge.radical import (
     HigmanDecompositionTable,
     Radicalization,
@@ -316,7 +316,7 @@ def test_criterion_11_bruteforce_oracle_equivalence():
     verdict = detect_higman(table, trivial)
     rad = radicalize(cover, trivial)
     key = find_key(rad, table)
-    Gt, H, _ = rad.materialize()
+    Gt, H, _ = radicalization_groups(rad)
     report = verify_higman_axioms(Gt, H, (key.x, key.z_exponent))
     ok = report.passed == verdict is True
 
@@ -329,7 +329,7 @@ def test_criterion_11_bruteforce_oracle_equivalence():
     verdict5 = detect_higman(table5, quad)
     rad5 = radicalize(cover5, quad)
     key5 = find_key(rad5, table5)
-    Gt5, H5, _ = rad5.materialize()
+    Gt5, H5, _ = radicalization_groups(rad5)
     report5 = verify_higman_axioms(Gt5, H5, (key5.x, key5.z_exponent))
     ok = ok and report5.passed == verdict5 is True
 
@@ -338,7 +338,7 @@ def test_criterion_11_bruteforce_oracle_equivalence():
     verdict4 = detect_higman(table5, quartic)
     rad4 = Radicalization(cover5, quartic)
     key4 = find_key(rad4, table5)
-    Gt4, H4, _ = rad4.materialize()
+    Gt4, H4, _ = radicalization_groups(rad4)
     report4 = verify_higman_axioms(Gt4, H4, (key4.x, key4.z_exponent))
     ok = ok and verdict4 is False and not report4.passed and not report4.axioms["H5"]
 

@@ -5,19 +5,18 @@ import random
 
 import numpy as np
 import pytest
-from util import paley6_roux, paley_exponents, record_calls
+from util import paley6_roux, paley_exponents, record_calls, roux_json, two_graph_json
 
 from rouxforge.cli import main
 from rouxforge.oracles import gram_vectors
 from rouxforge.roux import RouxMatrix, switch
 
 
-# Digests of the JSON reports of `family psl2 --q 13` and `family psu3 --q 3`,
-# unchanged since the decomposition table used a stabilizer scan per cell.
+# Digests of the JSON reports of `family psl2 --q 13` and `family psu3 --q 3`.
 # Their float fields come from LAPACK, so another numpy or BLAS build may
 # change the last digits.
 PSL2_Q13_SHA256 = "ddc70eeb424ba41caddf85209a5ee525fd760c190dfe7a5885984c82cc1cb2dc"
-PSU3_Q3_SHA256 = "3c00db38f8a31a08a515f18289f86cb58ba46211065b2ab91659038248f75c08"
+PSU3_Q3_SHA256 = "c0f63165530a9f878ac4a294c17bb3b659a2710c74760386e3e6611538ee8ee8"
 
 
 def run(argv, capsys):
@@ -198,10 +197,63 @@ def test_detect_non_integer_group_spec_exit2(tmp_path, capsys, spec, key):
     assert err.startswith(f"error: {key}: expected an integer") and err.count("\n") == 1
 
 
+F2_3X3_SPEC = {
+    "kind": "matrix",
+    "field": {"p": 2, "k": 1, "irreducible": [0, 1]},
+    "dim": 3,
+    "generators": [[1, 1, 0, 0, 1, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0, 0, 1, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "permutation", "degree": 0, "generators": [[]]},
+        {"kind": "permutation", "degree": -1, "generators": [[]]},
+        dict(SL25_SPEC, dim=0, generators=[[]]),
+        dict(SL25_SPEC, dim=-1, generators=[[1]]),
+        dict(SL25_SPEC, action="natural"),
+        dict(S3_SPEC, action="projective"),
+        dict(S3_SPEC, action="isotropic"),
+        dict(F2_3X3_SPEC, action="projective"),
+        {"kind": "product", "base": S3_SPEC, "r": 2},
+        {"kind": "product", "base": S3_SPEC, "r": 2, "action": "natural"},
+        {"kind": "product", "base": S3_SPEC, "r": 2, "action": "isotropic"},
+        {"kind": "product", "base": S3_SPEC, "r": 0, "action": "natural"},
+        {"kind": "product", "base": S3_SPEC, "r": -2, "action": "natural"},
+    ],
+    ids=[
+        "degree-0", "degree-neg", "dim-0", "dim-neg", "matrix-natural", "perm-projective",
+        "perm-isotropic", "3x3-projective", "product", "product-natural", "product-isotropic",
+        "product-r-0", "product-r-neg",
+    ],
+)
+def test_detect_spec_without_a_fitting_action_exit2(tmp_path, capsys, spec):
+    # a count below 1, or an action that does not fit the group kind, is
+    # malformed input rather than a traceback or an H1 failure
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_detect_builds_no_product_group(tmp_path, capsys, monkeypatch):
+    # radicalize proves N(H) = G~0* instead of scanning G* x C_r
+    from rouxforge import group
+
+    products = record_calls(monkeypatch, group, "direct_product_with_cyclic")
+    path = tmp_path / "sl25.json"
+    path.write_text(json.dumps(SL25_SPEC))
+    code, out, _ = run(["detect", str(path)], capsys)
+    assert code == 0 and json.loads(out)["n"] == 6
+    assert products == []
+
+
 def test_verify_roux_file(tmp_path, capsys):
     B = paley6_roux(4)
     path = tmp_path / "roux.json"
-    path.write_text(json.dumps(B.to_json()))
+    path.write_text(json.dumps(roux_json(B)))
     code, out, _ = run(["verify", str(path), "--kind", "roux"], capsys)
     assert code == 0
     report = json.loads(out)
@@ -211,7 +263,7 @@ def test_verify_roux_file(tmp_path, capsys):
 
 def test_verify_corrupted_roux_locates_cell(tmp_path, capsys):
     B = paley6_roux(4)
-    blob = B.to_json()
+    blob = roux_json(B)
     blob["entries"][0][1] = (blob["entries"][0][1] + 1) % 4  # break inverse-symmetry
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))
@@ -233,7 +285,7 @@ PALEY29_CORRUPTED_SHA256 = "2ae9715ccb0475da1ddf6ad4bc618c244ec44d457db287ea8361
 def test_verify_switched_paley29_reports_are_pinned(tmp_path, capsys):
     rng = random.Random(29)
     B = switch(RouxMatrix(30, 4, paley_exponents(29)), [rng.randrange(4) for _ in range(30)])
-    blob = B.to_json()
+    blob = roux_json(B)
     path = tmp_path / "paley29.json"
     path.write_text(json.dumps(blob))
     code, out, _ = run(["verify", str(path), "--kind", "roux"], capsys)
@@ -248,7 +300,7 @@ def test_verify_switched_paley29_reports_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PALEY29_CORRUPTED_SHA256
 
 
-PALEY6 = paley6_roux(4).to_json()
+PALEY6 = roux_json(paley6_roux(4))
 SHORT_ROW = [row[:] for row in PALEY6["entries"]]
 SHORT_ROW[3].pop()
 STRING_EXPONENT = [row[:] for row in PALEY6["entries"]]
@@ -360,7 +412,7 @@ def test_verify_twograph(tmp_path, capsys):
 
     tg = two_graph_from_lines(signature_matrix(paley6_roux(4), 1))
     path = tmp_path / "tg.json"
-    path.write_text(json.dumps(tg.to_json()))
+    path.write_text(json.dumps(two_graph_json(tg)))
     code, out, _ = run(["verify", str(path), "--kind", "twograph"], capsys)
     assert code == 0
     report = json.loads(out)
@@ -424,7 +476,7 @@ def test_verify_exported_psl27_roux(tmp_path, capsys):
     rep = sl2_family(7)
     block = next(b for b in rep.characters if b.higman and b.image_order == 2)
     path = tmp_path / "psl27.json"
-    path.write_text(json.dumps(block.roux_matrix.to_json()))
+    path.write_text(json.dumps(roux_json(block.roux_matrix)))
     code, out, _ = run(["verify", str(path), "--kind", "roux"], capsys)
     assert code == 0
     report = json.loads(out)

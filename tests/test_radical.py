@@ -16,6 +16,8 @@ from rouxforge.oracles import (
     double_coset_scan,
     gram_from_idempotent,
     matrix_rank_by_threshold,
+    normalizer,
+    radicalization_groups,
     verify_higman_axioms,
 )
 from rouxforge.radical import (
@@ -75,16 +77,19 @@ def test_radicalize_trivial():
     trivial = by_order(enumerate_linear_characters(cover.stab), 1)[0]
     rad = radicalize(cover, trivial)
     assert rad.r == 2
-    assert rad.h_elements() == [(xi, 0) for xi in cover.stab.elements]
+    _, H, _ = radicalization_groups(rad)
+    assert H.elements == [(xi, 0) for xi in cover.stab.elements]
     assert cover.group.order * rad.r == 12
 
 
 def test_radicalize_sl25_quadratic():
     cover, x, chars = sl2_chars(5, materialize=True)
     quad = by_order(chars, 2)[0]
-    rad = radicalize(cover, quad)  # includes the normalizer check at order 480
+    rad = radicalize(cover, quad)
     assert rad.r == 4
-    assert len(rad.h_elements()) == 20
+    _, H, _ = radicalization_groups(rad)
+    assert H.order == 20
+    assert all(z == -rad.alpha_exp_r(xi) % 4 for xi, z in H.elements)
     assert cover.group.order * rad.r == 480
 
 
@@ -444,7 +449,7 @@ def test_higman_axioms_s3_trivial():
     trivial = by_order(enumerate_linear_characters(cover.stab), 1)[0]
     rad = radicalize(cover, trivial)
     key = find_key(rad, HigmanDecompositionTable(cover, cover.first_outside_stabilizer()))
-    Gt, H, _ = rad.materialize()
+    Gt, H, _ = radicalization_groups(rad)
     report = verify_higman_axioms(Gt, H, (key.x, key.z_exponent))
     assert report.passed, report.first_failure
 
@@ -455,7 +460,7 @@ def test_higman_axioms_sl25_quadratic():
     rad = radicalize(cover, quad)
     table = HigmanDecompositionTable(cover, x)
     key = find_key(rad, table)
-    Gt, H, _ = rad.materialize()
+    Gt, H, _ = radicalization_groups(rad)
     report = verify_higman_axioms(Gt, H, (key.x, key.z_exponent))
     assert report.passed, report.first_failure
     assert detect_higman(table, quad) is True
@@ -468,7 +473,7 @@ def test_higman_axioms_h5_fails_for_nonreal_character():
     assert detect_higman(table, order4) is False
     rad = Radicalization(cover, order4)
     candidate = find_key(rad, table)
-    Gt, H, _ = rad.materialize()
+    Gt, H, _ = radicalization_groups(rad)
     # no key exists: H5 fails for the candidate and for every other z
     for z in range(rad.r):
         report = verify_higman_axioms(Gt, H, (candidate.x, z))
@@ -480,19 +485,23 @@ def test_higman_axioms_rejects_key_in_normalizer():
     cover = s3_cover()
     trivial = by_order(enumerate_linear_characters(cover.stab), 1)[0]
     rad = radicalize(cover, trivial)
-    Gt, H, _ = rad.materialize()
+    Gt, H, _ = radicalization_groups(rad)
     inside = (cover.stab.elements[0], 1)
     with pytest.raises(RadicalError):
         verify_higman_axioms(Gt, H, inside)
 
 
 def test_normalizer_identity_small_instances():
-    # radicalize() verifies N(H) = G~0* automatically below the cap
-    cover = s3_cover()
-    for alpha in enumerate_linear_characters(cover.stab):
-        radicalize(cover, alpha)
-    cover7, x7, chars7 = sl2_chars(7, materialize=True)
-    radicalize(cover7, by_order(chars7, 2)[0])  # order 1344 product group
+    # N(H) = G~0*, which radicalize proves from double transitivity
+    # instead of checking, by brute force on the product group
+    cover5, _, chars5 = sl2_chars(5, materialize=True)
+    cover7, _, chars7 = sl2_chars(7, materialize=True)
+    s3 = s3_cover()
+    cases = [(s3, alpha) for alpha in enumerate_linear_characters(s3.stab)]
+    cases += [(cover5, alpha) for alpha in chars5] + [(cover7, by_order(chars7, 2)[0])]
+    for cover, alpha in cases:
+        Gt, H, Gt0 = radicalization_groups(radicalize(cover, alpha))
+        assert sorted(normalizer(Gt, H)) == Gt0.elements
 
 
 def test_gram_idempotent_rank_sl27():

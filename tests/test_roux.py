@@ -7,7 +7,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from util import all_ones_roux, paley6_roux, paley_exponents
+from util import all_ones_roux, paley6_roux, paley_exponents, roux_json
 
 from rouxforge import roux
 from rouxforge.families import sl2_family, su3_family
@@ -239,6 +239,22 @@ def test_compress_support_violation():
         compress_to_subgroup(B, 1, verify_roux(B))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_compress_switched_roux_below_index_two(seed):
+    # the doubled Paley roux over C_8 has parameters (6,0,0,0,6,0,0,0):
+    # compressing it to C_4 (index 2) and to C_2 (index 4) must first
+    # switch row 0 to the identity
+    B8 = RouxMatrix(14, 8, np.array(paley_exponents(13)) * 2)
+    rng = random.Random(seed)
+    B = switch(B8, [rng.randrange(8) for _ in range(14)])
+    params = verify_roux(B)
+    assert params.coeffs == (6, 0, 0, 0, 6, 0, 0, 0)
+    for r_new, coeffs in ((4, (6, 0, 6, 0)), (2, (6, 6))):
+        small = compress_to_subgroup(B, r_new, params)
+        assert verify_roux(small).coeffs == coeffs
+        assert not small.exps[0].any()
+
+
 def test_idempotent_trivial_branch_exact():
     params = verify_roux(all_ones_roux(6))
     plus, minus = idempotent_data(params, 0)
@@ -352,6 +368,6 @@ def test_idempotent_report_shape():
 
 def test_roux_json_roundtrip():
     B = paley6_roux(4)
-    again = RouxMatrix.from_json(B.to_json())
+    again = RouxMatrix.from_json(roux_json(B))
     assert again == B
-    assert B.to_json()["entries"][0][0] is None
+    assert roux_json(B)["entries"][0][0] is None

@@ -1,6 +1,6 @@
-"""Shared test fixtures: small hand-built roux instances, covers of
-enumerated groups, closed copies of the built-in covers, random cover
-elements and a call recorder."""
+"""Shared test fixtures: small hand-built roux instances, the JSON files
+of roux and two-graphs, covers of enumerated groups, closed copies of
+the built-in covers, random cover elements and a call recorder."""
 
 import sys
 
@@ -40,6 +40,17 @@ def paley_exponents(p: int) -> list[list[int]]:
             if i != j:
                 exps[i][j] = 0 if (i - j) % p in residues else 2
     return exps
+
+
+def roux_json(B: RouxMatrix) -> dict:
+    """The roux file of B: null on the diagonal, exponents elsewhere."""
+    entries = [[None if i == j else int(B.exps[i, j]) for j in range(B.n)] for i in range(B.n)]
+    return {"n": B.n, "r": B.r, "entries": entries}
+
+
+def two_graph_json(tg) -> dict:
+    """The two-graph file of tg, triples sorted."""
+    return {"n": tg.n, "triples": sorted(sorted(t) for t in tg.triples)}
 
 
 def random_outside_stabilizer(cover, rng, word_length: int = 24):
