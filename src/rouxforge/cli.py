@@ -209,6 +209,10 @@ def cmd_detect(args) -> int:
         if not action.is_transitive():
             print("error: action is not transitive (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
+        if action.degree < 3:
+            # radicalize's normalizer identity N(H) = G0* x C_r needs n >= 3
+            print("error: action has fewer than 3 points (H1 fails)", file=sys.stderr)
+            return EXIT_NOT_2TRANSITIVE
         stab = stabilizer(action, action.points[0])
         if not is_doubly_transitive(action, stab):
             print("error: action is not doubly transitive (H1 fails)", file=sys.stderr)

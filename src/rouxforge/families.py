@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
+import numpy as np
+
 from .field import FieldSpec, primitive_element
 from .group import (
     FiniteGroup,
@@ -834,6 +836,7 @@ class BitMatOps:
     def __init__(self, dim: int):
         self.dim = dim
         self.identity = tuple(1 << i for i in range(dim))
+        self._dtype = np.min_scalar_type((1 << dim) - 1)
 
     def apply(self, M, u: int) -> int:
         acc = 0
@@ -859,6 +862,18 @@ class BitMatOps:
                 if r != col and rows[r] >> col & 1:
                     rows[r] ^= rows[col]
         return tuple(row >> n for row in rows)
+
+    def batch(self, H):
+        # row j holds row j of every matrix in H
+        return np.array(H, dtype=self._dtype).reshape(len(H), self.dim).T.copy()
+
+    def batch_mul(self, batch, B):
+        # row i of h B is the XOR of the rows of h that the bits of B[i] pick
+        rows = [
+            np.bitwise_xor.reduce(batch[[j for j in range(self.dim) if u >> j & 1]], axis=0).tolist()
+            for u in B
+        ]
+        return list(zip(*rows))
 
 
 def symplectic_witness(m: int, epsilon: int) -> WitnessReport:

@@ -6,6 +6,12 @@ tuples of element codes), and direct products with a cyclic group C_r
 (keys are (base_key, exponent) pairs).  Canonical keys make every group
 hashable/sortable, so enumeration order is deterministic everywhere.
 
+Besides ``mul`` and ``inv``, every backend that ``closure`` reaches has a
+batched right product: ``batch(H)`` packs a list of keys once, and
+``batch_mul(batch, r)`` returns ``[mul(h, r) for h in H]``, in order, so
+a whole coset H r costs one call (one numpy expression on the array
+backends).
+
 Groups are immutable once closed; all queries are pure.
 """
 
@@ -15,6 +21,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .field import FieldError, FieldSpec, json_int
 
@@ -52,6 +60,14 @@ class PermOps:
             out[j] = i
         return tuple(out)
 
+    def batch(self, H):
+        # row i holds h(i) for every h in H
+        return np.array(H, dtype=np.intp).reshape(len(H), self.degree).T.copy()
+
+    def batch_mul(self, batch, b):
+        # (hb)(i) = h(b(i)): one gather of the rows
+        return list(zip(*batch[list(b)].tolist()))
+
 
 class MatOps:
     """dim x dim invertible matrices over a FieldSpec, keyed row-major."""
@@ -62,6 +78,8 @@ class MatOps:
         self.identity = tuple(
             tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
         )
+        # p^t is both the place value of coefficient t and the code of x^t
+        self._powers = [spec.p**t for t in range(spec.k)]
 
     def mul(self, a, b):
         spec = self.spec
@@ -97,6 +115,29 @@ class MatOps:
         """Matrix-vector product on a tuple of field codes."""
         return tuple(_dot(self.spec, row, v) for row in a)
 
+    def batch(self, H):
+        """H over F_p: row (h, i) holds the k coefficients of each entry
+        h[i][l], l-major, so the array is (|H| dim) x (dim k)."""
+        d, k = self.dim, self.spec.k
+        codes = np.array(H, dtype=np.int64).reshape(len(H) * d, d, 1)
+        return (codes // self._powers % self.spec.p).reshape(len(H) * d, d * k)
+
+    def batch_mul(self, batch, b):
+        """Multiplication by b is F_p-linear: block (l, j) of its dk x dk
+        matrix maps the coefficients of a to those of a * b[l][j], column
+        s being x^s * b[l][j].  One integer matmul, then mod p and
+        re-encode.  Each sum has dk terms below p^2 <= 2^40 (FieldSpec
+        caps q at 2^20), so int64 holds it exactly."""
+        spec, d, k = self.spec, self.dim, self.spec.k
+        blocks = [
+            [[spec.decode(spec.mul(x_s, b[l][j])) for j in range(d)] for x_s in self._powers]
+            for l in range(d)
+        ]  # blocks[l][s][j][t]: coefficient t of x^s * b[l][j]
+        coeffs = batch @ np.array(blocks, dtype=np.int64).reshape(d * k, d * k) % spec.p
+        codes = coeffs.reshape(-1, d, d, k) @ self._powers  # entry codes, |H| x d x d
+        rows = [zip(*codes[:, i].T.tolist()) for i in range(d)]  # row i of each key
+        return list(zip(*rows))
+
 
 def _dot(spec: FieldSpec, u, v) -> int:
     acc = 0
@@ -123,6 +164,14 @@ class ProductOps:
 
     def inv(self, a):
         return (self.base.inv(a[0]), (-a[1]) % self.r)
+
+    def batch(self, H):
+        return self.base.batch([h[0] for h in H]), [h[1] for h in H]
+
+    def batch_mul(self, batch, b):
+        base, zs = batch
+        r, z = self.r, b[1]
+        return [(k, (y + z) % r) for k, y in zip(self.base.batch_mul(base, b[0]), zs)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +280,8 @@ def closure(generators: Sequence, ops, cap: int = CLOSURE_CAP, name: str = "") -
     A generator g outside the group H closed so far appends the right
     coset H g, then the coset representatives are walked: for each
     representative r and each generator s so far, a new r s brings in
-    the coset H (r s).  Each element costs one product, plus one per
-    representative and generator.
+    the coset H (r s).  A coset is one batched product of H by r, and
+    the walk costs one scalar product per representative and generator.
     """
     if not generators:
         raise GroupError("need at least one generator")
@@ -241,26 +290,28 @@ def closure(generators: Sequence, ops, cap: int = CLOSURE_CAP, name: str = "") -
     members = {ops.identity}
     gens: list = []
 
-    def add_coset(H: list, r) -> None:
-        if len(elements) + len(H) + 1 > cap:
-            raise CapExceededError(f"closure exceeded cap {cap}")
-        coset = [r] + [mul(h, r) for h in H]
-        elements.extend(coset)
-        members.update(coset)
-
     for g in generators:
         if g in members:
             continue
         gens.append(g)
-        H = elements[1:]  # the group closed so far, identity dropped
+        H = ops.batch(elements[1:])  # the group closed so far, identity dropped
+        coset_size = len(elements)
+
+        def add_coset(r) -> None:
+            if len(elements) + coset_size > cap:
+                raise CapExceededError(f"closure exceeded cap {cap}")
+            coset = [r] + ops.batch_mul(H, r)
+            elements.extend(coset)
+            members.update(coset)
+
         reps = [g]
-        add_coset(H, g)
+        add_coset(g)
         for r in reps:
             for s in gens:
                 c = mul(r, s)
                 if c not in members:
                     reps.append(c)
-                    add_coset(H, c)
+                    add_coset(c)
     members.clear()  # lowers peak memory while FiniteGroup sorts and indexes
     return FiniteGroup(ops, elements, generators, name=name)
 
@@ -427,16 +478,16 @@ def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
     comms.discard(ops.identity)
     seeds = sorted(comms)
     while True:
-        members = set(closure(seeds or [ops.identity], ops).elements)
+        D = closure(seeds or [ops.identity], ops, name=f"subgroup of {G.name}")
         new = []
         for g in gens:
             ginv = ops.inv(g)
             for s in seeds:
                 c = ops.mul(ops.mul(g, s), ginv)
-                if c not in members:
+                if c not in D:
                     new.append(c)
         if not new:
-            return G.subgroup(members, generators=seeds or [ops.identity])
+            return D
         seeds = sorted(set(seeds) | set(new))
 
 
@@ -491,12 +542,13 @@ def abelianization(G: FiniteGroup) -> tuple[dict, FiniteGroup]:
     with multiplication through the representative map.
     """
     D = derived_subgroup(G)
+    batch = G.ops.batch(D.elements)
     rep_of: dict = {}
     reps = []
     for g in G.elements:
         if g in rep_of:
             continue
-        members = sorted(G.mul(d, g) for d in D.elements)
+        members = sorted(G.ops.batch_mul(batch, g))
         r = members[0]
         reps.append(r)
         for m in members:
@@ -512,6 +564,14 @@ def abelianization(G: FiniteGroup) -> tuple[dict, FiniteGroup]:
         @staticmethod
         def inv(a):
             return rep_of[G.inv(a)]
+
+        @staticmethod
+        def batch(H):
+            return list(H)
+
+        @staticmethod
+        def batch_mul(H, b):
+            return [rep_of[G.mul(a, b)] for a in H]
 
     Q = FiniteGroup(_QuotientOps, reps, small_generating_set(_QuotientOps, reps), name=f"{G.name} abelianized")
     return rep_of, Q

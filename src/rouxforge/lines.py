@@ -71,26 +71,31 @@ class LineGram:
     @classmethod
     def from_matrix(cls, G: np.ndarray) -> "LineGram":
         G = np.asarray(G, dtype=complex)
-        n = G.shape[0]
-        w = np.linalg.eigvalsh(G)
+        return cls.from_spectrum(G, np.linalg.eigvalsh(G))
+
+    @classmethod
+    def from_spectrum(cls, G: np.ndarray, w: np.ndarray) -> "LineGram":
+        """The Gram ``G`` given its eigenvalues ``w`` in ascending order."""
         if w[0] < -PSD_TOL * max(1.0, w[-1]):
             raise LinesError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
         if np.max(np.abs(np.diag(G) - 1)) > ETF_TOL:
             raise LinesError("Gram diagonal is not all ones")
         d = int((w > EIG_CLUSTER_RTOL * w[-1]).sum())
-        return cls(n, d, G)
+        return cls(G.shape[0], d, G)
 
 
 def gram_from_signature(S: np.ndarray) -> LineGram:
     """Scale by the least eigenvalue: G = -S/lambda_min + I is a unit
-    diagonal PSD Gram."""
+    diagonal PSD Gram.  Its eigenvalues are 1 - w/lambda_min for the
+    eigenvalues w of S, in the same ascending order since lambda_min < 0,
+    so S's one eigendecomposition serves both."""
     S = check_signature(S)
     w = np.linalg.eigvalsh(S)
     lam = w[0]
     if lam >= 0:
         raise LinesError("least eigenvalue must be negative (trace is zero)")
     G = np.eye(S.shape[0]) - S / lam
-    return LineGram.from_matrix(G)
+    return LineGram.from_spectrum(G, 1 - w / lam)
 
 
 @dataclass

@@ -159,6 +159,18 @@ def test_detect_not_doubly_transitive_exit3(tmp_path, capsys):
     assert code == 3
 
 
+def test_detect_fewer_than_three_points_exit3(tmp_path, capsys):
+    # S2 on 2 points is doubly transitive, but its radicalization is no
+    # Higman pair: N(H) is all of S2 x C_2, not G0* x C_2
+    spec = {"kind": "permutation", "degree": 2, "generators": [[1, 0]]}
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "H1" in err
+
+
 def test_detect_malformed_exit2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rouxforge.field import FieldSpec
-from rouxforge.families import sl2_cover, su3_cover
+from rouxforge import group
+from rouxforge.field import TABLE_LIMIT, FieldSpec
+from rouxforge.families import BitMatOps, sl2_cover, su3_cover, symplectic_witness
 from rouxforge.group import (
     CapExceededError,
     FiniteGroup,
@@ -12,6 +13,7 @@ from rouxforge.group import (
     LinearCharacter,
     MatOps,
     PermOps,
+    ProductOps,
     abelianization,
     closure,
     derived_subgroup,
@@ -25,7 +27,7 @@ from rouxforge.group import (
     stabilizer,
 )
 from rouxforge.oracles import closure_bfs, double_coset_decomposition, is_doubly_transitive_bruteforce
-from util import materialized
+from util import materialized, record_calls, su33_bench_generators
 
 
 def s3():
@@ -104,6 +106,103 @@ def test_closure_matches_bfs_oracle_on_matrices_and_quotients():
     _, Q = abelianization(B)
     assert Q.order == 6
     assert closure(Q.generators, Q.ops).elements == closure_bfs(Q.generators, Q.ops).elements == Q.elements
+    ops, gens = su33_bench_generators()
+    V = closure(gens, ops)
+    assert V.order == 6048
+    assert V.elements == closure_bfs(gens, ops).elements
+    # GL(4,2), of order 20160: a transvection and the 4-cycle of the basis
+    bit = BitMatOps(4)
+    gens = [(0b0011, 0b0010, 0b0100, 0b1000), (0b0010, 0b0100, 0b1000, 0b0001)]
+    L = closure(gens, bit)
+    assert L.order == 20160
+    assert L.elements == closure_bfs(gens, bit).elements
+
+
+def _matrices(spec, dim):
+    row = st.lists(st.integers(0, spec.q - 1), min_size=dim, max_size=dim).map(tuple)
+    return st.lists(row, min_size=dim, max_size=dim).map(tuple)
+
+
+def _bit_matrices(dim):
+    return st.lists(st.integers(0, (1 << dim) - 1), min_size=dim, max_size=dim).map(tuple)
+
+
+F9 = FieldSpec(3, 2)
+BATCH_BACKENDS = {
+    "perm": (PermOps(7), st.permutations(range(7)).map(tuple)),
+    "F_7": (MatOps(FieldSpec(7), 3), _matrices(FieldSpec(7), 3)),
+    "F_9": (MatOps(F9, 3), _matrices(F9, 3)),
+    "F_64": (MatOps(FieldSpec(2, 6), 2), _matrices(FieldSpec(2, 6), 2)),
+    "F_4099": (MatOps(FieldSpec(4099), 2), _matrices(FieldSpec(4099), 2)),
+    "bits-6": (BitMatOps(6), _bit_matrices(6)),
+    "bits-11": (BitMatOps(11), _bit_matrices(11)),
+    "product": (ProductOps(MatOps(F9, 2), 4), st.tuples(_matrices(F9, 2), st.integers(0, 3))),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BATCH_BACKENDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_mul_matches_scalar_products(backend, data):
+    assert FieldSpec(4099).q > TABLE_LIMIT  # the F_4099 case has no field tables
+    ops, elements = BATCH_BACKENDS[backend]
+    H = data.draw(st.lists(elements, max_size=12))
+    b = data.draw(elements)
+    assert ops.batch_mul(ops.batch(H), b) == [ops.mul(h, b) for h in H]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_mul_matches_scalar_products_on_a_quotient(data):
+    _, Q = abelianization(stabilizer(projective_line_action(sl2(7)), (1, 0)))
+    H = data.draw(st.lists(st.sampled_from(Q.elements), max_size=8))
+    b = data.draw(st.sampled_from(Q.elements))
+    assert Q.ops.batch_mul(Q.ops.batch(H), b) == [Q.ops.mul(h, b) for h in H]
+
+
+class CountingOps:
+    """A backend wrapper counting scalar products and batched cosets."""
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.identity = ops.identity
+        self.mul_calls = 0
+        self.cosets = 0
+
+    def mul(self, a, b):
+        self.mul_calls += 1
+        return self.ops.mul(a, b)
+
+    def batch(self, H):
+        return self.ops.batch(H)
+
+    def batch_mul(self, batch, b):
+        self.cosets += 1
+        return self.ops.batch_mul(batch, b)
+
+
+@pytest.mark.parametrize("which", ["su33-bench", "sp6-witness-stabilizer"])
+def test_closure_makes_scalar_products_only_between_representatives_and_generators(which, monkeypatch):
+    if which == "su33-bench":
+        ops, gens = su33_bench_generators()
+    else:
+        closed = record_calls(monkeypatch, group, "closure")
+        symplectic_witness(3, +1)
+        monkeypatch.undo()
+        O = next(G for G in closed if G.order == 40320)  # O+(6,2)
+        ops, gens = O.ops, O.generators
+    # Dimino's coset representatives: each generator that enlarges the
+    # group K closed so far brings in the |new| / |K| - 1 cosets besides K
+    reps, previous = 0, 1
+    for k in range(1, len(gens) + 1):
+        order = closure(gens[:k], ops).order
+        reps += order // previous - 1
+        previous = order
+    counting = CountingOps(ops)
+    G = closure(gens, counting)
+    assert G.order == previous
+    assert counting.cosets == reps
+    assert counting.mul_calls <= reps * len(gens) < G.order // 4
 
 
 def greedy_generators_bfs(ops, elements):

@@ -1,12 +1,14 @@
 """Shared test fixtures: small hand-built roux instances, the JSON files
 of roux and two-graphs, covers of enumerated groups, closed copies of
-the built-in covers, random cover elements and a call recorder."""
+the built-in covers, random cover elements, the benchmark's SU(3,3)
+generating set and a call recorder."""
 
 import sys
 
 import numpy as np
 
-from rouxforge.group import GroupAction, closure, stabilizer
+from rouxforge.field import FieldSpec
+from rouxforge.group import GroupAction, MatOps, closure, stabilizer
 from rouxforge.radical import CoverData
 from rouxforge.roux import RouxMatrix
 
@@ -95,3 +97,20 @@ def record_calls(monkeypatch, module, name: str) -> list:
         if mod_name.split(".")[0] == "rouxforge" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, wrapper)
     return results
+
+
+# bench/workloads.su33_generating_set(1): the torus element, two root
+# elements and the Weyl element of SU(3,3), conjugated by a random word,
+# plus one more random word.  Entries are codes a0 + 3 a1 of F_9 = F_3[i].
+SU33_BENCH_GENERATORS = [
+    [[8, 1, 6], [0, 6, 5], [0, 0, 4]],
+    [[4, 2, 8], [5, 3, 0], [2, 3, 5]],
+    [[7, 3, 6], [3, 7, 3], [6, 3, 7]],
+    [[2, 0, 0], [1, 1, 0], [2, 1, 2]],
+    [[0, 0, 7], [0, 6, 2], [5, 4, 5]],
+]
+
+
+def su33_bench_generators() -> tuple:
+    """The benchmark's SU(3,3) backend and generating set."""
+    return MatOps(FieldSpec(3, 2), 3), [tuple(map(tuple, g)) for g in SU33_BENCH_GENERATORS]
