@@ -29,6 +29,9 @@ from .field import FieldError, FieldSpec, json_int
 CLOSURE_CAP = 10**6
 DERIVED_CAP = 10**5
 CHARACTER_CAP = 10**4
+# Elements per batch in generator_table: its temporaries stay small (73 KiB for the SU(3,4)
+# stabilizer), under glibc's 128 KiB mmap threshold, so rebuilds do not ratchet up the heap.
+TABLE_CHUNK = 256
 
 
 class GroupError(ValueError):
@@ -224,35 +227,25 @@ class FiniteGroup:
         return FiniteGroup(self.ops, elements, generators, name=f"subgroup of {self.name}")
 
     @cached_property
-    def generator_table(self) -> list[list[int]]:
-        """Row i lists the index of generators[i] * b for each element b.
+    def generator_table(self) -> np.ndarray:
+        """Row i lists the index of b * generators[i] for each element b.
 
-        Built once per group, and only after checking that the elements
-        are closed under left multiplication by the generators and that
-        the generators reach every element from the identity.
+        Built once per group from batched right products by each generator,
+        after checking that the elements are closed under right products by
+        the generators and that these reach every element from the identity.
         """
         index = self.index
         if self.identity not in index:
             raise GroupError("the identity is not an element")
-        table = []
-        for g in self.generators:
-            row = []
-            for b in self.elements:
-                j = index.get(self.mul(g, b))
-                if j is None:
-                    raise GroupError("the elements are not closed under the generators")
-                row.append(j)
-            table.append(row)
-        reached = {index[self.identity]}
-        frontier = list(reached)
+        chunks = [self.ops.batch(self.elements[i : i + TABLE_CHUNK]) for i in range(0, self.order, TABLE_CHUNK)]
+        rows = [[index.get(k, -1) for c in chunks for k in self.ops.batch_mul(c, g)] for g in self.generators]
+        table = np.array(rows, dtype=np.intp).reshape(len(rows), self.order)
+        if (table < 0).any():
+            raise GroupError("the elements are not closed under the generators")
+        reached = frontier = {index[self.identity]}
         while frontier:
-            new = []
-            for i in frontier:
-                for row in table:
-                    if row[i] not in reached:
-                        reached.add(row[i])
-                        new.append(row[i])
-            frontier = new
+            frontier = set(table[:, sorted(frontier)].ravel().tolist()) - reached
+            reached = reached | frontier
         if len(reached) != self.order:
             raise GroupError("the generators do not generate the group")
         return table
@@ -388,33 +381,45 @@ class GroupAction:
     def is_transitive(self) -> bool:
         return len(self.orbit(self.points[0])) == self.degree
 
-    def transversal(self, base_point) -> dict:
-        """Map point -> group element sending base_point there (BFS words)."""
-        reps = {base_point: self.group.ops.identity}
-        frontier = [base_point]
-        while frontier:
-            new = []
-            for p in frontier:
-                for g in self.group.generators:
-                    q = self._apply(g, p)
-                    if q not in reps:
-                        reps[q] = self.group.ops.mul(g, reps[p])
-                        new.append(q)
-            frontier = new
-        return reps
+    @cached_property
+    def generator_perms(self) -> np.ndarray:
+        """Row k lists the index of generators[k].p for each point p."""
+        index = {p: i for i, p in enumerate(self.points)}
+        perms = [[index.get(self._apply(g, p), -1) for p in self.points] for g in self.group.generators]
+        perms = np.array(perms, dtype=np.intp).reshape(len(perms), self.degree)
+        if (perms < 0).any():
+            raise GroupError("a generator moves a point off the point set")
+        return perms
+
+    def transversal(self, base) -> tuple[list, list]:
+        """Breadth-first transversal from point index ``base``: per point index
+        an element carrying base there (None off its orbit), and the search
+        tree as (child, parent, k), child element = generators[k] * parent's."""
+        perms = self.generator_perms.tolist()
+        reps = [None] * self.degree
+        reps[base] = self.group.ops.identity
+        tree, order = [], [base]
+        for p in order:
+            for k, g in enumerate(self.group.generators):
+                q = perms[k][p]
+                if reps[q] is None:
+                    reps[q] = self.group.ops.mul(g, reps[p])
+                    tree.append((q, p, k))
+                    order.append(q)
+        return reps, tree
 
     def check_compatibility(self) -> None:
-        """Spot-verify action axioms on generators x all points."""
+        """Verify the action axioms on generators x all points."""
         ops = self.group.ops
         for p in self.points:
             if self._apply(ops.identity, p) != p:
                 raise GroupError("identity does not act trivially")
-        for g in self.group.generators:
-            for h in self.group.generators:
+        gens, perms = self.group.generators, self.generator_perms
+        for g, g_perm in zip(gens, perms):
+            for h, h_perm in zip(gens, perms):
                 gh = ops.mul(g, h)
-                for p in self.points:
-                    if self._apply(gh, p) != self._apply(g, self._apply(h, p)):
-                        raise GroupError("action incompatible with multiplication")
+                if [self._apply(gh, p) for p in self.points] != [self.points[i] for i in g_perm[h_perm]]:
+                    raise GroupError("action incompatible with multiplication")
 
 
 def natural_permutation_action(G: FiniteGroup) -> GroupAction:
@@ -513,17 +518,15 @@ class LinearCharacter:
     def verify_homomorphism(self, G: FiniteGroup) -> None:
         """Verify chi(ab) = chi(a) + chi(b) for all a, b in G.
 
-        Checked on generators x all elements, read off G's generator
-        table: by induction on words in the generators this proves the
-        identity for every pair (g * 1 = g forces chi(1) = 0).
+        Checked as chi(b g) = chi(b) + chi(g), one array comparison per row
+        of G's generator table.  By induction on words w in the generators,
+        chi(a w g) = chi(a w) + chi(g) = chi(a) + chi(w g) (1 * g = g forces chi(1) = 0).
         """
         m = self.modulus
-        exps = [self.exponents[b] for b in G.elements]
+        exps = np.array([self.exponents[b] for b in G.elements], dtype=np.int64)
         for g, row in zip(G.generators, G.generator_table):
-            eg = self.exponents[g]
-            for eb, j in zip(exps, row):
-                if (eg + eb) % m != exps[j]:
-                    raise GroupError("character is not a homomorphism")
+            if ((exps + self.exponents[g]) % m != exps[row]).any():
+                raise GroupError("character is not a homomorphism")
 
 
 def _element_order(ops, g) -> int:

@@ -62,11 +62,12 @@ def check_signature(S: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LineGram:
-    """Unit-diagonal PSD Gram of n unit vectors spanning dimension d."""
+    """Unit-diagonal PSD Gram of n unit vectors spanning dimension d; eigenvalues ascending."""
 
     n: int
     d: int
     matrix: np.ndarray
+    eigenvalues: np.ndarray
 
     @classmethod
     def from_matrix(cls, G: np.ndarray) -> "LineGram":
@@ -81,7 +82,7 @@ class LineGram:
         if np.max(np.abs(np.diag(G) - 1)) > ETF_TOL:
             raise LinesError("Gram diagonal is not all ones")
         d = int((w > EIG_CLUSTER_RTOL * w[-1]).sum())
-        return cls(G.shape[0], d, G)
+        return cls(G.shape[0], d, G, w)
 
 
 def gram_from_signature(S: np.ndarray) -> LineGram:
@@ -167,7 +168,8 @@ def verify_etf(data) -> ETFCertificate:
 
 
 def naimark_complement(gram: LineGram) -> LineGram:
-    """The (n-d)-dimensional partner Gram n/(n-d) (I - (d/n) G)."""
+    """The (n-d)-dimensional partner Gram n/(n-d) (I - (d/n) G), whose
+    eigenvalues n/(n-d) (1 - (d/n) w) are G's, w, mapped and reversed."""
     n, d, G = gram.n, gram.d, gram.matrix
     if n == d:
         raise LinesError("no complement when n = d")
@@ -175,7 +177,7 @@ def naimark_complement(gram: LineGram) -> LineGram:
     if tight > ETF_TOL:
         raise LinesError(f"input Gram is not tight (residual {tight:.3e})")
     comp = (n / (n - d)) * (np.eye(n) - (d / n) * G)
-    out = LineGram.from_matrix(comp)
+    out = LineGram.from_spectrum(comp, (n / (n - d)) * (1 - (d / n) * gram.eigenvalues[::-1]))
     if out.d != n - d:
         raise LinesError("complement rank mismatch")
     return out

@@ -3,7 +3,8 @@
 Each function here recomputes, straight from a definition, something the
 library computes faster elsewhere or only proves: the closure of a
 generating set, double transitivity, double cosets and their
-decompositions, the groups of a radicalization and the normalizer of
+decompositions, the per-cell roux, the parameter count over all of G0*
+and the Higman-pair test on all of G01*, the groups of a radicalization and the normalizer of
 H, the Higman-pair test and axioms, the roux identity and
 inverse-symmetry checked cell by cell, the idempotent Gram of a roux,
 and the two-graph of a real line sequence read off its triple products.
@@ -35,7 +36,7 @@ from .lines import (
     check_signature,
     is_real_line_sequence,
 )
-from .radical import CoverData, RadicalError, Radicalization
+from .radical import CoverData, HigmanDecompositionTable, Key, RadicalError, Radicalization
 from .roux import (
     RouxIdentityError,
     RouxMatrix,
@@ -159,6 +160,72 @@ def detect_higman_scan(cover: CoverData, alpha, x) -> bool:
         if y in cover.stab_set and alpha.exponent(y) != alpha.exponent(xi):
             return False
     return True
+
+
+class PerCellTable:
+    """The double-coset data the monomial construction replaced: one
+    decomposition of x_i^{-1} x_j per roux cell (``cells``), the pairs
+    (s, x^{-1} s x) for every s in G0* fixing x.b (``g01``, a scan of
+    G0*), and (zeta, xi, eta) with x zeta x^{-1} = xi x eta for every
+    zeta in G0* whose conjugate leaves G0* (``zeta_decomps``).
+    Decompositions and transversal come from ``table``."""
+
+    def __init__(self, table: HigmanDecompositionTable):
+        cover, x, xinv = table.cover, table.x, table.xinv
+        ops, action = cover.ops, cover.action
+        self.table = table
+        self.reps = reps = table.reps
+        n = len(reps)
+        self.cells = {
+            (i, j): table.decompose(ops.mul(ops.inv(reps[i]), reps[j]))
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        }
+        xb = action.act(x, cover.base_point)
+        self.g01 = []
+        self.zeta_decomps = []
+        for s in cover.stab.elements:
+            if action.act(s, xb) == xb:
+                t = ops.mul(ops.mul(xinv, s), x)
+                if t not in cover.stab_set:
+                    raise RadicalError("stabilizer list is incomplete: x^-1 s x fixes b but is not listed")
+                self.g01.append((s, t))
+            y = ops.mul(ops.mul(x, s), xinv)
+            if y not in cover.stab_set:
+                self.zeta_decomps.append((s,) + table.decompose(y))
+
+
+def detect_higman_g01_scan(old: PerCellTable, alpha) -> bool:
+    """alpha(s) = alpha(x^{-1} s x) on every element of G01*."""
+    return all(alpha.exponent(s) == alpha.exponent(t) for s, t in old.g01)
+
+
+def roux_from_cells(rad: Radicalization, key: Key, old: PerCellTable) -> RouxMatrix:
+    """The roux filled cell by cell, each from its stored decomposition."""
+    if not detect_higman_g01_scan(old, rad.alpha):
+        raise RadicalError("double-coset lookup is ambiguous")
+    n, r = rad.n, rad.r
+    exps = [[0] * n for _ in range(n)]
+    for (i, j), (xi, eta) in old.cells.items():
+        exps[i][j] = (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - key.z_exponent) % r
+    return RouxMatrix(n, r, exps)
+
+
+def params_from_stabilizer_scan(rad: Radicalization, key: Key, old: PerCellTable) -> RouxParameters:
+    """c_w = (n-1)/|G0*| * #{zeta : x zeta x^{-1} = xi x eta and
+    alpha(xi eta zeta^{-1}) z^{-1} = w}, counted over G0*."""
+    if not detect_higman_g01_scan(old, rad.alpha):
+        raise RadicalError("double-coset lookup is ambiguous")
+    r = rad.r
+    counts = [0] * r
+    for zeta, xi, eta in old.zeta_decomps:
+        w = (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - rad.alpha_exp_r(zeta) - key.z_exponent) % r
+        counts[w] += 1
+    size = rad.cover.stab.order
+    if any((rad.n - 1) * c % size for c in counts):
+        raise RadicalError("parameter count is not integral")
+    return RouxParameters(rad.n, r, [(rad.n - 1) * c // size for c in counts])
 
 
 @dataclass

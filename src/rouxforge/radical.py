@@ -3,12 +3,38 @@ detection, key finding, and roux construction.
 
 The setting: a group G acting doubly transitively on n points, a cover
 G* whose action on the points has central kernel, the stabilizer G0* of
-a base point, and a linear character alpha on G0* with image C_{r'}.
+a base point b, and a linear character alpha on G0* with image C_{r'}.
 Setting r = 2r', the product G* x C_r together with
 H = {(xi, alpha(xi)^{-1})} is the radicalization; when it is a Higman
 pair, its Schurian scheme is a roux scheme over C_r and the machinery
 here extracts the roux and its parameters without ever materializing
 the product group.
+
+The construction, for a key (x, z) and the transversal x_j of the
+action (x_j.b = point j):
+
+* Double cosets.  y = xi x eta with xi, eta in G0* means xi carries x.b
+  to y.b, so a Schreier transversal xi_p of G0* from x.b decomposes any
+  y with one product.  Two decompositions differ by
+  (xi s, x^{-1} s^{-1} x eta) with s in the two-point stabilizer G01*,
+  so alpha(xi eta) is well defined exactly when alpha(s) =
+  alpha(x^{-1} s x) on G01*.  Both sides are homomorphisms on G01*, so
+  the Schreier generators xi_q^{-1} s xi_p (q = s.p) of G01* suffice.
+* Cocycle.  For a generator g of G*, g x_j = x_{pi j} h_j(g) with
+  h_j(g) in G0*, hence x_{pi i}^{-1} x_{pi j} = h_i (x_i^{-1} x_j) h_j^{-1}
+  and B[pi i, pi j] = B[i, j] + alpha(h_i(g)) - alpha(h_j(g)) in C_r.
+  Row b is read off n - 1 decompositions (x_b = 1); every other row
+  follows from its parent in the transversal's search tree, where
+  h = 1.  The identity is then checked on every generator and cell:
+  G* acts on the lines by monomial matrices preserving B, and with
+  row b and transitivity that proves every entry.
+* Parameters.  c_w = (n-1)/|G0*| #{zeta in G0* : x zeta x^{-1} =
+  xi x eta, alpha(xi eta zeta^{-1}) z^{-1} = w} runs over the zeta
+  outside K = Stab_{G0*}(x^{-1}.b), whose conjugates leave G0*.  For k
+  in K, s = x k x^{-1} lies in G01*, so x zeta k x^{-1} = xi x (eta s)
+  changes the defect by alpha(s) - alpha(k) = 0: the defect is constant
+  on each coset zeta K.  K has index n - 1, so each coset contributes
+  |K| (n-1)/|G0*| = 1, and c_w counts the n - 2 cosets other than K.
 
 Exponent bookkeeping: characters store exponents mod r' (so alpha(xi)
 is the root of unity with exponent 2*alpha_exp mod r inside C_r), and
@@ -19,6 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
+
+import numpy as np
 
 from .group import FiniteGroup, GroupAction, LinearCharacter
 from .roux import RouxMatrix, RouxParameters, verify_roux
@@ -158,77 +186,87 @@ def radicalize(cover: CoverData, alpha: LinearCharacter) -> Radicalization:
 
 
 class HigmanDecompositionTable:
-    """Double-coset decompositions for one cover and one x, read off an
-    orbit transversal of the stabilizer.
-
-    y = xi x eta with xi, eta in G0* means xi carries x.b to y.b (b the
-    base point).  A breadth-first search of G0* from x.b gives, for every
-    point p != b, an element xi_p of G0* with xi_p (x.b) = p, carried
-    together with u_p = x^{-1} xi_p^{-1}; then ``decompose`` returns
-    y = xi_p x (u_p y) with p = y.b, one product per y.  Every other
-    decomposition of y is (xi s, x^{-1} s^{-1} x eta) for s in the
-    two-point stabilizer G01* of b and x.b, stored in ``g01`` as the
-    pairs (s, x^{-1} s x).
-
-    ``cells`` maps each roux cell (i, j) to one decomposition of
-    x_i^{-1} x_j, and ``zeta_decomps`` holds (zeta, xi, eta) with
-    x zeta x^{-1} = xi x eta for every zeta whose conjugate leaves G0*.
-    None of it depends on a character, so a character sweep over the same
-    cover shares one table.
-    """
+    """The character-free data of the roux for one cover and one x: index
+    arrays into ``elements`` (stabilizer elements, each checked to be
+    listed).  Rows: ``schreier`` s, xi_p, xi_q, x^{-1} xi_q^{-1} s xi_p x;
+    ``perms``, ``h`` pi_g, h_j(g) per generator g of G*; ``row_b`` xi, eta
+    of x_j; ``cosets`` xi_p, xi, eta with x zeta_p x^{-1} = xi x eta,
+    zeta_p = xi_p xi_{q0}^{-1} (q0 = x^{-1}.b), one per coset of K other
+    than K.  A character sweep over one cover shares one table."""
 
     def __init__(self, cover: CoverData, x):
         if cover.in_stabilizer(x):
             raise RadicalError("x lies in the stabilizer")
-        self.cover = cover
-        self.x = x
-        ops = cover.ops
-        action = cover.action
-        base = cover.base_point
+        self.cover, self.x = cover, x
+        ops, action, base, n = cover.ops, cover.action, cover.base_point, cover.n
         self.xinv = xinv = ops.inv(x)
-        xb = action.act(x, base)
+        self.elements: list = []
+        index: dict = {}
 
-        # Schreier transversal of G0* on the points other than b
-        self._orbit = orbit = {xb: (ops.identity, xinv)}
-        frontier = [xb]
-        gens = [(g, ops.inv(g)) for g in cover.stab.generators]
-        while frontier:
-            new = []
-            for p in frontier:
-                xi, u = orbit[p]
-                for g, ginv in gens:
-                    q = action.act(g, p)
-                    if q not in orbit:
-                        orbit[q] = (ops.mul(g, xi), ops.mul(u, ginv))
-                        new.append(q)
-            frontier = new
-        if len(orbit) != action.degree - 1:
+        def ref(g) -> int:
+            if g not in index:
+                if g not in cover.stab_set:
+                    raise RadicalError("stabilizer list is incomplete: an element fixing b is not listed")
+                index[g] = len(self.elements)
+                self.elements.append(g)
+            return index[g]
+
+        # Schreier transversal of G0* from x.b: xi_p and u_p = x^-1 xi_p^-1
+        stab_gens = [(g, ops.inv(g)) for g in cover.stab.generators]
+        order = [action.act(x, base)]
+        self._orbit = orbit = {order[0]: (ops.identity, xinv)}
+        off_tree = []
+        for p in order:  # grows while it is walked: breadth first
+            for k, (g, ginv) in enumerate(stab_gens):
+                q = action.act(g, p)
+                if q in orbit:
+                    off_tree.append((p, k, q))
+                else:
+                    orbit[q] = (ops.mul(g, orbit[p][0]), ops.mul(orbit[p][1], ginv))
+                    order.append(q)
+        if len(orbit) != n - 1:
             raise RadicalError("stabilizer is not transitive on the other points")
+        # x^-1 xi_q^-1 g and xi_p x for every point: one batched product each
+        batch_u = ops.batch([u for _, u in orbit.values()])
+        u_g = [dict(zip(orbit, ops.batch_mul(batch_u, g))) for g, _ in stab_gens]
+        xi_x = dict(zip(orbit, ops.batch_mul(ops.batch([xi for xi, _ in orbit.values()]), x)))
+        self.schreier = np.array([
+            (ref(stab_gens[k][0]), ref(orbit[p][0]), ref(orbit[q][0]), ref(ops.mul(u_g[k][q], xi_x[p])))
+            for p, k, q in off_tree
+        ], dtype=np.intp).T
 
-        transversal = action.transversal(base)
-        if len(transversal) != action.degree:
-            raise RadicalError("transversal size does not match point count")
-        self.reps = [transversal[p] for p in action.points]
-        inv_reps = [ops.inv(g) for g in self.reps]
-        n = action.degree
-        self.cells: dict[tuple[int, int], tuple] = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    self.cells[(i, j)] = self.decompose(ops.mul(inv_reps[i], self.reps[j]))
+        # monomial data: x_q^-1 g for every q is one batched product
+        self.base_index = b = action.points.index(base)
+        self.reps, self.tree = action.transversal(b)
+        if None in self.reps:
+            raise RadicalError("the action is not transitive")
+        gens = action.group.generators
+        ginvs = [ops.inv(g) for g in gens]
+        inv_reps = [ops.identity] * n
+        for q, p, k in self.tree:
+            inv_reps[q] = ops.mul(inv_reps[p], ginvs[k])
+        inv_batch = ops.batch(inv_reps)
+        on_tree = {(p, k) for _, p, k in self.tree}
+        self.perms = action.generator_perms
+        one = ref(ops.identity)
+        self.h = np.full(self.perms.shape, one, dtype=np.intp)
+        for k, g in enumerate(gens):
+            inv_reps_g = ops.batch_mul(inv_batch, g)
+            for j, q in enumerate(self.perms[k].tolist()):
+                if (j, k) not in on_tree:
+                    self.h[k, j] = ref(ops.mul(inv_reps_g[q], self.reps[j]))
+        self.row_b = np.array(
+            [tuple(map(ref, self.decompose(y))) if j != b else (one, one) for j, y in enumerate(self.reps)], dtype=np.intp
+        ).T
 
-        self.g01: list[tuple] = []
-        self.zeta_decomps: list[tuple] = []
-        for s in cover.stab.elements:
-            if action.act(s, xb) == xb:
-                t = ops.mul(ops.mul(xinv, s), x)
-                if t not in cover.stab_set:
-                    raise RadicalError("stabilizer list is incomplete: x^-1 s x fixes b but is not listed")
-                self.g01.append((s, t))
-        for zeta in cover.stab.elements:
-            y = ops.mul(ops.mul(x, zeta), xinv)
-            if y not in cover.stab_set:
-                self.zeta_decomps.append((zeta,) + self.decompose(y))
+        q0 = action.act(xinv, base)
+        self.coset_xi0 = ref(orbit[q0][0])
+        xi0inv_xinv = ops.mul(ops.mul(x, orbit[q0][1]), xinv)
+        self.cosets = np.array([
+            (ref(xi),) + tuple(map(ref, self.decompose(ops.mul(ops.mul(x, xi), xi0inv_xinv))))
+            for p, (xi, _) in orbit.items()
+            if p != q0
+        ], dtype=np.intp).reshape(-1, 3).T
 
     def decompose(self, y) -> tuple:
         """One decomposition y = xi x eta with xi, eta in G0*."""
@@ -243,17 +281,24 @@ class HigmanDecompositionTable:
         return xi, eta
 
 
-def _g01_mismatch(table: HigmanDecompositionTable, alpha: LinearCharacter):
-    """The first s in G01* with alpha(s) != alpha(x^-1 s x), or None."""
-    return next((s for s, t in table.g01 if alpha.exponent(s) != alpha.exponent(t)), None)
+def _g01_check(table: HigmanDecompositionTable, alpha: LinearCharacter):
+    """alpha on the table's elements, and the first Schreier generator s
+    with alpha(s) != alpha(x^-1 s x) or None; alpha(s) is read as
+    alpha(g) + alpha(xi_p) - alpha(xi_q)."""
+    values = np.array([alpha.exponents[g] for g in table.elements], dtype=np.int64)
+    g, xi_p, xi_q, t = values[table.schreier]
+    bad = np.flatnonzero((g + xi_p - xi_q - t) % alpha.modulus)
+    if not bad.size:
+        return values, None
+    ops = table.cover.ops
+    g, xi_p, xi_q, _ = (table.elements[i] for i in table.schreier[:, bad[0]])
+    return values, ops.mul(ops.mul(ops.inv(xi_q), g), xi_p)
 
 
 def detect_higman(table: HigmanDecompositionTable, alpha: LinearCharacter) -> bool:
-    """Higman-pair test: conjugation by x must preserve the character
-    wherever it returns to the stabilizer, that is on the pairs
-    (s, x^{-1} s x) of ``table.g01``.  The verdict does not depend on
-    the choice of x."""
-    return _g01_mismatch(table, alpha) is None
+    """Higman-pair test: alpha(s) = alpha(x^{-1} s x) on G01*, checked on
+    its Schreier generators.  The verdict does not depend on x."""
+    return _g01_check(table, alpha)[1] is None
 
 
 def find_key(
@@ -277,68 +322,58 @@ def find_key(
     return Key(table.x, prefer_exponent % r, r)
 
 
-def _check_table(rad: Radicalization, key: Key, table: HigmanDecompositionTable) -> None:
-    """Refuse a table built for another x, or a character that disagrees
-    on the two-point stabilizer.
-
-    The decompositions of one double coset differ by (xi s, x^{-1} s^{-1} x eta)
-    with s in G01*, which changes alpha(xi eta) by alpha(s) - alpha(x^{-1} s x).
-    So the roux entries and the parameter count are well defined exactly
-    when that difference vanishes on G01*.
-    """
+def _checked_values(rad: Radicalization, key: Key, table: HigmanDecompositionTable) -> np.ndarray:
+    """alpha on the table's elements in C_r, refusing a table built for
+    another x or a character that makes double-coset lookup ambiguous."""
     if table.x != key.x:
         raise RadicalError("decomposition table was built for a different x")
-    s = _g01_mismatch(table, rad.alpha)
+    values, s = _g01_check(table, rad.alpha)
     if s is not None:
         raise RadicalError(
             f"double-coset lookup is ambiguous: alpha(s) != alpha(x^-1 s x) at s = {s}"
         )
+    return 2 * values % rad.r
 
 
 def roux_params_from_radicalization(
     rad: Radicalization, key: Key, table: HigmanDecompositionTable
 ) -> RouxParameters:
-    """Roux parameters by counting stabilizer elements whose conjugate by
-    the key decomposes with a prescribed character defect.
-
-    c_w = (n-1)/|G0*| * #{zeta : exists xi, eta with
-          x zeta x^{-1} = xi x eta and alpha(xi eta zeta^{-1}) z^{-1} = w}.
-    """
-    _check_table(rad, key, table)
-    ze, r = key.z_exponent, key.r
-    counts = [0] * r
-    for zeta, xi, eta in table.zeta_decomps:
-        w = (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - rad.alpha_exp_r(zeta) - ze) % r
-        counts[w] += 1
-    n = rad.n
-    size = rad.cover.stab.order
-    c = []
-    for w in range(r):
-        num = (n - 1) * counts[w]
-        if num % size:
-            raise RadicalError("parameter count is not integral")
-        c.append(num // size)
-    return RouxParameters(n, r, c)
+    """Roux parameters counted over the n - 2 cosets of
+    K = Stab_{G0*}(x^{-1}.b) other than K, each by the character defect
+    alpha(xi eta zeta^{-1}) z^{-1} of x zeta x^{-1} = xi x eta (the module
+    docstring proves each coset counts once)."""
+    a = _checked_values(rad, key, table)
+    xi_p, xi, eta = a[table.cosets]
+    defects = (xi + eta - xi_p + a[table.coset_xi0] - key.z_exponent) % rad.r
+    return RouxParameters(rad.n, rad.r, np.bincount(defects, minlength=rad.r).tolist())
 
 
 def roux_from_higman_pair(
     rad: Radicalization, key: Key, table: HigmanDecompositionTable
 ) -> RouxMatrix:
     """The roux of the Higman pair: entry (i, j) is the unique w in C_r
-    with x_i^{-1} x_j in H (1,w) (x,z) H.
+    with x_i^{-1} x_j in H (1,w) (x,z) H, x_i the transversal.
 
-    The transversal is the lift (x_i, 1) of base-action coset
-    representatives found by orbit search.  Each cell is read off one
-    decomposition; the check on G01* proves every other decomposition
-    gives the same w.
+    Row b is read off its decompositions and the other rows propagated
+    along the search tree; then the symmetry certificate checks
+    B[pi i, pi j] = B[i, j] + alpha(h_i(g)) - alpha(h_j(g)) on every
+    generator g of G* and every cell (see the module docstring).
     """
-    _check_table(rad, key, table)
-    ze, r = key.z_exponent, key.r
-    n = rad.n
-    exps = [[0] * n for _ in range(n)]
-    for (i, j), (xi, eta) in table.cells.items():
-        exps[i][j] = (rad.alpha_exp_r(xi) + rad.alpha_exp_r(eta) - ze) % r
-    return RouxMatrix(n, r, exps)
+    a = _checked_values(rad, key, table)
+    n, r = rad.n, rad.r
+    B = np.zeros((n, n), dtype=np.int64)
+    b = table.base_index
+    B[b] = (a[table.row_b].sum(axis=0) - key.z_exponent) % r
+    B[b, b] = 0
+    A = a[table.h]
+    for q, p, k in table.tree:
+        B[q, table.perms[k]] = (B[p] - A[k]) % r
+    for k, (perm, ak) in enumerate(zip(table.perms, A)):
+        bad = B[np.ix_(perm, perm)] != (B + ak[:, None] - ak[None, :]) % r
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
+            raise RadicalError(f"symmetry certificate fails for generator {k} at cell ({i}, {j})")
+    return RouxMatrix(n, r, B)
 
 
 @dataclass

@@ -140,7 +140,7 @@ def test_verify_etf_perturbed_fails():
     M = gram.matrix.copy()
     M[0, 1] += 0.01
     M[1, 0] += 0.01
-    cert = verify_etf(LineGram(6, 3, M))
+    cert = verify_etf(LineGram(6, 3, M, gram.eigenvalues))
     assert cert.equiangularity_residual >= 0.009
     assert not cert.welch_equality or cert.equiangularity_residual >= 0.009
     assert not cert.passed

@@ -2,22 +2,27 @@ import random
 
 import numpy as np
 import pytest
-from util import cover_of, materialized, random_outside_stabilizer
+from util import cover_of, materialized, random_outside_stabilizer, su33_bench_generators
 
-from rouxforge.families import sl2_cover, su3_cover
+from rouxforge.families import isotropic_line_action, sl2_cover, su3_cover
 from rouxforge.group import (
     PermOps,
     closure,
     enumerate_linear_characters,
     natural_permutation_action,
+    projective_line_action,
 )
 from rouxforge.oracles import (
+    PerCellTable,
+    detect_higman_g01_scan,
     detect_higman_scan,
     double_coset_scan,
     gram_from_idempotent,
     matrix_rank_by_threshold,
     normalizer,
+    params_from_stabilizer_scan,
     radicalization_groups,
+    roux_from_cells,
     verify_higman_axioms,
 )
 from rouxforge.radical import (
@@ -283,31 +288,55 @@ def test_decomposition_table_matches_stabilizer_scan(case):
     n, order = cover.n, cover.stab.order
     xinv = ops.inv(x)
     table = HigmanDecompositionTable(cover, x)
+    old = PerCellTable(table)
+    els = table.elements
+    assert all(cover.in_stabilizer(g) for g in els)
 
     # G01*: the elements fixing b and x.b, paired with their x-conjugates
     xb = cover.action.act(x, cover.base_point)
-    assert len(table.g01) * (n - 1) == order
-    for s, t in table.g01:
+    assert len(old.g01) * (n - 1) == order
+    for s, t in old.g01:
         assert cover.action.act(s, xb) == xb
         assert t == ops.mul(ops.mul(xinv, s), x) and t in cover.stab_set
+    # the Schreier generators xi_q^-1 g xi_p lie in G01*, with their x-conjugates
+    g01 = dict(old.g01)
+    for g, xi_p, xi_q, t in zip(*(map(els.__getitem__, row) for row in table.schreier)):
+        s = ops.mul(ops.mul(ops.inv(xi_q), g), xi_p)
+        assert g01[s] == t
 
-    assert len(table.cells) == n * (n - 1)
-    y_of = {
-        (i, j): ops.mul(ops.inv(table.reps[i]), table.reps[j]) for (i, j) in table.cells
-    }
-    for cell, (xi, eta) in table.cells.items():
+    assert len(old.cells) == n * (n - 1)
+    y_of = {(i, j): ops.mul(ops.inv(table.reps[i]), table.reps[j]) for (i, j) in old.cells}
+    for cell, (xi, eta) in old.cells.items():
         assert ops.mul(ops.mul(xi, x), eta) == y_of[cell]
-    assert len(table.zeta_decomps) == order - len(table.g01)
-    for zeta, xi, eta in table.zeta_decomps:
+    assert len(old.zeta_decomps) == order - len(old.g01)
+    for zeta, xi, eta in old.zeta_decomps:
         assert ops.mul(ops.mul(xi, x), eta) == ops.mul(ops.mul(x, zeta), xinv)
 
+    # the monomial data: g x_j = x_{pi j} h_j(g), row b decomposes x_j, and
+    # one zeta per coset of K other than K, each decomposed after conjugation
+    b = table.base_index
+    for g, perm, hrow in zip(cover.action.group.generators, table.perms, table.h):
+        for j, (q, h) in enumerate(zip(perm, hrow)):
+            assert ops.mul(g, table.reps[j]) == ops.mul(table.reps[q], els[h])
+    for j, (xi, eta) in enumerate(table.row_b.T):
+        if j != b:
+            assert ops.mul(ops.mul(els[xi], x), els[eta]) == table.reps[j]
+    xi0inv = ops.inv(els[table.coset_xi0])
+    q0 = cover.action.act(xinv, cover.base_point)
+    moved = set()
+    for xi, xi2, eta in table.cosets.T:
+        zeta = ops.mul(els[xi], xi0inv)
+        moved.add(cover.action.act(zeta, q0))
+        assert ops.mul(ops.mul(els[xi2], x), els[eta]) == ops.mul(ops.mul(x, zeta), xinv)
+    assert len(moved) == n - 2 and q0 not in moved
+
     # the g01 expansion of each cell is the full set of decompositions
-    scanned = sorted(table.cells)[::stride]
+    scanned = sorted(old.cells)[::stride]
     scans = {}
     for cell in scanned:
-        xi, eta = table.cells[cell]
+        xi, eta = old.cells[cell]
         scans[cell] = double_coset_scan(cover, x, y_of[cell])
-        expanded = {(ops.mul(xi, s), ops.mul(ops.inv(t), eta)) for s, t in table.g01}
+        expanded = {(ops.mul(xi, s), ops.mul(ops.inv(t), eta)) for s, t in old.g01}
         assert expanded == set(scans[cell])
 
     # a character passes the G01* check exactly when every scanned cell has
@@ -323,6 +352,7 @@ def test_decomposition_table_matches_stabilizer_scan(case):
             for cell, decomps in scans.items()
         }
         unique = all(len(v) == 1 for v in values.values())
+        assert detect_higman(table, alpha) == detect_higman_g01_scan(old, alpha)
         try:
             B = roux_from_higman_pair(rad, key, table)
         except RadicalError:
@@ -331,7 +361,103 @@ def test_decomposition_table_matches_stabilizer_scan(case):
                 assert not unique
             continue
         assert detect_higman(table, alpha) and unique
+        assert B == roux_from_cells(rad, key, old)
         assert all(B.exps[i, j] == values[(i, j)].pop() for (i, j) in scanned)
+
+
+def detect_cover(G):
+    """The cover the detect command builds for an enumerated group on
+    its projective or isotropic points, and its x."""
+    action = isotropic_line_action(G) if G.ops.dim == 3 else projective_line_action(G)
+    cover = cover_of(action)
+    return cover, cover.first_outside_stabilizer()
+
+
+def sl2_group(q):
+    cover = sl2_cover(q)[0]
+    return closure(cover.action.group.generators, cover.ops)
+
+
+def su3_preferred(q):
+    cover, x, eta_b0 = su3_cover(q)
+    return cover, x, lambda alpha: (2 * alpha.exponent(eta_b0)) % (2 * alpha.modulus) if alpha.modulus > 1 else None
+
+
+# every Higman character of these covers is built both ways
+MONOMIAL_CASES = {
+    **{f"sl2_q{q}": (lambda q=q: sl2_cover(q) + (lambda alpha: None,)) for q in (3, 5, 7, 11, 13, 17, 19, 23, 25, 27, 29, 31)},
+    **{f"su3_q{q}": (lambda q=q: su3_preferred(q)) for q in (3, 4, 5)},
+    "detect_sl2_q5": lambda: detect_cover(sl2_group(5)) + (lambda alpha: None,),
+    "detect_sl2_q7": lambda: detect_cover(sl2_group(7)) + (lambda alpha: None,),
+    "detect_su33_bench": lambda: detect_cover(closure(su33_bench_generators()[1], su33_bench_generators()[0])) + (lambda alpha: None,),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONOMIAL_CASES))
+def test_monomial_roux_matches_the_per_cell_table(case):
+    cover, x, prefer = MONOMIAL_CASES[case]()
+    table = HigmanDecompositionTable(cover, x)
+    old = PerCellTable(table)
+    higman = 0
+    for alpha in enumerate_linear_characters(cover.stab):
+        verdict = detect_higman(table, alpha)
+        assert verdict == detect_higman_g01_scan(old, alpha)
+        if not verdict:
+            continue
+        higman += 1
+        rad = radicalize(cover, alpha)
+        key = find_key(rad, table, prefer_exponent=prefer(alpha))
+        assert roux_from_higman_pair(rad, key, table) == roux_from_cells(rad, key, old)
+        counted = roux_params_from_radicalization(rad, key, table)
+        assert counted.coeffs == params_from_stabilizer_scan(rad, key, old).coeffs
+    assert higman >= 2
+
+
+def test_symmetry_certificate_names_a_corrupted_cocycle_entry():
+    # the unipotent generator 0 of SL(2,5) fixes b, so row b, which is read
+    # off its decompositions and never propagated, fails the identity
+    # B[b, pi j] = B[b, j] + alpha(h_b) - alpha(h_j) at a corrupted j off
+    # the transversal's tree
+    cover, x, chars = sl2_chars(5)
+    quad = by_order(chars, 2)[0]
+    rad = radicalize(cover, quad)
+    table = HigmanDecompositionTable(cover, x)
+    key = find_key(rad, table)
+    b = table.base_index
+    assert table.perms[0, b] == b
+    wrong = next(i for i, g in enumerate(table.elements) if quad.exponent(g) == 1)
+    tree = {(p, k) for _, p, k in table.tree}
+    corrupted = [j for j in range(cover.n) if j != b and (j, 0) not in tree]
+    assert len(corrupted) == 2
+    for j in corrupted:
+        saved = table.h[0, j]
+        table.h[0, j] = wrong if quad.exponent(table.elements[saved]) == 0 else table.h[0, b]
+        with pytest.raises(RadicalError, match=rf"generator 0 at cell \({b}, {j}\)"):
+            roux_from_higman_pair(rad, key, table)
+        table.h[0, j] = saved
+    roux_from_higman_pair(rad, key, table)
+
+
+def test_symmetry_certificate_runs_on_every_generator():
+    # a corrupted entry on a generator no tree edge uses shows up on that
+    # generator alone: repeat SL(2,7)'s first generator at the end
+    from rouxforge.group import GeneratedGroup, GroupAction
+    from rouxforge.radical import CoverData
+
+    cover, x, chars = sl2_chars(7)
+    G = cover.action.group
+    gens = G.generators + G.generators[:1]
+    action = GroupAction(GeneratedGroup(G.ops, gens), cover.action.points, cover.action.act)
+    cover = CoverData(action, cover.stab, cover.base_point)
+    table = HigmanDecompositionTable(cover, x)
+    assert all(k < len(gens) - 1 for _, _, k in table.tree)
+    rad = radicalize(cover, by_order(chars, 2)[0])
+    key = find_key(rad, table)
+    last = len(gens) - 1
+    j = next(j for j in range(1, cover.n) if rad.alpha_exp_r(table.elements[table.h[last, j]]) == 0)
+    table.h[last, j] = next(i for i, g in enumerate(table.elements) if rad.alpha_exp_r(g) != 0)
+    with pytest.raises(RadicalError, match=rf"generator {last} at cell \(0, {j}\)"):
+        roux_from_higman_pair(rad, key, table)
 
 
 def scan_key(rad, x):
@@ -390,6 +516,22 @@ def test_decomposition_table_rejects_an_incomplete_stabilizer():
     torus = [g for g in cover.stab.elements if g[0][1] == 0]
     stab = FiniteGroup(cover.ops, torus, small_generating_set(cover.ops, torus))
     with pytest.raises(RadicalError, match="not transitive"):
+        HigmanDecompositionTable(CoverData(cover.action, stab, cover.base_point), x)
+
+
+def test_decomposition_table_rejects_a_stabilizer_missing_one_element():
+    # the listed generators still reach the dropped element, but it is one
+    # of the h_j(g), which must lie in the listed stabilizer
+    from rouxforge.group import FiniteGroup, small_generating_set
+    from rouxforge.radical import CoverData
+
+    cover, x = sl2_cover(5)
+    table = HigmanDecompositionTable(cover, x)
+    dropped = table.elements[table.h.max()]
+    assert dropped != cover.ops.identity
+    short = [g for g in cover.stab.elements if g != dropped]
+    stab = FiniteGroup(cover.ops, short, small_generating_set(cover.ops, short))
+    with pytest.raises(RadicalError, match="stabilizer list is incomplete"):
         HigmanDecompositionTable(CoverData(cover.action, stab, cover.base_point), x)
 
 
