@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import families, lines
+from .field import FieldError
 from .group import (
     FiniteGroup,
     enumerate_linear_characters,
@@ -134,7 +135,7 @@ def cmd_family(args) -> int:
             report = families.symplectic_witness(args.m, eps)
         else:
             raise InputError(f"unknown family {name!r}")
-    except families.FamilyError as exc:
+    except (families.FamilyError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -384,10 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="output path (default: stdout)")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--jobs", type=int, default=1, help="worker pool size for character sweeps")
-    shared.add_argument("--tol-eig", type=float, default=None, help="relative eigenvalue clustering tolerance")
-    shared.add_argument("--tol-etf", type=float, default=None, help="frame certification tolerance")
+    # only the commands that certify lines read the tolerances
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--tol-eig", type=float, default=None, help="relative eigenvalue clustering tolerance")
+    tolerances.add_argument("--tol-etf", type=float, default=None, help="frame certification tolerance")
 
-    fam = sub.add_parser("family", parents=[shared], help="run a built-in family pipeline")
+    fam = sub.add_parser("family", parents=[shared, tolerances], help="run a built-in family pipeline")
     fam.add_argument("family", choices=("psl2", "psu3", "suzuki", "ree", "sp"))
     fam.add_argument("--q", type=int)
     fam.add_argument("--m", type=int)
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--character-index", type=int, default=None)
     det.set_defaults(func=cmd_detect)
 
-    ver = sub.add_parser("verify", parents=[shared], help="verify a matrix or two-graph file")
+    ver = sub.add_parser("verify", parents=[shared, tolerances], help="verify a matrix or two-graph file")
     ver.add_argument("file")
     ver.add_argument("--kind", choices=("roux", "etf", "signature", "twograph"), required=True)
     ver.set_defaults(func=cmd_verify)
@@ -412,9 +415,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # the tolerance flags hold for this call only
     saved = lines.EIG_CLUSTER_RTOL, lines.ETF_TOL
-    if args.tol_eig is not None:
+    if getattr(args, "tol_eig", None) is not None:
         lines.EIG_CLUSTER_RTOL = args.tol_eig
-    if args.tol_etf is not None:
+    if getattr(args, "tol_etf", None) is not None:
         lines.ETF_TOL = args.tol_etf
     try:
         return args.func(args)

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import FieldSpec, primitive_element
+from .field import MAX_ORDER, FieldSpec, primitive_element
 from .group import (
     FiniteGroup,
     GeneratedGroup,
@@ -53,6 +53,8 @@ from .roux import (
 
 SL2_MAX_Q = 31
 SU3_DEFAULT_MAX_Q = 4
+# The sp witness loops over all 2^(2m) vectors: m = 8 takes 0.2 s, each step up about 4x.
+SP_MAX_M = 8
 # Relation checks in the Suzuki and Ree witnesses: how many cases, and
 # the seed that draws them where the full sweep is too large.
 WITNESS_SAMPLES = 100
@@ -68,6 +70,11 @@ class UnsupportedFamilyError(FamilyError):
 
 
 def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k.  Trial division costs sqrt(q) steps, so q
+    above the largest field order, which no family can build, is refused
+    first."""
+    if q > MAX_ORDER:
+        raise UnsupportedFamilyError(f"q = {q} exceeds the largest field order 2^20")
     if q < 2:
         raise FamilyError(f"{q} is not a prime power")
     p = 2
@@ -408,6 +415,8 @@ def sl2_family(q: int) -> FamilyReport:
     builds the C_4 roux for the latter, and certifies the resulting
     (q+1, (q+1)/2) line sets, real exactly when q = 1 mod 4.
     """
+    if q > SL2_MAX_Q:
+        raise UnsupportedFamilyError(f"q = {q} exceeds the desk-scale cap {SL2_MAX_Q}")
     p, _ = prime_power(q)
     if p == 2:
         raise UnsupportedFamilyError(
@@ -418,8 +427,6 @@ def sl2_family(q: int) -> FamilyReport:
             "q = 9 is unsupported: the projective group has an exceptional sixfold "
             "covering group, not SL(2,9); supply explicit cover data instead"
         )
-    if q > SL2_MAX_Q:
-        raise UnsupportedFamilyError(f"q = {q} exceeds the desk-scale cap {SL2_MAX_Q}")
     cover, x = sl2_cover(q)
     n = q + 1
     report = FamilyReport(family="psl2", q=q, n=n, characters=[], checks=[])
@@ -489,11 +496,11 @@ def su3_family(q: int, allow_large: bool = False) -> FamilyReport:
     """
     if q <= 2:
         raise UnsupportedFamilyError("q = 2 is outside the unitary family's range (q > 2)")
-    prime_power(q)
     if q > SU3_DEFAULT_MAX_Q and not allow_large:
         raise UnsupportedFamilyError(
             f"q = {q} exceeds the default cap {SU3_DEFAULT_MAX_Q}; pass allow_large=True"
         )
+    prime_power(q)
     cover, x, eta_b0 = su3_cover(q)
     n = q**3 + 1
     report = FamilyReport(family="psu3", q=q, n=n, characters=[], checks=[])
@@ -884,6 +891,8 @@ def symplectic_witness(m: int, epsilon: int) -> WitnessReport:
     """
     if m < 3:
         raise FamilyError("m must be at least 3")
+    if m > SP_MAX_M:
+        raise UnsupportedFamilyError(f"m = {m} exceeds the desk-scale cap {SP_MAX_M}")
     if epsilon not in (+1, -1):
         raise FamilyError("epsilon must be +1 or -1")
     dim = 2 * m

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 TABLE_LIMIT = 4096
+MAX_ORDER = 2**20
 
 # Monic irreducible polynomials (coefficients low-degree-first) for the
 # built-in extension fields.  Anything else must be user-supplied.
@@ -111,7 +112,7 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.q = p**k
-        if self.q > 2**20:
+        if self.q > MAX_ORDER:
             raise FieldError("fields beyond order 2^20 are out of scope")
         if irreducible is None:
             if k == 1:

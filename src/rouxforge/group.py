@@ -29,8 +29,9 @@ from .field import FieldError, FieldSpec, json_int
 CLOSURE_CAP = 10**6
 DERIVED_CAP = 10**5
 CHARACTER_CAP = 10**4
-# Elements per batch in generator_table: its temporaries stay small (73 KiB for the SU(3,4)
-# stabilizer), under glibc's 128 KiB mmap threshold, so rebuilds do not ratchet up the heap.
+# Elements per batch in generator_table and in the characters' relation basis: temporaries
+# stay small (73 KiB for the SU(3,4) stabilizer's table), under glibc's 128 KiB mmap
+# threshold, so rebuilds do not ratchet up the heap.
 TABLE_CHUNK = 256
 
 
@@ -504,146 +505,122 @@ def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
 class LinearCharacter:
     """A homomorphism from a finite group into C_m, stored as exponents.
 
-    ``exponents`` assigns each element key an integer mod ``modulus``;
+    ``values[i]`` is the exponent mod ``modulus`` of ``group.elements[i]``;
     characters are stored in reduced form, so the image is all of C_m.
     """
 
     modulus: int
-    exponents: dict = dataclass_field(compare=False, hash=False, default_factory=dict)
+    group: FiniteGroup = dataclass_field(compare=False, hash=False, repr=False)
+    values: np.ndarray = dataclass_field(compare=False, hash=False, repr=False)
     key: tuple = ()
 
     def exponent(self, gkey) -> int:
-        return self.exponents[gkey]
+        return int(self.values[self.group.index[gkey]])
 
-    def verify_homomorphism(self, G: FiniteGroup) -> None:
-        """Verify chi(ab) = chi(a) + chi(b) for all a, b in G.
+    def verify_homomorphism(self) -> None:
+        """Verify chi(ab) = chi(a) + chi(b) for all a, b in the group.
 
         Checked as chi(b g) = chi(b) + chi(g), one array comparison per row
-        of G's generator table.  By induction on words w in the generators,
+        of the generator table.  By induction on words w in the generators,
         chi(a w g) = chi(a w) + chi(g) = chi(a) + chi(w g) (1 * g = g forces chi(1) = 0).
         """
-        m = self.modulus
-        exps = np.array([self.exponents[b] for b in G.elements], dtype=np.int64)
+        G, values = self.group, self.values
         for g, row in zip(G.generators, G.generator_table):
-            if ((exps + self.exponents[g]) % m != exps[row]).any():
+            if ((values + values[G.index[g]]) % self.modulus != values[row]).any():
                 raise GroupError("character is not a homomorphism")
 
 
-def _element_order(ops, g) -> int:
-    n = 1
-    acc = g
-    while acc != ops.identity:
-        acc = ops.mul(acc, g)
-        n += 1
-    return n
+def _word_counts(G: FiniteGroup) -> np.ndarray:
+    """Row b counts each generator in a word for element b: the path to b
+    in a breadth-first spanning tree of the Cayley graph (edges b -> b g_k)."""
+    table = G.generator_table
+    t = len(table)
+    counts = np.zeros((G.order, t), dtype=np.int64)
+    seen = np.zeros(G.order, dtype=bool)
+    frontier = np.array([G.index[G.identity]])
+    seen[frontier] = True
+    while frontier.size:
+        parents = np.tile(frontier, t)
+        gens = np.repeat(np.arange(t), frontier.size)
+        frontier, first = np.unique(table[gens, parents], return_index=True)
+        new = ~seen[frontier]
+        frontier, first = frontier[new], first[new]
+        seen[frontier] = True
+        counts[frontier] = counts[parents[first]]
+        counts[frontier, gens[first]] += 1
+    return counts
 
 
-def abelianization(G: FiniteGroup) -> tuple[dict, FiniteGroup]:
-    """Coset map onto G/[G,G] plus the quotient as an explicit group.
+def _relation_basis(words: np.ndarray, table: np.ndarray) -> list[list[int]]:
+    """An upper triangular basis, positive on the diagonal, of the lattice
+    R spanned by the Schreier relators w(b) + e_k - w(b g_k).  R contains
+    D Z^t, D the group order, so entries are kept mod D off the diagonal.
 
-    The quotient is represented on canonical (minimal) coset representatives
-    with multiplication through the representative map.
+    The relators of a chunk of elements are reduced by the basis at once,
+    and the first that does not vanish is merged into it by Euclid's
+    algorithm on rows, until the chunk vanishes.  Each merge lowers a
+    diagonal entry to a proper divisor, so after the first chunks most
+    relators vanish in one pass.
     """
-    D = derived_subgroup(G)
-    batch = G.ops.batch(D.elements)
-    rep_of: dict = {}
-    reps = []
-    for g in G.elements:
-        if g in rep_of:
-            continue
-        members = sorted(G.ops.batch_mul(batch, g))
-        r = members[0]
-        reps.append(r)
-        for m in members:
-            rep_of[m] = r
-
-    class _QuotientOps:
-        identity = rep_of[G.identity]
-
-        @staticmethod
-        def mul(a, b):
-            return rep_of[G.mul(a, b)]
-
-        @staticmethod
-        def inv(a):
-            return rep_of[G.inv(a)]
-
-        @staticmethod
-        def batch(H):
-            return list(H)
-
-        @staticmethod
-        def batch_mul(H, b):
-            return [rep_of[G.mul(a, b)] for a in H]
-
-    Q = FiniteGroup(_QuotientOps, reps, small_generating_set(_QuotientOps, reps), name=f"{G.name} abelianized")
-    return rep_of, Q
+    D, t = words.shape
+    H = [[D if i == j else 0 for j in range(t)] for i in range(t)]
+    for start in range(0, D, TABLE_CHUNK):
+        chunk = slice(start, start + TABLE_CHUNK)
+        rows = (words[chunk, None, :] + np.eye(t, dtype=np.int64) - words[table[:, chunk].T]).reshape(-1, t) % D
+        while True:
+            for i in range(t):
+                h = np.array(H[i][i:], dtype=np.int64)
+                rows[:, i:] -= (rows[:, i] // h[0])[:, None] * h
+                rows[:, i + 1 :] %= D
+            rows = rows[rows.any(axis=1)]
+            if not len(rows):
+                break
+            v = rows[0].tolist()
+            for i in range(t):
+                while v[i]:  # 0 < v[i] < D, so the pivot stays positive
+                    q = H[i][i] // v[i]
+                    H[i], v = v, [(h - q * u) % D for h, u in zip(H[i], v)]
+    return H
 
 
 def enumerate_linear_characters(G: FiniteGroup) -> list[LinearCharacter]:
     """All homomorphisms G -> T, one per element of the dual of G/[G,G].
 
-    The abelianization is decomposed along a chain of cyclic extensions,
-    choosing a maximal-order generator at each step; characters extend
-    down the chain by solving exponent congruences.  Output is sorted
-    (trivial character first) and each character is stored in reduced form.
+    A breadth-first spanning tree of the Cayley graph writes each element
+    b as a word with generator counts w(b).  By Schreier's lemma the
+    vectors w(b) + e_k - w(b g_k) span the relation lattice R with
+    Z^t / R = G/[G,G], which contains |G| Z^t; its triangular basis H
+    gives N = prod H_ii = |G/[G,G]|.  The characters are the N solutions f
+    of H f = 0 (mod N), found by back substitution: chi(b) = w(b) . f mod N,
+    divided by gcd(N, f) into reduced form.  Output is sorted by (modulus,
+    exponents on the generators), trivial character first.
     """
-    rep_of, Q = abelianization(G)
-    if Q.order > CHARACTER_CAP:
+    if G.order > DERIVED_CAP:
+        raise CapExceededError("derived subgroup cap exceeded")
+    words = _word_counts(G)
+    t = words.shape[1]
+    H = _relation_basis(words, G.generator_table)
+    N = math.prod(H[i][i] for i in range(t))
+    if N > CHARACTER_CAP:
         raise CapExceededError("abelianization exceeds character cap")
-    exponent = 1
-    for el in Q.elements:
-        exponent = math.lcm(exponent, _element_order(Q.ops, el))
-    M = exponent
-
-    # chain of subgroups, adding a maximal-order element not yet captured
-    chars: list[dict] = [{Q.identity: 0}]
-    covered = {Q.identity}
-    while len(covered) < Q.order:
-        g = max(
-            (el for el in Q.elements if el not in covered),
-            key=lambda el: (_element_order(Q.ops, el), el),
-        )
-        # s = least power of g landing in the current subgroup
-        s = 1
-        acc = g
-        while acc not in covered:
-            acc = Q.ops.mul(acc, g)
-            s += 1
-        g_s = acc
-        new_chars = []
-        for chi in chars:
-            t0 = chi[g_s]
-            if t0 % s:
-                raise GroupError("character extension congruence is not solvable")
-            for j in range(s):
-                x = (t0 // s + j * (M // s)) % M
-                ext = dict(chi)
-                acc2 = Q.identity
-                for t in range(1, s):
-                    acc2 = Q.ops.mul(acc2, g)
-                    for b in list(chi):
-                        ext[Q.ops.mul(b, acc2)] = (chi[b] + t * x) % M
-                new_chars.append(ext)
-        chars = new_chars
-        covered = set(chars[0])
-
+    # solutions on coordinates i..t-1, one per row, last coordinate first
+    F = np.zeros((1, 0), dtype=np.int64)
+    for i in reversed(range(t)):
+        h = H[i][i]
+        c = F @ np.array(H[i][i + 1 :], dtype=np.int64) % N
+        if (c % h).any():
+            raise GroupError("relation basis has an unsolvable row")
+        base = -(c // h) % (N // h)
+        column = (base[:, None] + np.arange(h) * (N // h)).reshape(-1, 1)
+        F = np.hstack([column, np.repeat(F, h, axis=0)])
     out = []
-    for chi in chars:
-        g = M
-        for v in chi.values():
-            g = math.gcd(g, v)
-        m = M // g if g else 1
-        if m == 1:
-            full = {el: 0 for el in G.elements}
-            out.append(LinearCharacter(1, full, key=(1, ())))
-            continue
-        full = {el: (chi[rep_of[el]] // g) % m for el in G.elements}
-        sig = tuple(full[el] for el in G.generators)
-        out.append(LinearCharacter(m, full, key=(m, sig)))
+    for f in F:
+        g = math.gcd(N, *f.tolist())
+        m = N // g
+        values = words @ f % N // g
+        key = (1, ()) if m == 1 else (m, tuple(int(values[G.index[s]]) for s in G.generators))
+        out.append(LinearCharacter(m, G, values, key))
     out.sort(key=lambda c: c.key)
-    if len(out) != Q.order:
-        raise GroupError("character count differs from the abelianization order")
     return out
 
 

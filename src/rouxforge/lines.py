@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -84,6 +85,12 @@ class LineGram:
         d = int((w > EIG_CLUSTER_RTOL * w[-1]).sum())
         return cls(G.shape[0], d, G, w)
 
+    @cached_property
+    def tightness_residual(self) -> float:
+        """|G^2 - (n/d) G|_max, zero exactly when the frame operator is (n/d) I."""
+        G = self.matrix
+        return float(np.max(np.abs(G @ G - (self.n / self.d) * G)))
+
 
 def gram_from_signature(S: np.ndarray) -> LineGram:
     """Scale by the least eigenvalue: G = -S/lambda_min + I is a unit
@@ -153,7 +160,7 @@ def verify_etf(data) -> ETFCertificate:
     mods = np.abs(G[off])
     mu = float(np.max(mods)) if n > 1 else 0.0
     equiang = float(np.max(mods) - np.min(mods)) if n > 1 else 0.0
-    tight = float(np.max(np.abs(G @ G - (n / d) * G)))
+    tight = gram.tightness_residual
     if n == d:
         return ETFCertificate(n, d, mu, tight, equiang, False, True, degenerate=True)
     welch = welch_bound(n, d)
@@ -173,7 +180,7 @@ def naimark_complement(gram: LineGram) -> LineGram:
     n, d, G = gram.n, gram.d, gram.matrix
     if n == d:
         raise LinesError("no complement when n = d")
-    tight = float(np.max(np.abs(G @ G - (n / d) * G)))
+    tight = gram.tightness_residual
     if tight > ETF_TOL:
         raise LinesError(f"input Gram is not tight (residual {tight:.3e})")
     comp = (n / (n - d)) * (np.eye(n) - (d / n) * G)

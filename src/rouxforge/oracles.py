@@ -143,7 +143,7 @@ def double_coset_scan(cover: CoverData, x, y) -> list[tuple]:
     found = []
     for xi in cover.stab.elements:
         eta = ops.mul(ops.mul(xinv, ops.inv(xi)), y)
-        if eta in cover.stab_set:
+        if eta in cover.stab:
             found.append((xi, eta))
     return found
 
@@ -151,13 +151,13 @@ def double_coset_scan(cover: CoverData, x, y) -> list[tuple]:
 def detect_higman_scan(cover: CoverData, alpha, x) -> bool:
     """The Higman-pair test by scanning the stabilizer: alpha(x xi x^{-1})
     = alpha(xi) for every xi in G0* whose x-conjugate stays in G0*."""
-    if cover.in_stabilizer(x):
+    if x in cover.stab:
         raise RadicalError("x lies in the stabilizer")
     ops = cover.ops
     xinv = ops.inv(x)
     for xi in cover.stab.elements:
         y = ops.mul(ops.mul(x, xi), xinv)
-        if y in cover.stab_set and alpha.exponent(y) != alpha.exponent(xi):
+        if y in cover.stab and alpha.exponent(y) != alpha.exponent(xi):
             return False
     return True
 
@@ -188,11 +188,11 @@ class PerCellTable:
         for s in cover.stab.elements:
             if action.act(s, xb) == xb:
                 t = ops.mul(ops.mul(xinv, s), x)
-                if t not in cover.stab_set:
+                if t not in cover.stab:
                     raise RadicalError("stabilizer list is incomplete: x^-1 s x fixes b but is not listed")
                 self.g01.append((s, t))
             y = ops.mul(ops.mul(x, s), xinv)
-            if y not in cover.stab_set:
+            if y not in cover.stab:
                 self.zeta_decomps.append((s,) + table.decompose(y))
 
 

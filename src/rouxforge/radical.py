@@ -69,7 +69,6 @@ class CoverData:
         action.check_compatibility()
         self.action = action
         self.stab = stab
-        self.stab_set = set(stab.elements)
         self.base_point = action.points[0] if base_point is None else base_point
         self.ops = stab.ops
 
@@ -82,15 +81,12 @@ class CoverData:
     def n(self) -> int:
         return self.action.degree
 
-    def in_stabilizer(self, gkey) -> bool:
-        return gkey in self.stab_set
-
     def first_outside_stabilizer(self):
         G = self.group
         if G is None:
             raise RadicalError("cover group not materialized")
         for g in G.elements:
-            if g not in self.stab_set:
+            if g not in self.stab:
                 return g
         raise RadicalError("group equals its stabilizer")
 
@@ -115,7 +111,7 @@ class CoverData:
         for s in self.stab.elements:
             if s not in G:
                 raise RadicalError("stabilizer element lies outside the group")
-        if len(self.stab_set) * len(self.action.orbit(b)) != G.order:
+        if len(self.stab.index) * len(self.action.orbit(b)) != G.order:
             raise RadicalError("stabilizer list is incomplete")
         # central kernel
         points = self.action.points
@@ -178,16 +174,19 @@ def radicalize(cover: CoverData, alpha: LinearCharacter) -> Radicalization:
     n - 1 >= 2 other points, so it fixes none of them: g.b = b, and
     (g, z) lies in G~0*.
     """
-    missing = [g for g in cover.stab.elements if g not in alpha.exponents]
-    if missing:
-        raise RadicalError("character not defined on the whole stabilizer")
-    alpha.verify_homomorphism(cover.stab)
+    _require_stabilizer_character(cover, alpha)
+    alpha.verify_homomorphism()
     return Radicalization(cover, alpha)
+
+
+def _require_stabilizer_character(cover: CoverData, alpha: LinearCharacter) -> None:
+    if alpha.group is not cover.stab:
+        raise RadicalError("character not defined on the whole stabilizer")
 
 
 class HigmanDecompositionTable:
     """The character-free data of the roux for one cover and one x: index
-    arrays into ``elements`` (stabilizer elements, each checked to be
+    arrays into the cover's ``stab.elements`` (each element checked to be
     listed).  Rows: ``schreier`` s, xi_p, xi_q, x^{-1} xi_q^{-1} s xi_p x;
     ``perms``, ``h`` pi_g, h_j(g) per generator g of G*; ``row_b`` xi, eta
     of x_j; ``cosets`` xi_p, xi, eta with x zeta_p x^{-1} = xi x eta,
@@ -195,20 +194,16 @@ class HigmanDecompositionTable:
     than K.  A character sweep over one cover shares one table."""
 
     def __init__(self, cover: CoverData, x):
-        if cover.in_stabilizer(x):
+        if x in cover.stab:
             raise RadicalError("x lies in the stabilizer")
         self.cover, self.x = cover, x
         ops, action, base, n = cover.ops, cover.action, cover.base_point, cover.n
         self.xinv = xinv = ops.inv(x)
-        self.elements: list = []
-        index: dict = {}
+        index = cover.stab.index
 
         def ref(g) -> int:
             if g not in index:
-                if g not in cover.stab_set:
-                    raise RadicalError("stabilizer list is incomplete: an element fixing b is not listed")
-                index[g] = len(self.elements)
-                self.elements.append(g)
+                raise RadicalError("stabilizer list is incomplete: an element fixing b is not listed")
             return index[g]
 
         # Schreier transversal of G0* from x.b: xi_p and u_p = x^-1 xi_p^-1
@@ -276,23 +271,23 @@ class HigmanDecompositionTable:
             raise RadicalError("no decomposition: the element fixes the base point")
         xi, u = self._orbit[p]
         eta = cover.ops.mul(u, y)
-        if eta not in cover.stab_set:
+        if eta not in cover.stab:
             raise RadicalError("stabilizer list is incomplete: eta fixes b but is not listed")
         return xi, eta
 
 
 def _g01_check(table: HigmanDecompositionTable, alpha: LinearCharacter):
-    """alpha on the table's elements, and the first Schreier generator s
-    with alpha(s) != alpha(x^-1 s x) or None; alpha(s) is read as
+    """alpha on the stabilizer, and the first Schreier generator s with
+    alpha(s) != alpha(x^-1 s x) or None; alpha(s) is read as
     alpha(g) + alpha(xi_p) - alpha(xi_q)."""
-    values = np.array([alpha.exponents[g] for g in table.elements], dtype=np.int64)
-    g, xi_p, xi_q, t = values[table.schreier]
+    _require_stabilizer_character(table.cover, alpha)
+    g, xi_p, xi_q, t = alpha.values[table.schreier]
     bad = np.flatnonzero((g + xi_p - xi_q - t) % alpha.modulus)
     if not bad.size:
-        return values, None
-    ops = table.cover.ops
-    g, xi_p, xi_q, _ = (table.elements[i] for i in table.schreier[:, bad[0]])
-    return values, ops.mul(ops.mul(ops.inv(xi_q), g), xi_p)
+        return alpha.values, None
+    ops, elements = table.cover.ops, table.cover.stab.elements
+    g, xi_p, xi_q, _ = (elements[i] for i in table.schreier[:, bad[0]])
+    return alpha.values, ops.mul(ops.mul(ops.inv(xi_q), g), xi_p)
 
 
 def detect_higman(table: HigmanDecompositionTable, alpha: LinearCharacter) -> bool:
@@ -323,7 +318,7 @@ def find_key(
 
 
 def _checked_values(rad: Radicalization, key: Key, table: HigmanDecompositionTable) -> np.ndarray:
-    """alpha on the table's elements in C_r, refusing a table built for
+    """alpha on the stabilizer in C_r, refusing a table built for
     another x or a character that makes double-coset lookup ambiguous."""
     if table.x != key.x:
         raise RadicalError("decomposition table was built for a different x")

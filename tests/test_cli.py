@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +49,29 @@ def test_family_psl2_even_q_exit2(capsys):
     code, _, err = run(["family", "psl2", "--q", "8"], capsys)
     assert code == 2
     assert "even" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suzuki", "--q", "2097152"],
+        ["ree", "--q", "14348907"],
+        ["psu3", "--q", "1031", "--allow-large"],
+        ["psu3", "--q", str(10**18 + 9), "--allow-large"],
+        ["suzuki", "--q", "128"],  # no built-in field polynomial for 2^7
+        ["sp", "--m", "9"],
+        ["sp", "--m", "64"],
+        ["psl2", "--q", "1000000000039"],
+        ["psu3", "--q", "1000000000039"],
+    ],
+    ids=lambda argv: "-".join(a.strip("-") for a in argv),
+)
+def test_family_size_flags_exit2_at_once(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run(["family"] + argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_family_psu3_q3_blocks(tmp_path, capsys):
@@ -539,6 +563,16 @@ def test_tol_eig_sets_gram_rank(tmp_path, capsys):
     _, out, _ = run(["verify", str(path), "--kind", "etf"], capsys)
     assert json.loads(out)["certificate"]["d"] == 4
     assert lines_mod.EIG_CLUSTER_RTOL == default_rtol
+
+
+def test_detect_takes_no_tolerance_flags(tmp_path):
+    # detect builds no Gram, so the tolerances belong to family and verify only
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3_SPEC))
+    for flag in ("--tol-eig", "--tol-etf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", str(path), flag, "1e-3"])
+        assert exc.value.code == 2
 
 
 def test_detect_character_cap_exit2(tmp_path, capsys, monkeypatch):

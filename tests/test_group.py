@@ -1,11 +1,13 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rouxforge import group
 from rouxforge.field import TABLE_LIMIT, FieldSpec
-from rouxforge.families import BitMatOps, sl2_cover, su3_cover, symplectic_witness
+from rouxforge.families import BitMatOps, isotropic_line_action, sl2_cover, su3_cover, symplectic_witness
 from rouxforge.group import (
     CapExceededError,
     FiniteGroup,
@@ -14,7 +16,6 @@ from rouxforge.group import (
     MatOps,
     PermOps,
     ProductOps,
-    abelianization,
     closure,
     derived_subgroup,
     direct_product_with_cyclic,
@@ -96,16 +97,12 @@ def test_closure_matches_bfs_oracle_on_permutations(case):
     assert G.generators == gens
 
 
-def test_closure_matches_bfs_oracle_on_matrices_and_quotients():
+def test_closure_matches_bfs_oracle_on_matrices():
     G = sl2(5)
     assert G.elements == closure_bfs(G.generators, G.ops).elements
     U = materialized(su3_cover(3)[0]).group
     assert U.order == 6048
     assert U.elements == closure_bfs(U.generators, U.ops).elements
-    B = stabilizer(projective_line_action(sl2(7)), (1, 0))
-    _, Q = abelianization(B)
-    assert Q.order == 6
-    assert closure(Q.generators, Q.ops).elements == closure_bfs(Q.generators, Q.ops).elements == Q.elements
     ops, gens = su33_bench_generators()
     V = closure(gens, ops)
     assert V.order == 6048
@@ -151,27 +148,23 @@ def test_batch_mul_matches_scalar_products(backend, data):
     assert ops.batch_mul(ops.batch(H), b) == [ops.mul(h, b) for h in H]
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_batch_mul_matches_scalar_products_on_a_quotient(data):
-    _, Q = abelianization(stabilizer(projective_line_action(sl2(7)), (1, 0)))
-    H = data.draw(st.lists(st.sampled_from(Q.elements), max_size=8))
-    b = data.draw(st.sampled_from(Q.elements))
-    assert Q.ops.batch_mul(Q.ops.batch(H), b) == [Q.ops.mul(h, b) for h in H]
-
-
 class CountingOps:
-    """A backend wrapper counting scalar products and batched cosets."""
+    """A backend wrapper counting scalar products, inverses and batched cosets."""
 
     def __init__(self, ops):
         self.ops = ops
         self.identity = ops.identity
         self.mul_calls = 0
+        self.inv_calls = 0
         self.cosets = 0
 
     def mul(self, a, b):
         self.mul_calls += 1
         return self.ops.mul(a, b)
+
+    def inv(self, a):
+        self.inv_calls += 1
+        return self.ops.inv(a)
 
     def batch(self, H):
         return self.ops.batch(H)
@@ -342,9 +335,9 @@ def test_character_counts():
     orders = sorted(c.modulus for c in chars)
     assert orders == [1, 2, 4, 4]  # dual of C4
     for c in chars:
-        c.verify_homomorphism(B)
+        c.verify_homomorphism()
     # pairwise distinct
-    sigs = {tuple(sorted(c.exponents.items())) + (c.modulus,) for c in chars}
+    sigs = {(c.modulus,) + tuple(c.values.tolist()) for c in chars}
     assert len(sigs) == 4
 
 
@@ -352,10 +345,10 @@ def test_verify_homomorphism_rejects_one_corrupted_exponent():
     B = stabilizer(projective_line_action(sl2(5)), (1, 0))
     chi = next(c for c in enumerate_linear_characters(B) if c.modulus == 4)
     target = next(g for g in B.elements if g not in B.generators and g != B.identity)
-    exponents = dict(chi.exponents)
-    exponents[target] = (exponents[target] + 1) % 4
+    values = chi.values.copy()
+    values[B.index[target]] = (values[B.index[target]] + 1) % 4
     with pytest.raises(GroupError, match="not a homomorphism"):
-        LinearCharacter(4, exponents, chi.key).verify_homomorphism(B)
+        LinearCharacter(4, B, values, chi.key).verify_homomorphism()
 
 
 def test_verify_homomorphism_reads_every_generator_row():
@@ -368,8 +361,9 @@ def test_verify_homomorphism_reads_every_generator_row():
         f[b] = 1
         f[S3.mul(t, b)] = 0
     assert all((f[t] + f[b]) % 2 == f[S3.mul(t, b)] for b in S3.elements)
+    values = np.array([f[b] for b in S3.elements])
     with pytest.raises(GroupError, match="not a homomorphism"):
-        LinearCharacter(2, f, (2, ())).verify_homomorphism(S3)
+        LinearCharacter(2, S3, values, (2, ())).verify_homomorphism()
 
 
 def test_characters_trivial_abelianization():
@@ -379,6 +373,64 @@ def test_characters_trivial_abelianization():
     assert A5.order == 60
     chars = enumerate_linear_characters(A5)
     assert len(chars) == 1 and chars[0].modulus == 1
+
+
+def check_characters_against_the_derived_subgroup(G):
+    """Count against |G / [G,G]|, each a reduced homomorphism, pairwise
+    distinct, sorted with the trivial character first: then they are all
+    of Hom(G, T)."""
+    chars = enumerate_linear_characters(G)
+    assert len(chars) == G.order // derived_subgroup(G).order
+    for c in chars:
+        c.verify_homomorphism()
+        assert math.gcd(c.modulus, *c.values.tolist()) == 1
+    assert len({(c.modulus,) + tuple(c.values.tolist()) for c in chars}) == len(chars)
+    keys = [c.key for c in chars]
+    assert keys == sorted(keys) and keys[0] == (1, ()) and not chars[0].values.any()
+
+
+@st.composite
+def small_permutation_groups(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return closure([tuple(g) for g in gens], PermOps(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_permutation_groups())
+def test_characters_match_the_derived_subgroup_on_permutation_groups(G):
+    check_characters_against_the_derived_subgroup(G)
+
+
+def su33_bench_stabilizer():
+    ops, gens = su33_bench_generators()
+    action = isotropic_line_action(closure(gens, ops))
+    return stabilizer(action, action.points[0])
+
+
+CHARACTER_GROUPS = {
+    **{f"sl2_q{q}_borel": (lambda q=q: sl2_cover(q)[0].stab) for q in (5, 7, 17, 23, 31)},
+    **{f"su3_q{q}_stabilizer": (lambda q=q: su3_cover(q)[0].stab) for q in (3, 4, 5)},
+    "su33_bench_stabilizer": su33_bench_stabilizer,
+    "S4": lambda: closure([(1, 0, 2, 3), (1, 2, 3, 0)], PermOps(4)),
+    "A5": lambda: closure([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], PermOps(5)),
+    "S5": lambda: closure([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], PermOps(5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHARACTER_GROUPS))
+def test_characters_match_the_derived_subgroup(case):
+    check_characters_against_the_derived_subgroup(CHARACTER_GROUPS[case]())
+
+
+def test_characters_make_no_scalar_products_once_the_table_is_built():
+    stab = su3_cover(3)[0].stab
+    counting = CountingOps(stab.ops)
+    G = FiniteGroup(counting, stab.elements, stab.generators)
+    G.generator_table
+    counting.mul_calls = counting.inv_calls = 0
+    assert len(enumerate_linear_characters(G)) == 8
+    assert counting.mul_calls == counting.inv_calls == 0
 
 
 def test_direct_product():

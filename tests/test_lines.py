@@ -177,6 +177,17 @@ def test_naimark_rejects_untight_and_square():
         naimark_complement(LineGram.from_matrix(loose))
 
 
+def test_naimark_reads_the_residual_verify_etf_computed():
+    gram = gram_from_signature(etf63_signature())
+    cert = verify_etf(gram)
+    assert vars(gram)["tightness_residual"] == cert.tightness_residual < 1e-9
+    naimark_complement(gram)
+    # the complement trusts the Gram's one stored residual
+    gram.tightness_residual = 1.0
+    with pytest.raises(LinesError, match="not tight"):
+        naimark_complement(gram)
+
+
 def test_normalized_signature():
     S = check_signature(etf63_signature())
     N = normalized_signature(S)

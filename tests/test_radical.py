@@ -68,7 +68,7 @@ def test_su3_cover_counts():
     cover, x, _ = su3_cover(3)
     assert cover.n == 28
     assert cover.stab.order == 216
-    assert not cover.in_stabilizer(x)
+    assert x not in cover.stab
 
 
 def test_su33_closure_order():
@@ -289,15 +289,14 @@ def test_decomposition_table_matches_stabilizer_scan(case):
     xinv = ops.inv(x)
     table = HigmanDecompositionTable(cover, x)
     old = PerCellTable(table)
-    els = table.elements
-    assert all(cover.in_stabilizer(g) for g in els)
+    els = cover.stab.elements
 
     # G01*: the elements fixing b and x.b, paired with their x-conjugates
     xb = cover.action.act(x, cover.base_point)
     assert len(old.g01) * (n - 1) == order
     for s, t in old.g01:
         assert cover.action.act(s, xb) == xb
-        assert t == ops.mul(ops.mul(xinv, s), x) and t in cover.stab_set
+        assert t == ops.mul(ops.mul(xinv, s), x) and t in cover.stab
     # the Schreier generators xi_q^-1 g xi_p lie in G01*, with their x-conjugates
     g01 = dict(old.g01)
     for g, xi_p, xi_q, t in zip(*(map(els.__getitem__, row) for row in table.schreier)):
@@ -425,13 +424,13 @@ def test_symmetry_certificate_names_a_corrupted_cocycle_entry():
     key = find_key(rad, table)
     b = table.base_index
     assert table.perms[0, b] == b
-    wrong = next(i for i, g in enumerate(table.elements) if quad.exponent(g) == 1)
+    wrong = next(i for i, v in enumerate(quad.values) if v == 1)
     tree = {(p, k) for _, p, k in table.tree}
     corrupted = [j for j in range(cover.n) if j != b and (j, 0) not in tree]
     assert len(corrupted) == 2
     for j in corrupted:
         saved = table.h[0, j]
-        table.h[0, j] = wrong if quad.exponent(table.elements[saved]) == 0 else table.h[0, b]
+        table.h[0, j] = wrong if quad.values[saved] == 0 else table.h[0, b]
         with pytest.raises(RadicalError, match=rf"generator 0 at cell \({b}, {j}\)"):
             roux_from_higman_pair(rad, key, table)
         table.h[0, j] = saved
@@ -454,8 +453,8 @@ def test_symmetry_certificate_runs_on_every_generator():
     rad = radicalize(cover, by_order(chars, 2)[0])
     key = find_key(rad, table)
     last = len(gens) - 1
-    j = next(j for j in range(1, cover.n) if rad.alpha_exp_r(table.elements[table.h[last, j]]) == 0)
-    table.h[last, j] = next(i for i, g in enumerate(table.elements) if rad.alpha_exp_r(g) != 0)
+    j = next(j for j in range(1, cover.n) if rad.alpha.values[table.h[last, j]] == 0)
+    table.h[last, j] = next(i for i, v in enumerate(rad.alpha.values) if v != 0)
     with pytest.raises(RadicalError, match=rf"generator {last} at cell \(0, {j}\)"):
         roux_from_higman_pair(rad, key, table)
 
@@ -480,7 +479,7 @@ def test_detector_and_key_match_the_stabilizer_scans(case):
     xs = [x]
     if cover.group is not None:
         # three more elements outside the stabilizer, spread over the group
-        outside = [g for g in cover.group.elements if g != x and not cover.in_stabilizer(g)]
+        outside = [g for g in cover.group.elements if g != x and g not in cover.stab]
         xs += outside[:: max(1, len(outside) // 3)][:3]
         assert len(xs) == 4
     chars = enumerate_linear_characters(cover.stab)
@@ -506,6 +505,21 @@ def test_non_higman_character_is_refused():
         roux_params_from_radicalization(rad, key, table)
 
 
+@pytest.mark.parametrize("other", ["SL(2,7) Borel", "rebuilt SL(2,5) Borel"])
+def test_character_of_another_group_is_refused(other):
+    # a character is an array over its own group's elements: one of any
+    # other group, even an equal rebuilt one, is not read on this cover
+    cover, x = sl2_cover(5)
+    source = sl2_cover(7 if other == "SL(2,7) Borel" else 5)[0].stab
+    assert source is not cover.stab
+    alpha = enumerate_linear_characters(source)[1]
+    table = HigmanDecompositionTable(cover, x)
+    with pytest.raises(RadicalError, match="character not defined on the whole stabilizer"):
+        radicalize(cover, alpha)
+    with pytest.raises(RadicalError, match="character not defined on the whole stabilizer"):
+        detect_higman(table, alpha)
+
+
 def test_decomposition_table_rejects_an_incomplete_stabilizer():
     cover, x = sl2_cover(5)
     # drop the unipotent part: the torus alone is not transitive on the
@@ -527,7 +541,7 @@ def test_decomposition_table_rejects_a_stabilizer_missing_one_element():
 
     cover, x = sl2_cover(5)
     table = HigmanDecompositionTable(cover, x)
-    dropped = table.elements[table.h.max()]
+    dropped = cover.stab.elements[table.h.max()]
     assert dropped != cover.ops.identity
     short = [g for g in cover.stab.elements if g != dropped]
     stab = FiniteGroup(cover.ops, short, small_generating_set(cover.ops, short))

@@ -63,7 +63,7 @@ def random_outside_stabilizer(cover, rng, word_length: int = 24):
         g = ops.identity
         for _ in range(word_length):
             g = ops.mul(g, rng.choice(gens))
-        if g not in cover.stab_set:
+        if g not in cover.stab:
             return g
 
 
