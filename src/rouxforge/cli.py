@@ -87,9 +87,12 @@ def _to_csv(payload: dict) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _complex_matrix_from_json(data: dict) -> np.ndarray:
@@ -374,6 +377,16 @@ def _verify_twograph_file(data: dict, args) -> int:
 # argument parsing
 
 
+def _tolerance(upper: float):
+    """argparse type of a tolerance flag: a float in (0, upper), which NaN and infinities are not."""
+    def tolerance(text: str) -> float:
+        value = float(text)
+        if not 0 < value < upper:
+            raise argparse.ArgumentTypeError(f"expected a finite number in (0, {upper:g}), got {text!r}")
+        return value
+    return tolerance
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rouxforge",
@@ -387,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--jobs", type=int, default=1, help="worker pool size for character sweeps")
     # only the commands that certify lines read the tolerances
     tolerances = argparse.ArgumentParser(add_help=False)
-    tolerances.add_argument("--tol-eig", type=float, default=None, help="relative eigenvalue clustering tolerance")
-    tolerances.add_argument("--tol-etf", type=float, default=None, help="frame certification tolerance")
+    tolerances.add_argument("--tol-eig", type=_tolerance(1.0), help="relative eigenvalue clustering tolerance, in (0, 1)")
+    tolerances.add_argument("--tol-etf", type=_tolerance(float("inf")), help="frame certification tolerance, finite and > 0")
 
     fam = sub.add_parser("family", parents=[shared, tolerances], help="run a built-in family pipeline")
     fam.add_argument("family", choices=("psl2", "psu3", "suzuki", "ree", "sp"))

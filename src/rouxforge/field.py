@@ -251,6 +251,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> FieldSpec:
+        if not isinstance(data, dict):
+            raise FieldError(f"field: expected an object, got {type(data).__name__}")
         irreducible = data.get("irreducible")
         if irreducible is not None:
             irreducible = [json_int(c, "irreducible") for c in irreducible]

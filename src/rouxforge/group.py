@@ -351,6 +351,16 @@ class GroupAction:
     ``group`` may be a FiniteGroup or any object with .ops/.generators;
     ``apply`` maps (element key, point) -> point.  The point set is stored
     sorted, so point indices are deterministic.
+
+    The action axioms hold by construction; tests re-check them with
+    ``oracles.check_action_axioms``.  Natural: (gh)[p] = g[h[p]].
+    Projective and isotropic: apply(g, p) = P(g p), P(v) the normalized
+    vector on the line of v, and P(c v) = P(v) for c != 0; matrix
+    generators are invertible (singular ones are refused), so h p != 0
+    and apply(gh, p) = apply(g, apply(h, p)).  The identity fixes every
+    normalized point.  An invertible g that maps the finite point set
+    into itself permutes it, and ``generator_perms``, which every orbit
+    walk reads, refuses a generator that moves a point off the set.
     """
 
     def __init__(self, group, points: Iterable, apply: Callable):
@@ -365,23 +375,6 @@ class GroupAction:
     def act(self, gkey, point):
         return self._apply(gkey, point)
 
-    def orbit(self, point) -> set:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            new = []
-            for p in frontier:
-                for g in self.group.generators:
-                    q = self._apply(g, p)
-                    if q not in seen:
-                        seen.add(q)
-                        new.append(q)
-            frontier = new
-        return seen
-
-    def is_transitive(self) -> bool:
-        return len(self.orbit(self.points[0])) == self.degree
-
     @cached_property
     def generator_perms(self) -> np.ndarray:
         """Row k lists the index of generators[k].p for each point p."""
@@ -392,35 +385,23 @@ class GroupAction:
             raise GroupError("a generator moves a point off the point set")
         return perms
 
-    def transversal(self, base) -> tuple[list, list]:
-        """Breadth-first transversal from point index ``base``: per point index
-        an element carrying base there (None off its orbit), and the search
-        tree as (child, parent, k), child element = generators[k] * parent's."""
+    def search_tree(self, base: int) -> list[tuple[int, int, int]]:
+        """Breadth-first search tree of the orbit of point index ``base``:
+        edges (child, parent, k), child = generators[k].parent, in the
+        order the points are reached; the orbit is base and the children."""
         perms = self.generator_perms.tolist()
-        reps = [None] * self.degree
-        reps[base] = self.group.ops.identity
-        tree, order = [], [base]
+        tree, order, reached = [], [base], {base}
         for p in order:
-            for k, g in enumerate(self.group.generators):
-                q = perms[k][p]
-                if reps[q] is None:
-                    reps[q] = self.group.ops.mul(g, reps[p])
+            for k, perm in enumerate(perms):
+                q = perm[p]
+                if q not in reached:
+                    reached.add(q)
                     tree.append((q, p, k))
                     order.append(q)
-        return reps, tree
+        return tree
 
-    def check_compatibility(self) -> None:
-        """Verify the action axioms on generators x all points."""
-        ops = self.group.ops
-        for p in self.points:
-            if self._apply(ops.identity, p) != p:
-                raise GroupError("identity does not act trivially")
-        gens, perms = self.group.generators, self.generator_perms
-        for g, g_perm in zip(gens, perms):
-            for h, h_perm in zip(gens, perms):
-                gh = ops.mul(g, h)
-                if [self._apply(gh, p) for p in self.points] != [self.points[i] for i in g_perm[h_perm]]:
-                    raise GroupError("action incompatible with multiplication")
+    def is_transitive(self) -> bool:
+        return len(self.search_tree(0)) == self.degree - 1
 
 
 def natural_permutation_action(G: FiniteGroup) -> GroupAction:
@@ -465,10 +446,7 @@ def is_doubly_transitive(action: GroupAction, stab: FiniteGroup) -> bool:
         raise GroupError("action is not transitive")
     if action.degree < 2:
         return False
-    base = action.points[0]
-    rest = [p for p in action.points if p != base]
-    sub = GroupAction(stab, rest, action._apply)
-    return len(sub.orbit(rest[0])) == len(rest)
+    return len(GroupAction(stab, action.points, action._apply).search_tree(1)) == action.degree - 2
 
 
 def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
@@ -639,9 +617,9 @@ def _json_count(data: dict, key: str) -> int:
 def parse_group_spec(data: dict) -> tuple:
     """Backend, generator keys, and name from a JSON group spec (no closure).
 
-    Every count, image and entry must be a JSON integer, and ``degree``
-    and ``dim`` at least 1; anything else raises ``GroupError``
-    (``FieldError`` inside the field spec).
+    Every count, image and entry must be a JSON integer, ``degree`` and
+    ``dim`` at least 1, and every matrix invertible; anything else raises
+    ``GroupError`` (``FieldError`` inside the field spec).
     """
     kind = data.get("kind")
     if kind == "permutation":
@@ -667,12 +645,18 @@ def parse_group_spec(data: dict) -> tuple:
                     raise FieldError("too many coefficients")
                 entries.append(spec.encode(coeffs))
             gens.append(tuple(tuple(entries[i * dim + j] for j in range(dim)) for i in range(dim)))
+            try:
+                ops.inv(gens[-1])
+            except GroupError:
+                raise GroupError(f"generator {len(gens) - 1} is a singular matrix") from None
         return ops, gens, data.get("name", "matrix group")
     raise GroupError(f"unknown group kind {kind!r}")
 
 
 def group_from_json(data: dict) -> FiniteGroup:
     """Build a group from its JSON spec; see README for the format."""
+    if not isinstance(data, dict):
+        raise GroupError(f"group spec: expected an object, got {type(data).__name__}")
     if data.get("kind") == "product":
         base = group_from_json(data["base"])
         return direct_product_with_cyclic(base, _json_count(data, "r"))

@@ -2,12 +2,13 @@
 
 Each function here recomputes, straight from a definition, something the
 library computes faster elsewhere or only proves: the closure of a
-generating set, double transitivity, double cosets and their
-decompositions, the per-cell roux, the parameter count over all of G0*
-and the Higman-pair test on all of G01*, the groups of a radicalization and the normalizer of
-H, the Higman-pair test and axioms, the roux identity and
-inverse-symmetry checked cell by cell, the idempotent Gram of a roux,
-and the two-graph of a real line sequence read off its triple products.
+generating set, the action axioms on generator products, double
+transitivity, double cosets and their decompositions, the per-cell
+roux, the parameter count over all of G0* and the Higman-pair test on
+all of G01*, the groups of a radicalization and the normalizer of H,
+the Higman-pair test and axioms, the roux identity and inverse-symmetry
+checked cell by cell, the idempotent Gram of a roux, and the two-graph
+of a real line sequence read off its triple products.
 Tests compare the fast paths against them on small cases, and
 ``gram_vectors`` builds their frame inputs.
 No other rouxforge module imports this one.
@@ -24,6 +25,7 @@ import numpy as np
 from .group import (
     FiniteGroup,
     GroupAction,
+    GroupError,
     direct_product_with_cyclic,
     is_doubly_transitive,
     stabilizer,
@@ -67,6 +69,22 @@ def closure_bfs(generators: Sequence, ops) -> FiniteGroup:
                     new.append(c)
         frontier = new
     return FiniteGroup(ops, els, generators)
+
+
+def check_action_axioms(action: GroupAction) -> None:
+    """The action axioms that ``GroupAction`` proves, checked on the points:
+    the identity fixes each, and g h acts as g after h for every pair of
+    generators (their point permutations composed)."""
+    ops, points = action.group.ops, action.points
+    for p in points:
+        if action.act(ops.identity, p) != p:
+            raise GroupError("identity does not act trivially")
+    gens, perms = action.group.generators, action.generator_perms
+    for g, g_perm in zip(gens, perms):
+        for h, h_perm in zip(gens, perms):
+            gh = ops.mul(g, h)
+            if [action.act(gh, p) for p in points] != [points[i] for i in g_perm[h_perm]]:
+                raise GroupError("action incompatible with multiplication")
 
 
 def is_doubly_transitive_bruteforce(action: GroupAction) -> bool:

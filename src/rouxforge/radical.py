@@ -62,11 +62,11 @@ class CoverData:
     ``action`` is the action of G* on the base point set (its kernel is
     the kernel of the covering projection, required central), and
     ``stab`` is the full stabilizer of ``base_point`` in G*.  The action
-    axioms are checked on the generators when the cover is built.
+    axioms hold by construction (see ``GroupAction``).
     """
 
     def __init__(self, action: GroupAction, stab: FiniteGroup, base_point=None):
-        action.check_compatibility()
+        action.generator_perms  # refuses a generator that moves a point off the set
         self.action = action
         self.stab = stab
         self.base_point = action.points[0] if base_point is None else base_point
@@ -96,9 +96,7 @@ class CoverData:
         The listed stabilizer lies in the stabilizer of b in G; by
         orbit-stabilizer it is all of it exactly when
         |stab| * |orbit(b)| = |G|.  The covering kernel fixes b, so it is
-        found among the stabilizer elements.  That the induced point
-        permutations multiply like the group is the action check that
-        ``__init__`` already ran on the generators.
+        found among the stabilizer elements.
         """
         b = self.base_point
         act = self.action.act
@@ -111,7 +109,8 @@ class CoverData:
         for s in self.stab.elements:
             if s not in G:
                 raise RadicalError("stabilizer element lies outside the group")
-        if len(self.stab.index) * len(self.action.orbit(b)) != G.order:
+        orbit = 1 + len(self.action.search_tree(self.action.points.index(b)))
+        if len(self.stab.index) * orbit != G.order:
             raise RadicalError("stabilizer list is incomplete")
         # central kernel
         points = self.action.points
@@ -232,13 +231,14 @@ class HigmanDecompositionTable:
 
         # monomial data: x_q^-1 g for every q is one batched product
         self.base_index = b = action.points.index(base)
-        self.reps, self.tree = action.transversal(b)
-        if None in self.reps:
+        self.tree = action.search_tree(b)
+        if len(self.tree) != n - 1:
             raise RadicalError("the action is not transitive")
         gens = action.group.generators
         ginvs = [ops.inv(g) for g in gens]
-        inv_reps = [ops.identity] * n
+        self.reps, inv_reps = [ops.identity] * n, [ops.identity] * n
         for q, p, k in self.tree:
+            self.reps[q] = ops.mul(gens[k], self.reps[p])
             inv_reps[q] = ops.mul(inv_reps[p], ginvs[k])
         inv_batch = ops.batch(inv_reps)
         on_tree = {(p, k) for _, p, k in self.tree}

@@ -257,19 +257,61 @@ F2_3X3_SPEC = {
         {"kind": "product", "base": S3_SPEC, "r": 2, "action": "isotropic"},
         {"kind": "product", "base": S3_SPEC, "r": 0, "action": "natural"},
         {"kind": "product", "base": S3_SPEC, "r": -2, "action": "natural"},
+        # diag(w, 1, 1) over F_4 moves isotropic lines off the isotropic set
+        {"kind": "matrix", "field": {"p": 2, "k": 2}, "dim": 3,
+         "generators": [[[0, 1], 0, 0, 0, 1, 0, 0, 0, 1]], "action": "isotropic"},
     ],
     ids=[
         "degree-0", "degree-neg", "dim-0", "dim-neg", "matrix-natural", "perm-projective",
         "perm-isotropic", "3x3-projective", "product", "product-natural", "product-isotropic",
-        "product-r-0", "product-r-neg",
+        "product-r-0", "product-r-neg", "isotropic-off-set",
     ],
 )
 def test_detect_spec_without_a_fitting_action_exit2(tmp_path, capsys, spec):
-    # a count below 1, or an action that does not fit the group kind, is
-    # malformed input rather than a traceback or an H1 failure
+    # a count below 1, an action that does not fit the group kind, or a
+    # generator that moves a point off the point set, is malformed input
+    # rather than a traceback or an H1 failure
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(["detect", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec,singular",
+    [
+        ({"kind": "matrix", "field": {"p": 3, "k": 1}, "dim": 2, "generators": [[1, 1, 1, 1]]}, 0),
+        (dict(SL25_SPEC, generators=SL25_SPEC["generators"] + [[1, 0, 0, 0]]), 2),
+    ],
+    ids=["rank-1", "sl25-plus-projection"],
+)
+def test_detect_singular_generator_exit2(tmp_path, capsys, spec, singular):
+    # a singular generator would close to a semigroup, not a group
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["detect", str(path)], capsys) == (2, "", f"error: generator {singular} is a singular matrix\n")
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        (["detect"], "[]"),
+        (["detect"], "5"),
+        (["detect"], '"x"'),
+        (["detect"], "null"),
+        (["detect"], json.dumps(dict(SL25_SPEC, field=5))),
+        (["detect"], json.dumps(dict(SL25_SPEC, field=[3]))),
+        (["detect"], json.dumps({"kind": "product", "base": [], "r": 2})),
+        (["verify", "--kind", "roux"], "[]"),
+    ],
+    ids=["list", "number", "string", "null", "field-number", "field-list", "product-base-list", "verify-list"],
+)
+def test_non_object_json_exit2(tmp_path, capsys, command, text):
+    # exit 1 would claim a failed certificate
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(command + [str(path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -573,6 +615,21 @@ def test_detect_takes_no_tolerance_flags(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["detect", str(path), flag, "1e-3"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--tol-eig", v) for v in ("nan", "inf", "2", "1", "0", "-1")] + [("--tol-etf", v) for v in ("nan", "inf", "0", "-1")],
+)
+@pytest.mark.parametrize("command", [["family", "psl2", "--q", "5"], ["verify", "unread.json", "--kind", "etf"]])
+def test_tolerance_flags_out_of_range_exit2(capsys, command, flag, value):
+    # refused while parsing: a rank of 0 or a certificate that always
+    # passes or always fails would follow from these values
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a finite number in (0, " in err
 
 
 def test_detect_character_cap_exit2(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from rouxforge.families import BitMatOps, isotropic_line_action, sl2_cover, su3_
 from rouxforge.group import (
     CapExceededError,
     FiniteGroup,
+    GroupAction,
     GroupError,
     LinearCharacter,
     MatOps,
@@ -27,7 +28,13 @@ from rouxforge.group import (
     small_generating_set,
     stabilizer,
 )
-from rouxforge.oracles import closure_bfs, double_coset_decomposition, is_doubly_transitive_bruteforce
+from rouxforge.oracles import (
+    check_action_axioms,
+    closure_bfs,
+    double_coset_decomposition,
+    is_doubly_transitive_bruteforce,
+)
+from rouxforge.radical import CoverData
 from util import materialized, record_calls, su33_bench_generators
 
 
@@ -247,9 +254,52 @@ def test_stabilizer_sl25_projective():
     assert stab.order == 20  # q(q-1)
 
 
+def su33_bench_spec():
+    """The benchmark's SU(3,3) generating set as a JSON group spec."""
+    ops, gens = su33_bench_generators()
+    entries = [[list(ops.spec.decode(e)) for row in g for e in row] for g in gens]
+    return {"kind": "matrix", "field": {"p": 3, "k": 2}, "dim": 3, "generators": entries}
+
+
 def test_action_compatibility():
+    # every kind of action production builds satisfies the axioms that
+    # GroupAction proves instead of checking
+    S4 = closure([(1, 0, 2, 3), (1, 2, 3, 0)], PermOps(4), name="S4")
+    A5 = closure([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], PermOps(5), name="A5")
+    actions = [natural_permutation_action(S4), natural_permutation_action(A5)]
+    actions += [sl2_cover(q)[0].action for q in (5, 7, 13, 31)]
+    actions += [su3_cover(q)[0].action for q in (3, 4)]
+    actions.append(isotropic_line_action(group_from_json(su33_bench_spec())))
+    for action in actions:
+        check_action_axioms(action)
+
+
+def test_action_axioms_oracle_rejects_a_non_action():
+    G = s3()
+    square = GroupAction(G, range(3), lambda g, p: g[g[p]])  # g -> g^2 is no homomorphism of S3
+    with pytest.raises(GroupError, match="incompatible"):
+        check_action_axioms(square)
+
+
+def test_orbit_walks_read_the_cached_point_permutations():
+    # building the cover applies each generator to each point once;
+    # after that the orbit walks apply nothing
     G = sl2(5)
-    projective_line_action(G).check_compatibility()
+    inner = projective_line_action(G)
+    stab = stabilizer(inner, inner.points[0])
+    calls = []
+
+    def apply(g, p):
+        calls.append((g, p))
+        return inner.act(g, p)
+
+    action = GroupAction(G, inner.points, apply)
+    CoverData(action, stab)
+    assert len(calls) == len(G.generators) * action.degree
+    calls.clear()
+    assert action.is_transitive()
+    assert len(action.search_tree(3)) == action.degree - 1
+    assert calls == []
 
 
 def doubly_transitive(action):

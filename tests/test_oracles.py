@@ -137,3 +137,58 @@ def test_dead_members_flags_members_only_tests_reach(tmp_path):
 
 def test_no_production_member_is_dead():
     assert dead_members(PACKAGE) == []
+
+
+def loaded_names(tree: ast.AST) -> set:
+    """Names a module loads, bare or as ``oracles.name``."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "oracles"
+    }
+
+
+def unreached_oracles(oracles: Path, tests: list[Path]) -> list[str]:
+    """Module-level functions and classes of ``oracles`` that no test
+    reaches, directly or through another oracle that a test reaches.  A
+    test reaches a name by loading it; an import alone does not count."""
+    defs = {
+        node.name: loaded_names(node)
+        for node in ast.parse(oracles.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    used = set().union(*(loaded_names(ast.parse(path.read_text())) for path in tests))
+    reached = frontier = used & set(defs)
+    while frontier:
+        frontier = set().union(*(defs[name] for name in frontier)) & set(defs) - reached
+        reached = reached | frontier
+    return sorted(set(defs) - reached)
+
+
+def test_unreached_oracles_follows_oracles_through_each_other(tmp_path):
+    (tmp_path / "oracles.py").write_text(
+        "def used():\n"
+        "    return helper()\n"
+        "\n"
+        "def helper():\n"  # reached only through used
+        "    return 1\n"
+        "\n"
+        "def imported_only():\n"
+        "    return 2\n"
+        "\n"
+        "class Orphan:\n"
+        "    pass\n"
+    )
+    (tmp_path / "test_it.py").write_text(
+        "from oracles import imported_only, used\n"
+        "\n"
+        "def test_it():\n"
+        "    assert used() == 1\n"
+    )
+    assert unreached_oracles(tmp_path / "oracles.py", [tmp_path / "test_it.py"]) == ["Orphan", "imported_only"]
+
+
+def test_every_oracle_is_reached_from_a_test():
+    # code moved into the oracles keeps a user, so it cannot rot unseen
+    tests = sorted(Path(__file__).parent.glob("test_*.py"))
+    assert unreached_oracles(PACKAGE / "oracles.py", tests) == []
