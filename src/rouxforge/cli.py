@@ -13,11 +13,13 @@ output.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,12 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise InputError(f"{path} does not hold a JSON object")
     return data
+
+
+def _input_error(exc: Exception) -> None:
+    """One ``error:`` line for an input file the command cannot read."""
+    text = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    print(f"error: {text}", file=sys.stderr)
 
 
 def _complex_matrix_from_json(data: dict) -> np.ndarray:
@@ -210,6 +218,9 @@ def cmd_detect(args) -> int:
     try:
         G = group_from_json(data)
         action = _action_for(G, action_kind)
+        # first: it needs no transitivity, and the H1 checks below reuse
+        # the generators' point permutations it reads
+        stab = stabilizer(action, action.points[0])
         if not action.is_transitive():
             print("error: action is not transitive (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
@@ -217,7 +228,6 @@ def cmd_detect(args) -> int:
             # radicalize's normalizer identity N(H) = G0* x C_r needs n >= 3
             print("error: action has fewer than 3 points (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
-        stab = stabilizer(action, action.points[0])
         if not is_doubly_transitive(action, stab):
             print("error: action is not doubly transitive (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
@@ -225,7 +235,7 @@ def cmd_detect(args) -> int:
         cover.verify()
         chars = enumerate_linear_characters(cover.stab)
     except (KeyError, TypeError, ValueError) as exc:  # GroupError and InputError included
-        print(f"error: {exc}", file=sys.stderr)
+        _input_error(exc)
         return EXIT_INPUT
 
     if args.character_index is not None:
@@ -237,7 +247,8 @@ def cmd_detect(args) -> int:
         wanted = list(enumerate(chars))
 
     x = cover.first_outside_stabilizer()
-    x_index = G.index[x]
+    # x's index in sorted G: every element of G below x lies in the stabilizer
+    x_index = bisect.bisect_left(cover.stab.elements, x)
     table = HigmanDecompositionTable(cover, x)
 
     def run(item):
@@ -306,7 +317,7 @@ def cmd_verify(args) -> int:
             return _verify_twograph_file(data, args)
         raise InputError(f"unknown kind {kind!r}")
     except (InputError, RouxFormatError, lines.TwoGraphFormatError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _input_error(exc)
         return EXIT_INPUT
 
 
@@ -387,6 +398,7 @@ def _tolerance(upper: float):
     return tolerance
 
 
+@cache  # parsing reads the parser and never changes it, so in-process calls share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rouxforge",

@@ -183,18 +183,45 @@ class ProductOps:
 
 
 class FiniteGroup:
-    """An enumerated finite group: sorted canonical keys plus an index map."""
+    """An enumerated finite group: canonical keys, sorted on first read.
 
-    def __init__(self, ops, elements: Iterable, generators: Sequence, name: str = ""):
+    The group keeps the list of keys it was given.  ``in``, ``order`` and
+    ``len`` never sort it; ``elements`` sorts it in place the first time
+    it is read, and ``index`` enumerates the sorted list.  Membership is
+    answered by a set of the keys until the index exists, and by the index
+    after that, so a group never holds both.
+    """
+
+    def __init__(self, ops, elements: Iterable, generators: Sequence, name: str = "", members: Optional[set] = None):
         self.ops = ops
-        self.elements = sorted(elements)
-        self.index = {k: i for i, k in enumerate(self.elements)}
+        self._list = elements if isinstance(elements, list) else list(elements)
+        self._set = members  # a set of the same keys, when the caller has one
         self.generators = list(generators)
         self.name = name
 
+    @cached_property
+    def elements(self) -> list:
+        self._list.sort()
+        return self._list
+
+    @cached_property
+    def index(self) -> dict:
+        self._set = None  # the index answers membership from now on
+        return {k: i for i, k in enumerate(self.elements)}
+
+    @property
+    def members(self):
+        """The keys as a set-like view, for membership and set algebra
+        without sorting: the index's keys once it exists, else a set."""
+        if "index" in self.__dict__:
+            return self.index.keys()
+        if self._set is None:
+            self._set = set(self._list)
+        return self._set
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._list)
 
     @property
     def identity(self):
@@ -207,13 +234,13 @@ class FiniteGroup:
         return self.ops.inv(a)
 
     def __contains__(self, key) -> bool:
-        return key in self.index
+        return key in self.members
 
     def __iter__(self) -> Iterator:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -306,8 +333,7 @@ def closure(generators: Sequence, ops, cap: int = CLOSURE_CAP, name: str = "") -
                 if c not in members:
                     reps.append(c)
                     add_coset(c)
-    members.clear()  # lowers peak memory while FiniteGroup sorts and indexes
-    return FiniteGroup(ops, elements, generators, name=name)
+    return FiniteGroup(ops, elements, generators, name=name, members=members)
 
 
 def greedy_closure(ops, elements: Sequence) -> FiniteGroup:
@@ -431,12 +457,44 @@ def projective_line_action(G: FiniteGroup) -> GroupAction:
 
 
 def stabilizer(action: GroupAction, point) -> FiniteGroup:
-    """Point stabilizer {g : g.point = point}, by full enumeration."""
+    """Point stabilizer {g : g.point = point}, closed from its Schreier
+    generators; no element is applied to a point beyond the cached
+    ``generator_perms``.
+
+    Schreier's lemma.  Let b be the point's index, g_k the generators,
+    pi_k their point permutations, and t_j the transversal along the
+    search tree of b's orbit: t_b = 1 and t_q = g_k t_p on a tree edge
+    (q, p, k), so t_j.b = j.  Each s_{jk} = t_{pi_k j}^{-1} g_k t_j fixes
+    b, since g_k t_j.b = pi_k j = t_{pi_k j}.b.  Conversely, an element s
+    fixing b is a word g_{k_m} ... g_{k_1} (in a finite group every
+    inverse is a word too).  With j_0 = b and j_i = pi_{k_i} j_{i-1},
+    inserting t_{j_i} t_{j_i}^{-1} between the letters gives
+    s = t_{j_m} s_{j_{m-1} k_m} ... s_{j_0 k_1} t_{j_0}^{-1}, and
+    t_{j_0} = t_{j_m} = 1 because j_m = s.b = b.  So the s_{jk} generate
+    the stabilizer.  On a tree edge, t_{pi_k j} = g_k t_j and s_{jk} = 1,
+    so those pairs are skipped.
+    """
     G = action.group
     if not isinstance(G, FiniteGroup):
         raise GroupError("stabilizer requires an enumerated group")
-    members = [g for g in G.elements if action.act(g, point) == point]
-    return G.subgroup(members)
+    ops, gens = G.ops, G.generators
+    b = action.points.index(point)
+    perms = action.generator_perms.tolist()
+    tree = action.search_tree(b)
+    reps, inv_reps = {b: ops.identity}, {b: ops.identity}
+    ginvs = [ops.inv(g) for g in gens]
+    for q, p, k in tree:
+        reps[q] = ops.mul(gens[k], reps[p])
+        inv_reps[q] = ops.mul(inv_reps[p], ginvs[k])
+    on_tree = {(p, k) for _, p, k in tree}
+    # t_q^-1 g_k for every orbit point q: one batched product per generator
+    orbit = list(inv_reps)
+    batch = ops.batch([inv_reps[q] for q in orbit])
+    schreier = []
+    for k, g in enumerate(gens):
+        left = dict(zip(orbit, ops.batch_mul(batch, g)))
+        schreier += [ops.mul(left[perms[k][j]], t) for j, t in reps.items() if (j, k) not in on_tree]
+    return G.subgroup(closure(schreier, ops).elements)
 
 
 def is_doubly_transitive(action: GroupAction, stab: FiniteGroup) -> bool:

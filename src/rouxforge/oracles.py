@@ -87,6 +87,12 @@ def check_action_axioms(action: GroupAction) -> None:
                 raise GroupError("action incompatible with multiplication")
 
 
+def stabilizer_scan(action: GroupAction, point) -> FiniteGroup:
+    """Point stabilizer by definition: act with every element on the point."""
+    G = action.group
+    return G.subgroup([g for g in G.elements if action.act(g, point) == point])
+
+
 def is_doubly_transitive_bruteforce(action: GroupAction) -> bool:
     """Definition-level oracle: every ordered pair maps to every other."""
     G = action.group

@@ -82,36 +82,43 @@ class CoverData:
         return self.action.degree
 
     def first_outside_stabilizer(self):
+        """The least element of G outside the stabilizer, found without sorting G."""
         G = self.group
         if G is None:
             raise RadicalError("cover group not materialized")
-        for g in G.elements:
-            if g not in self.stab:
-                return g
-        raise RadicalError("group equals its stabilizer")
+        outside = G.members - self.stab.members
+        if not outside:
+            raise RadicalError("group equals its stabilizer")
+        return min(outside)
 
     def verify(self) -> None:
         """Check the covering invariants (materialized covers only).
 
-        The listed stabilizer lies in the stabilizer of b in G; by
-        orbit-stabilizer it is all of it exactly when
-        |stab| * |orbit(b)| = |G|.  The covering kernel fixes b, so it is
-        found among the stabilizer elements.
+        With G materialized, the listed keys must lie in G, and
+        |stab| * |orbit(b)| = |G|.  Then ``stab.generator_table`` (cached;
+        the characters read it next) proves that the listed elements are
+        closed under right products by the generators and reached from the
+        identity by them: the list is exactly the subgroup the generators
+        generate, without repeats.  If every generator fixes b, every word
+        in them does, so the list is a subgroup of the stabilizer of b in
+        G, and by orbit-stabilizer the count makes it the whole
+        stabilizer.  The covering kernel fixes b, so it is found among the
+        stabilizer elements.
         """
         b = self.base_point
         act = self.action.act
-        for s in self.stab.elements:
-            if act(s, b) != b:
-                raise RadicalError("stabilizer element moves the base point")
         G = self.group
+        if G is not None:
+            if not self.stab.members <= G.members:
+                raise RadicalError("stabilizer element lies outside the group")
+            orbit = 1 + len(self.action.search_tree(self.action.points.index(b)))
+            if self.stab.order * orbit != G.order:
+                raise RadicalError("stabilizer list is incomplete")
+        self.stab.generator_table
+        if any(act(s, b) != b for s in self.stab.generators):
+            raise RadicalError("stabilizer element moves the base point")
         if G is None:
             return
-        for s in self.stab.elements:
-            if s not in G:
-                raise RadicalError("stabilizer element lies outside the group")
-        orbit = 1 + len(self.action.search_tree(self.action.points.index(b)))
-        if len(self.stab.index) * orbit != G.order:
-            raise RadicalError("stabilizer list is incomplete")
         # central kernel
         points = self.action.points
         kernel = [s for s in self.stab.elements if all(act(s, p) == p for p in points)]

@@ -23,6 +23,9 @@ IDEMPOTENT_TOL = 1e-9
 VERIFY_ROW_BLOCK = 64
 # float32 holds every integer up to 2^24 exactly.
 FLOAT32_EXACT_MAX = 2**24
+# Largest float32 indicator array, 4 n^2 r bytes, that verify_roux may
+# allocate for a roux read from a file.
+VERIFY_BYTES_MAX = 2**30
 
 
 class RouxFormatError(ValueError):
@@ -84,7 +87,8 @@ class RouxMatrix:
         """Parse ``{"n": n, "r": r, "entries": n rows of n cells}``, each
         cell null or an integer exponent.
 
-        A file that is not such a grid raises ``RouxFormatError``.  A
+        A file that is not such a grid, or whose verification would take
+        more than ``VERIFY_BYTES_MAX`` bytes, raises ``RouxFormatError``.  A
         non-zero diagonal cell or a missing off-diagonal cell raises
         ``RouxAxiomError`` at the first such cell in row-major order.
         """
@@ -92,6 +96,10 @@ class RouxMatrix:
         for name, value in (("n", n), ("r", r)):
             if type(value) is not int or value < 1:
                 raise RouxFormatError(f"{name} must be a positive integer, got {value!r}")
+        if 4 * n * n * r > VERIFY_BYTES_MAX:
+            raise RouxFormatError(
+                f"n = {n} and r = {r} need {4 * n * n * r} bytes to verify, above {VERIFY_BYTES_MAX}"
+            )
         cells = np.array(data["entries"], dtype=object)
         if cells.shape != (n, n):
             raise RouxFormatError(f"entries must be {n} rows of {n} cells")

@@ -419,6 +419,54 @@ def test_verify_malformed_roux_file_exit2(tmp_path, capsys, blob):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def without(blob: dict, key: str) -> dict:
+    return {k: v for k, v in blob.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command,blob,key",
+    [
+        ("detect", dict(SL25_SPEC, field={"k": 1}), "p"),
+        ("detect", dict(SL25_SPEC, field={"p": 5}), "k"),
+        ("detect", without(S3_SPEC, "generators"), "generators"),
+        ("detect", without(SL25_SPEC, "dim"), "dim"),
+        ("roux", without(PALEY6, "r"), "r"),
+        ("roux", without(PALEY6, "entries"), "entries"),
+        ("signature", {"entries": [[1.0, 0.0]]}, "n"),
+    ],
+    ids=["field-p", "field-k", "generators", "dim", "roux-r", "roux-entries", "signature-n"],
+)
+def test_missing_required_key_exit2_naming_it(tmp_path, capsys, command, blob, key):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(blob))
+    argv = ["detect", str(path)] if command == "detect" else ["verify", str(path), "--kind", command]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: missing key '{key}'\n"
+
+
+@pytest.mark.parametrize("n,r", [(3, 10**9), (40, 10**8)])
+def test_verify_roux_too_large_to_verify_exit2_at_once(tmp_path, capsys, n, r):
+    # verification would need 4 n^2 r bytes: 33.5 GiB and 596 GiB
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "r": r, "entries": [[None if i == j else 0 for j in range(n)] for i in range(n)]}))
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path), "--kind", "roux"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "bytes" in err and err.count("\n") == 1
+
+
+def test_verify_paley29_over_c400(tmp_path, capsys):
+    # a large r within the bound still verifies
+    path = tmp_path / "paley29.json"
+    path.write_text(json.dumps(roux_json(RouxMatrix(30, 400, np.array(paley_exponents(29)) * 100))))
+    code, out, _ = run(["verify", str(path), "--kind", "roux"], capsys)
+    assert code == 0
+    c = json.loads(out)["params"]["c"]
+    assert (c[0], c[200], sum(c)) == (14, 14, 28)
+
+
 def test_verify_roux_r1_faults_keep_exit1_and_cell(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for cell, value, message in [

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -33,8 +34,9 @@ from rouxforge.oracles import (
     closure_bfs,
     double_coset_decomposition,
     is_doubly_transitive_bruteforce,
+    stabilizer_scan,
 )
-from rouxforge.radical import CoverData
+from rouxforge.radical import CoverData, RadicalError
 from util import materialized, record_calls, su33_bench_generators
 
 
@@ -254,6 +256,92 @@ def test_stabilizer_sl25_projective():
     assert stab.order == 20  # q(q-1)
 
 
+def check_stabilizers_against_the_scan(action):
+    """Every point's Schreier stabilizer against the element scan, and the
+    detector's x (the least element outside it, found without sorting the
+    group) and its index in the sorted group against their definitions."""
+    G = action.group
+    found = []
+    for point in action.points:
+        cover = CoverData(action, stabilizer(action, point), point)
+        if cover.stab.order < G.order:
+            found.append((point, cover.stab, cover.first_outside_stabilizer()))
+        else:
+            with pytest.raises(RadicalError, match="equals its stabilizer"):
+                cover.first_outside_stabilizer()
+            found.append((point, cover.stab, None))
+    assert unsorted(G)
+    for point, stab, x in found:
+        scan = stabilizer_scan(action, point)
+        assert stab.elements == scan.elements
+        assert stab.generators == scan.generators
+        if x is not None:
+            assert x == next(g for g in G.elements if g not in scan)
+            # the report's key index: G's elements below x all lie in the stabilizer
+            assert bisect.bisect_left(stab.elements, x) == G.elements.index(x)
+
+
+def su33_bench_action():
+    ops, gens = su33_bench_generators()
+    return isotropic_line_action(closure(gens, ops))
+
+
+STABILIZER_ACTIONS = {
+    **{f"sl2_q{q}_projective": (lambda q=q: projective_line_action(sl2(q))) for q in (5, 7, 9)},
+    "su33_bench_isotropic": su33_bench_action,
+    "A5_natural": lambda: natural_permutation_action(closure([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], PermOps(5))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STABILIZER_ACTIONS))
+def test_stabilizer_matches_the_scan(case):
+    check_stabilizers_against_the_scan(STABILIZER_ACTIONS[case]())
+
+
+def test_stabilizer_applies_no_element_once_the_point_permutations_are_cached():
+    inner = su33_bench_action()
+    calls = []
+
+    def apply(g, p):
+        calls.append((g, p))
+        return inner.act(g, p)
+
+    action = GroupAction(inner.group, inner.points, apply)
+    action.generator_perms
+    calls.clear()
+    assert stabilizer(action, action.points[0]).order == 216
+    assert calls == []
+
+
+def unsorted(G) -> bool:
+    return not {"elements", "index"} & vars(G).keys()
+
+
+def test_a_closed_group_sorts_on_first_read():
+    G = sl2(7)
+    assert unsorted(G)
+    assert G.order == len(G) == 336
+    assert G.identity in G and ((1, 2), (0, 1)) in G and ((2, 0), (0, 2)) not in G
+    assert unsorted(G)
+    keys = list(G.members)
+    assert G.elements == sorted(keys)
+    assert not unsorted(G) and "index" not in vars(G)
+    assert G.index == {k: i for i, k in enumerate(sorted(keys))}
+    assert type(G.members) is type({}.keys())  # the index answers membership; no set is kept
+    assert ((1, 2), (0, 1)) in G and ((2, 0), (0, 2)) not in G
+    # the order counts the given list
+    assert FiniteGroup(G.ops, [G.identity, G.identity], [G.identity]).order == 2
+
+
+def test_the_symplectic_witness_leaves_its_groups_unsorted(monkeypatch):
+    # greedy_closure's closures, O+(6,2) and its derived subgroup: the
+    # witness reads their orders only
+    closed = record_calls(monkeypatch, group, "closure")
+    symplectic_witness(3, +1)
+    assert sorted({G.order for G in closed})[-2:] == [20160, 40320]
+    assert all(unsorted(G) for G in closed)
+
+
 def su33_bench_spec():
     """The benchmark's SU(3,3) generating set as a JSON group spec."""
     ops, gens = su33_bench_generators()
@@ -452,9 +540,15 @@ def test_characters_match_the_derived_subgroup_on_permutation_groups(G):
     check_characters_against_the_derived_subgroup(G)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_permutation_groups())
+def test_stabilizer_matches_the_scan_on_permutation_groups(G):
+    # every point is a base point, transitive action or not
+    check_stabilizers_against_the_scan(natural_permutation_action(G))
+
+
 def su33_bench_stabilizer():
-    ops, gens = su33_bench_generators()
-    action = isotropic_line_action(closure(gens, ops))
+    action = su33_bench_action()
     return stabilizer(action, action.points[0])
 
 
