@@ -35,7 +35,7 @@ from .group import (
     projective_line_action,
     stabilizer,
 )
-from .radical import CoverData, HigmanDecompositionTable, RadicalError, higman_roux
+from .radical import CertificateError, CoverData, HigmanDecompositionTable, RadicalError, higman_roux
 from .roux import (
     RouxAxiomError,
     RouxFormatError,
@@ -149,6 +149,9 @@ def cmd_family(args) -> int:
     except (families.FamilyError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except families.LineSetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERT_FAIL
 
     payload = report.to_json()
     if name in ("psl2", "psu3") and args.r_prime:
@@ -219,8 +222,9 @@ def cmd_detect(args) -> int:
         G = group_from_json(data)
         action = _action_for(G, action_kind)
         # first: it needs no transitivity, and the H1 checks below reuse
-        # the generators' point permutations it reads
-        stab = stabilizer(action, action.points[0])
+        # the generators' point permutations it reads and the cover's
+        # stabilizer action
+        cover = CoverData(action, stabilizer(action, action.points[0]))
         if not action.is_transitive():
             print("error: action is not transitive (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
@@ -228,10 +232,9 @@ def cmd_detect(args) -> int:
             # radicalize's normalizer identity N(H) = G0* x C_r needs n >= 3
             print("error: action has fewer than 3 points (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
-        if not is_doubly_transitive(action, stab):
+        if not is_doubly_transitive(action, cover.stab_action):
             print("error: action is not doubly transitive (H1 fails)", file=sys.stderr)
             return EXIT_NOT_2TRANSITIVE
-        cover = CoverData(action, stab)
         cover.verify()
         chars = enumerate_linear_characters(cover.stab)
     except (KeyError, TypeError, ValueError) as exc:  # GroupError and InputError included
@@ -446,6 +449,9 @@ def main(argv=None) -> int:
         lines.ETF_TOL = args.tol_etf
     try:
         return args.func(args)
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERT_FAIL
     except (InputError, RadicalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -33,6 +33,7 @@ from .group import (
 )
 from .lines import (
     ETFCertificate,
+    LinesError,
     gram_from_signature,
     is_real_line_sequence,
     naimark_complement,
@@ -67,6 +68,11 @@ class FamilyError(ValueError):
 
 class UnsupportedFamilyError(FamilyError):
     """Family input outside the supported desk-scale range."""
+
+
+class LineSetError(ValueError):
+    """A line set failed its numeric certificate: a failed certificate,
+    not an input error."""
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -341,18 +347,21 @@ def trivial_parameters_closed_form(n: int) -> RouxParameters:
 # shared pipeline pieces
 
 
-def _line_set_records(B: RouxMatrix, params: RouxParameters) -> list[LineSetRecord]:
-    """Certify the lines of every character of a (working) roux."""
+def _line_set_records(B: RouxMatrix, params: RouxParameters, index: int) -> list[LineSetRecord]:
+    """Certify the lines of every character k of a (working) roux built
+    from character ``index``; a set the lines layer refuses raises
+    LineSetError naming both."""
     records = []
     n, r = B.n, B.r
     for k in range(r):
         plus, minus = idempotent_data(params, k)
         S = signature_matrix(B, k)
-        gram = gram_from_signature(S)
-        cert = verify_etf(gram)
-        comp_cert = None
-        if gram.d < n:
-            comp_cert = verify_etf(naimark_complement(gram))
+        try:
+            gram = gram_from_signature(S)
+            cert = verify_etf(gram)
+            comp_cert = verify_etf(naimark_complement(gram)) if gram.d < n else None
+        except LinesError as exc:
+            raise LineSetError(f"character {index}, k = {k}: {exc}") from exc
         records.append(
             LineSetRecord(
                 k=k,
@@ -399,7 +408,7 @@ def _process_character(
     block.working_r = working.r
     block.working_params = list(working_params.coeffs)
     block.idempotents = idempotent_report(working_params)
-    block.line_sets = _line_set_records(working, working_params)
+    block.line_sets = _line_set_records(working, working_params, index)
     return block
 
 

@@ -278,6 +278,28 @@ class FiniteGroup:
             raise GroupError("the generators do not generate the group")
         return table
 
+    @cached_property
+    def cayley_tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """A breadth-first spanning tree of the Cayley graph (edges
+        b -> b g_k) from the identity, read off ``generator_table`` layer by
+        layer: each layer's new element indices, their parents' and the
+        generators' indices, so a parent's layer comes before its child's."""
+        table = self.generator_table
+        t = len(table)
+        seen = np.zeros(self.order, dtype=bool)
+        frontier = np.array([self.index[self.identity]])
+        seen[frontier] = True
+        layers = []
+        while frontier.size:
+            parents = np.tile(frontier, t)
+            gens = np.repeat(np.arange(t), frontier.size)
+            frontier, first = np.unique(table[gens, parents], return_index=True)
+            new = ~seen[frontier]
+            frontier, first = frontier[new], first[new]
+            seen[frontier] = True
+            layers.append((frontier, parents[first], gens[first]))
+        return layers
+
 
 class GeneratedGroup:
     """A group carrier that is never enumerated: backend plus generators.
@@ -393,6 +415,7 @@ class GroupAction:
         self.group = group
         self.points = sorted(points)
         self._apply = apply
+        self._transversals: dict = {}
 
     @property
     def degree(self) -> int:
@@ -402,9 +425,13 @@ class GroupAction:
         return self._apply(gkey, point)
 
     @cached_property
+    def point_index(self) -> dict:
+        return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
     def generator_perms(self) -> np.ndarray:
         """Row k lists the index of generators[k].p for each point p."""
-        index = {p: i for i, p in enumerate(self.points)}
+        index = self.point_index
         perms = [[index.get(self._apply(g, p), -1) for p in self.points] for g in self.group.generators]
         perms = np.array(perms, dtype=np.intp).reshape(len(perms), self.degree)
         if (perms < 0).any():
@@ -426,8 +453,70 @@ class GroupAction:
                     order.append(q)
         return tree
 
+    def transversal(self, base: int, root=None) -> Transversal:
+        """The Schreier transversal of point index ``base``'s orbit with
+        t_base = ``root`` (default the identity), built once per action,
+        base and root."""
+        if (base, root) not in self._transversals:
+            self._transversals[base, root] = Transversal(self, base, root)
+        return self._transversals[base, root]
+
     def is_transitive(self) -> bool:
         return len(self.search_tree(0)) == self.degree - 1
+
+
+class Transversal:
+    """The Schreier transversal of one orbit, and its Schreier products.
+
+    Let b be the base point's index, g_k the generators and pi_k their
+    point permutations.  Along ``tree`` = ``action.search_tree(b)``,
+    t_b = 1 and t_q = g_k t_p on a tree edge (q, p, k), so t_j.b = j;
+    ``reps`` and ``inv_reps`` hold t_j and t_j^{-1} for each orbit point j
+    in the order it is reached, at one product each per tree edge.
+    ``off_tree`` lists the other edges (j, k), point by point and then by
+    generator, and ``schreier`` their products s_jk = t_{pi_k j}^{-1} g_k t_j.
+
+    Schreier's lemma: the s_jk generate the stabilizer of b.  Each fixes
+    b, since g_k t_j.b = pi_k j = t_{pi_k j}.b.  Conversely, an element s
+    fixing b is a word g_{k_m} ... g_{k_1} (in a finite group every
+    inverse is a word too).  With j_0 = b and j_i = pi_{k_i} j_{i-1},
+    inserting t_{j_i} t_{j_i}^{-1} between the letters gives
+    s = t_{j_m} s_{j_{m-1} k_m} ... s_{j_0 k_1} t_{j_0}^{-1}, and
+    t_{j_0} = t_{j_m} = 1 because j_m = s.b = b.  On a tree edge,
+    t_{pi_k j} = g_k t_j and s_jk = 1, so only the off-tree products are
+    formed.
+
+    With a root r, t_b = r and every t_j and s_jk above is multiplied by r
+    on the right and r^{-1} on the left: the products are the conjugates
+    r^{-1} s_jk r, which generate r^{-1} Stab(b) r, and t_j carries the
+    point r^{-1}.b to j.
+    """
+
+    def __init__(self, action: GroupAction, base: int, root=None):
+        ops, gens = action.group.ops, action.group.generators
+        # no reference back to the action, which caches this object: a
+        # cycle would keep both alive until the cyclic collector runs
+        self.base, self._ops, self._gens, self._perms = base, ops, gens, action.generator_perms
+        self.tree = action.search_tree(base)
+        self.reps = {base: ops.identity if root is None else root}
+        self.inv_reps = {base: ops.identity if root is None else ops.inv(root)}
+        ginvs = [ops.inv(g) for g in gens]
+        for q, p, k in self.tree:
+            self.reps[q] = ops.mul(gens[k], self.reps[p])
+            self.inv_reps[q] = ops.mul(self.inv_reps[p], ginvs[k])
+        on_tree = {(p, k) for _, p, k in self.tree}
+        self.off_tree = [(j, k) for j in self.reps for k in range(len(gens)) if (j, k) not in on_tree]
+
+    @cached_property
+    def schreier(self) -> list:
+        """s_jk for each off-tree edge, in ``off_tree`` order: t_q^{-1} g_k
+        for every orbit point q is one batched product per generator, then
+        one product per edge."""
+        ops, gens, perms = self._ops, self._gens, self._perms.tolist()
+        orbit = list(self.inv_reps)
+        batch = ops.batch(list(self.inv_reps.values()))
+        left = [dict(zip(orbit, ops.batch_mul(batch, g))) for g in gens]
+        return [ops.mul(left[k][perms[k][j]], self.reps[j]) for j, k in self.off_tree]
 
 
 def natural_permutation_action(G: FiniteGroup) -> GroupAction:
@@ -457,54 +546,27 @@ def projective_line_action(G: FiniteGroup) -> GroupAction:
 
 
 def stabilizer(action: GroupAction, point) -> FiniteGroup:
-    """Point stabilizer {g : g.point = point}, closed from its Schreier
-    generators; no element is applied to a point beyond the cached
-    ``generator_perms``.
-
-    Schreier's lemma.  Let b be the point's index, g_k the generators,
-    pi_k their point permutations, and t_j the transversal along the
-    search tree of b's orbit: t_b = 1 and t_q = g_k t_p on a tree edge
-    (q, p, k), so t_j.b = j.  Each s_{jk} = t_{pi_k j}^{-1} g_k t_j fixes
-    b, since g_k t_j.b = pi_k j = t_{pi_k j}.b.  Conversely, an element s
-    fixing b is a word g_{k_m} ... g_{k_1} (in a finite group every
-    inverse is a word too).  With j_0 = b and j_i = pi_{k_i} j_{i-1},
-    inserting t_{j_i} t_{j_i}^{-1} between the letters gives
-    s = t_{j_m} s_{j_{m-1} k_m} ... s_{j_0 k_1} t_{j_0}^{-1}, and
-    t_{j_0} = t_{j_m} = 1 because j_m = s.b = b.  So the s_{jk} generate
-    the stabilizer.  On a tree edge, t_{pi_k j} = g_k t_j and s_{jk} = 1,
-    so those pairs are skipped.
-    """
+    """Point stabilizer {g : g.point = point}, closed from the Schreier
+    products of the point's transversal (see ``Transversal``); no element
+    is applied to a point beyond the cached ``generator_perms``."""
     G = action.group
     if not isinstance(G, FiniteGroup):
         raise GroupError("stabilizer requires an enumerated group")
-    ops, gens = G.ops, G.generators
-    b = action.points.index(point)
-    perms = action.generator_perms.tolist()
-    tree = action.search_tree(b)
-    reps, inv_reps = {b: ops.identity}, {b: ops.identity}
-    ginvs = [ops.inv(g) for g in gens]
-    for q, p, k in tree:
-        reps[q] = ops.mul(gens[k], reps[p])
-        inv_reps[q] = ops.mul(inv_reps[p], ginvs[k])
-    on_tree = {(p, k) for _, p, k in tree}
-    # t_q^-1 g_k for every orbit point q: one batched product per generator
-    orbit = list(inv_reps)
-    batch = ops.batch([inv_reps[q] for q in orbit])
-    schreier = []
-    for k, g in enumerate(gens):
-        left = dict(zip(orbit, ops.batch_mul(batch, g)))
-        schreier += [ops.mul(left[perms[k][j]], t) for j, t in reps.items() if (j, k) not in on_tree]
-    return G.subgroup(closure(schreier, ops).elements)
+    transversal = action.transversal(action.point_index[point])
+    # closed generator by generator: on the bench SU(3,3) that takes 310
+    # products, against 466 point by point
+    by_generator = sorted(zip(transversal.off_tree, transversal.schreier), key=lambda edge: edge[0][1])
+    return G.subgroup(closure([s for _, s in by_generator], G.ops).elements)
 
 
-def is_doubly_transitive(action: GroupAction, stab: FiniteGroup) -> bool:
-    """True iff ``stab``, the stabilizer of the first point, is
-    transitive on the rest."""
+def is_doubly_transitive(action: GroupAction, stab_action: GroupAction) -> bool:
+    """True iff the stabilizer of the first point, acting on the same
+    points through ``stab_action``, is transitive on the rest."""
     if not action.is_transitive():
         raise GroupError("action is not transitive")
     if action.degree < 2:
         return False
-    return len(GroupAction(stab, action.points, action._apply).search_tree(1)) == action.degree - 2
+    return len(stab_action.search_tree(1)) == action.degree - 2
 
 
 def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
@@ -566,27 +628,6 @@ class LinearCharacter:
                 raise GroupError("character is not a homomorphism")
 
 
-def _word_counts(G: FiniteGroup) -> np.ndarray:
-    """Row b counts each generator in a word for element b: the path to b
-    in a breadth-first spanning tree of the Cayley graph (edges b -> b g_k)."""
-    table = G.generator_table
-    t = len(table)
-    counts = np.zeros((G.order, t), dtype=np.int64)
-    seen = np.zeros(G.order, dtype=bool)
-    frontier = np.array([G.index[G.identity]])
-    seen[frontier] = True
-    while frontier.size:
-        parents = np.tile(frontier, t)
-        gens = np.repeat(np.arange(t), frontier.size)
-        frontier, first = np.unique(table[gens, parents], return_index=True)
-        new = ~seen[frontier]
-        frontier, first = frontier[new], first[new]
-        seen[frontier] = True
-        counts[frontier] = counts[parents[first]]
-        counts[frontier, gens[first]] += 1
-    return counts
-
-
 def _relation_basis(words: np.ndarray, table: np.ndarray) -> list[list[int]]:
     """An upper triangular basis, positive on the diagonal, of the lattice
     R spanned by the Schreier relators w(b) + e_k - w(b g_k).  R contains
@@ -622,8 +663,8 @@ def _relation_basis(words: np.ndarray, table: np.ndarray) -> list[list[int]]:
 def enumerate_linear_characters(G: FiniteGroup) -> list[LinearCharacter]:
     """All homomorphisms G -> T, one per element of the dual of G/[G,G].
 
-    A breadth-first spanning tree of the Cayley graph writes each element
-    b as a word with generator counts w(b).  By Schreier's lemma the
+    The Cayley tree writes each element b as a word with generator counts
+    w(b).  By Schreier's lemma the
     vectors w(b) + e_k - w(b g_k) span the relation lattice R with
     Z^t / R = G/[G,G], which contains |G| Z^t; its triangular basis H
     gives N = prod H_ii = |G/[G,G]|.  The characters are the N solutions f
@@ -633,8 +674,11 @@ def enumerate_linear_characters(G: FiniteGroup) -> list[LinearCharacter]:
     """
     if G.order > DERIVED_CAP:
         raise CapExceededError("derived subgroup cap exceeded")
-    words = _word_counts(G)
-    t = words.shape[1]
+    t = len(G.generators)
+    words = np.zeros((G.order, t), dtype=np.int64)
+    for children, parents, gens in G.cayley_tree:
+        words[children] = words[parents]
+        words[children, gens] += 1
     H = _relation_basis(words, G.generator_table)
     N = math.prod(H[i][i] for i in range(t))
     if N > CHARACTER_CAP:

@@ -2,7 +2,8 @@
 
 Each function here recomputes, straight from a definition, something the
 library computes faster elsewhere or only proves: the closure of a
-generating set, the action axioms on generator products, double
+generating set, the action axioms on generator products, the point
+stabilizer and the covering kernel by acting with every element, double
 transitivity, double cosets and their decompositions, the per-cell
 roux, the parameter count over all of G0* and the Higman-pair test on
 all of G01*, the groups of a radicalization and the normalizer of H,
@@ -91,6 +92,13 @@ def stabilizer_scan(action: GroupAction, point) -> FiniteGroup:
     """Point stabilizer by definition: act with every element on the point."""
     G = action.group
     return G.subgroup([g for g in G.elements if action.act(g, point) == point])
+
+
+def covering_kernel_scan(cover: CoverData) -> list:
+    """The stabilizer elements that fix every point, by acting with each
+    on each point."""
+    act, points = cover.action.act, cover.action.points
+    return [s for s in cover.stab.elements if all(act(s, p) == p for p in points)]
 
 
 def is_doubly_transitive_bruteforce(action: GroupAction) -> bool:
@@ -289,7 +297,7 @@ def verify_higman_axioms(G: FiniteGroup, H: FiniteGroup, b) -> HigmanAxiomReport
             first_failure = name
 
     act = coset_action(G, K)
-    record("H1", is_doubly_transitive(act, stabilizer(act, act.points[0])))
+    record("H1", is_doubly_transitive(act, CoverData(act, stabilizer(act, act.points[0])).stab_action))
     record(
         "H2",
         all(

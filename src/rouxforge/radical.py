@@ -44,6 +44,7 @@ all C_r elements are integers mod r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,6 +55,12 @@ from .roux import RouxMatrix, RouxParameters, verify_roux
 
 class RadicalError(ValueError):
     pass
+
+
+class CertificateError(RadicalError):
+    """An exact certificate failed on a well-formed input: the counted
+    and the verified roux parameters disagree, or the roux is not
+    invariant under G*."""
 
 
 class CoverData:
@@ -81,6 +88,13 @@ class CoverData:
     def n(self) -> int:
         return self.action.degree
 
+    @cached_property
+    def stab_action(self) -> GroupAction:
+        """The stabilizer's action on the points, built once: the double
+        transitivity test, ``verify`` and the table's G01* transversal read
+        its point permutations."""
+        return GroupAction(self.stab, self.action.points, self.action.act)
+
     def first_outside_stabilizer(self):
         """The least element of G outside the stabilizer, found without sorting G."""
         G = self.group
@@ -90,6 +104,22 @@ class CoverData:
         if not outside:
             raise RadicalError("group equals its stabilizer")
         return min(outside)
+
+    def covering_kernel(self) -> list:
+        """The stabilizer elements that fix every point, in sorted order.
+
+        Each element's point permutation is read along the stabilizer's
+        Cayley tree: perm(e g_k) = perm(e)[pi_k], since (e g_k).p =
+        e.(g_k.p), one gather per tree edge and no element applied.  The
+        array has |stab| n entries, |G| for a transitive action.
+        """
+        stab, n = self.stab, self.n
+        pi = self.stab_action.generator_perms
+        perms = np.empty((stab.order, n), dtype=np.intp)
+        perms[stab.index[stab.identity]] = np.arange(n)
+        for children, parents, gens in stab.cayley_tree:
+            perms[children] = perms[parents[:, None], pi[gens]]
+        return [stab.elements[i] for i in np.flatnonzero((perms == np.arange(n)).all(axis=1))]
 
     def verify(self) -> None:
         """Check the covering invariants (materialized covers only).
@@ -105,24 +135,19 @@ class CoverData:
         stabilizer.  The covering kernel fixes b, so it is found among the
         stabilizer elements.
         """
-        b = self.base_point
-        act = self.action.act
+        b = self.action.point_index[self.base_point]
         G = self.group
         if G is not None:
             if not self.stab.members <= G.members:
                 raise RadicalError("stabilizer element lies outside the group")
-            orbit = 1 + len(self.action.search_tree(self.action.points.index(b)))
-            if self.stab.order * orbit != G.order:
+            if self.stab.order * (1 + len(self.action.search_tree(b))) != G.order:
                 raise RadicalError("stabilizer list is incomplete")
         self.stab.generator_table
-        if any(act(s, b) != b for s in self.stab.generators):
+        if (self.stab_action.generator_perms[:, b] != b).any():
             raise RadicalError("stabilizer element moves the base point")
         if G is None:
             return
-        # central kernel
-        points = self.action.points
-        kernel = [s for s in self.stab.elements if all(act(s, p) == p for p in points)]
-        for z in kernel:
+        for z in self.covering_kernel():
             for g in G.generators:
                 if G.mul(z, g) != G.mul(g, z):
                     raise RadicalError("covering kernel is not central")
@@ -197,14 +222,19 @@ class HigmanDecompositionTable:
     ``perms``, ``h`` pi_g, h_j(g) per generator g of G*; ``row_b`` xi, eta
     of x_j; ``cosets`` xi_p, xi, eta with x zeta_p x^{-1} = xi x eta,
     zeta_p = xi_p xi_{q0}^{-1} (q0 = x^{-1}.b), one per coset of K other
-    than K.  A character sweep over one cover shares one table."""
+    than K.  A character sweep over one cover shares one table.
+
+    Two cached transversals (see ``Transversal``) hold the products.  G*'s
+    from b gives x_j and, as its Schreier products (1 on the tree),
+    h_j(g) = x_{pi j}^{-1} g x_j, the products ``stabilizer`` closes.  G0*'s
+    from x.b with root x gives t_p = xi_p x, t_p^{-1} = x^{-1} xi_p^{-1} and
+    the conjugates x^{-1} s x of the Schreier generators s of G01*."""
 
     def __init__(self, cover: CoverData, x):
         if x in cover.stab:
             raise RadicalError("x lies in the stabilizer")
         self.cover, self.x = cover, x
-        ops, action, base, n = cover.ops, cover.action, cover.base_point, cover.n
-        self.xinv = xinv = ops.inv(x)
+        ops, action, n = cover.ops, cover.action, cover.n
         index = cover.stab.index
 
         def ref(g) -> int:
@@ -212,75 +242,59 @@ class HigmanDecompositionTable:
                 raise RadicalError("stabilizer list is incomplete: an element fixing b is not listed")
             return index[g]
 
-        # Schreier transversal of G0* from x.b: xi_p and u_p = x^-1 xi_p^-1
-        stab_gens = [(g, ops.inv(g)) for g in cover.stab.generators]
-        order = [action.act(x, base)]
-        self._orbit = orbit = {order[0]: (ops.identity, xinv)}
-        off_tree = []
-        for p in order:  # grows while it is walked: breadth first
-            for k, (g, ginv) in enumerate(stab_gens):
-                q = action.act(g, p)
-                if q in orbit:
-                    off_tree.append((p, k, q))
-                else:
-                    orbit[q] = (ops.mul(g, orbit[p][0]), ops.mul(orbit[p][1], ginv))
-                    order.append(q)
-        if len(orbit) != n - 1:
+        self.base_index = b = action.point_index[cover.base_point]
+        g01 = cover.stab_action.transversal(action.point_index[action.act(x, cover.base_point)], root=x)
+        if len(g01.reps) != n - 1:
             raise RadicalError("stabilizer is not transitive on the other points")
-        # x^-1 xi_q^-1 g and xi_p x for every point: one batched product each
-        batch_u = ops.batch([u for _, u in orbit.values()])
-        u_g = [dict(zip(orbit, ops.batch_mul(batch_u, g))) for g, _ in stab_gens]
-        xi_x = dict(zip(orbit, ops.batch_mul(ops.batch([xi for xi, _ in orbit.values()]), x)))
+        self.xinv = xinv = g01.inv_reps[g01.base]
+        self._u = g01.inv_reps
+        # xi_p = t_p x^-1 for every point: one batched product
+        t_batch = ops.batch(list(g01.reps.values()))
+        self._xi = xi = dict(zip(g01.reps, ops.batch_mul(t_batch, xinv)))
+        gens01, perms01 = cover.stab.generators, cover.stab_action.generator_perms.tolist()
         self.schreier = np.array([
-            (ref(stab_gens[k][0]), ref(orbit[p][0]), ref(orbit[q][0]), ref(ops.mul(u_g[k][q], xi_x[p])))
-            for p, k, q in off_tree
+            (ref(gens01[k]), ref(xi[p]), ref(xi[perms01[k][p]]), ref(s))
+            for (p, k), s in zip(g01.off_tree, g01.schreier)
         ], dtype=np.intp).T
 
-        # monomial data: x_q^-1 g for every q is one batched product
-        self.base_index = b = action.points.index(base)
-        self.tree = action.search_tree(b)
-        if len(self.tree) != n - 1:
+        transversal = action.transversal(b)
+        if len(transversal.reps) != n:
             raise RadicalError("the action is not transitive")
-        gens = action.group.generators
-        ginvs = [ops.inv(g) for g in gens]
-        self.reps, inv_reps = [ops.identity] * n, [ops.identity] * n
-        for q, p, k in self.tree:
-            self.reps[q] = ops.mul(gens[k], self.reps[p])
-            inv_reps[q] = ops.mul(inv_reps[p], ginvs[k])
-        inv_batch = ops.batch(inv_reps)
-        on_tree = {(p, k) for _, p, k in self.tree}
+        self.tree = transversal.tree
+        self.reps = [transversal.reps[j] for j in range(n)]
         self.perms = action.generator_perms
         one = ref(ops.identity)
         self.h = np.full(self.perms.shape, one, dtype=np.intp)
-        for k, g in enumerate(gens):
-            inv_reps_g = ops.batch_mul(inv_batch, g)
-            for j, q in enumerate(self.perms[k].tolist()):
-                if (j, k) not in on_tree:
-                    self.h[k, j] = ref(ops.mul(inv_reps_g[q], self.reps[j]))
+        for (j, k), s in zip(transversal.off_tree, transversal.schreier):
+            self.h[k, j] = ref(s)
         self.row_b = np.array(
-            [tuple(map(ref, self.decompose(y))) if j != b else (one, one) for j, y in enumerate(self.reps)], dtype=np.intp
+            [tuple(map(ref, self._split(j, y))) if j != b else (one, one) for j, y in enumerate(self.reps)], dtype=np.intp
         ).T
 
-        q0 = action.act(xinv, base)
-        self.coset_xi0 = ref(orbit[q0][0])
-        xi0inv_xinv = ops.mul(ops.mul(x, orbit[q0][1]), xinv)
+        # zeta_p x^-1 = t_p (t_q0^-1 x^-1) for every point: one batched product
+        q0 = action.point_index[action.act(xinv, cover.base_point)]
+        self.coset_xi0 = ref(xi[q0])
+        zeta_xinv = dict(zip(g01.reps, ops.batch_mul(t_batch, ops.mul(self._u[q0], xinv))))
         self.cosets = np.array([
-            (ref(xi),) + tuple(map(ref, self.decompose(ops.mul(ops.mul(x, xi), xi0inv_xinv))))
-            for p, (xi, _) in orbit.items()
+            (ref(xi[p]),) + tuple(map(ref, self.decompose(ops.mul(x, zeta_xinv[p]))))
+            for p in g01.reps
             if p != q0
         ], dtype=np.intp).reshape(-1, 3).T
 
     def decompose(self, y) -> tuple:
         """One decomposition y = xi x eta with xi, eta in G0*."""
-        cover = self.cover
-        p = cover.action.act(y, cover.base_point)
-        if p == cover.base_point:
+        action = self.cover.action
+        j = action.point_index[action.act(y, self.cover.base_point)]
+        if j == self.base_index:
             raise RadicalError("no decomposition: the element fixes the base point")
-        xi, u = self._orbit[p]
-        eta = cover.ops.mul(u, y)
-        if eta not in cover.stab:
+        return self._split(j, y)
+
+    def _split(self, j: int, y) -> tuple:
+        """y = xi_j x eta for a y that carries b to point j."""
+        eta = self.cover.ops.mul(self._u[j], y)
+        if eta not in self.cover.stab:
             raise RadicalError("stabilizer list is incomplete: eta fixes b but is not listed")
-        return xi, eta
+        return self._xi[j], eta
 
 
 def _g01_check(table: HigmanDecompositionTable, alpha: LinearCharacter):
@@ -374,7 +388,7 @@ def roux_from_higman_pair(
         bad = B[np.ix_(perm, perm)] != (B + ak[:, None] - ak[None, :]) % r
         if bad.any():
             i, j = (int(v) for v in np.argwhere(bad)[0])
-            raise RadicalError(f"symmetry certificate fails for generator {k} at cell ({i}, {j})")
+            raise CertificateError(f"symmetry certificate fails for generator {k} at cell ({i}, {j})")
     return RouxMatrix(n, r, B)
 
 
@@ -398,7 +412,7 @@ def higman_roux(
     verify it exactly.
 
     Returns None when alpha fails the Higman-pair test.  Raises
-    RadicalError when the counted and the verified parameters disagree.
+    CertificateError when the counted and the verified parameters disagree.
     """
     if not detect_higman(table, alpha):
         return None
@@ -407,5 +421,5 @@ def higman_roux(
     params = roux_params_from_radicalization(rad, key, table)
     B = roux_from_higman_pair(rad, key, table)
     if verify_roux(B).coeffs != params.coeffs:
-        raise RadicalError("roux parameters disagree with the counting formula")
+        raise CertificateError("roux parameters disagree with the counting formula")
     return HigmanRoux(rad, key, params, B)

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from util import paley6_roux, paley_exponents, record_calls, roux_json, two_graph_json
+from util import paley6_roux, paley_exponents, record_calls, roux_json, su33_bench_spec, two_graph_json
 
 from rouxforge.cli import main
 from rouxforge.oracles import gram_vectors
@@ -696,27 +696,89 @@ def test_detect_character_cap_exit2(tmp_path, capsys, monkeypatch):
     assert "cap" in err
 
 
-def test_parameter_disagreement_exit2(tmp_path, capsys, monkeypatch):
-    # counted parameters that differ from the verified roux: both the
-    # family and the detect pipeline report it as a RadicalError, exit 2
+def test_parameter_disagreement_exit1(tmp_path, capsys, monkeypatch):
+    # a verified roux whose parameters differ from the counted ones is a
+    # failed certificate in both the family and the detect pipeline
     from rouxforge import radical
     from rouxforge.roux import RouxParameters
 
-    counted = radical.roux_params_from_radicalization
+    verified = radical.verify_roux
 
-    def shifted(rad, key, table):
-        params = counted(rad, key, table)
+    def shifted(B):
+        params = verified(B)
         half = params.r // 2
-        coeffs = params.coeffs[half:] + params.coeffs[:half]
-        return RouxParameters(params.n, params.r, coeffs)
+        return RouxParameters(params.n, params.r, params.coeffs[half:] + params.coeffs[:half])
 
-    monkeypatch.setattr(radical, "roux_params_from_radicalization", shifted)
+    monkeypatch.setattr(radical, "verify_roux", shifted)
     code, _, err = run(["family", "psl2", "--q", "5"], capsys)
-    assert code == 2
-    assert "disagree" in err
-    spec = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
-    path = tmp_path / "s3.json"
-    path.write_text(json.dumps(spec))
-    code, _, err = run(["detect", str(path)], capsys)
-    assert code == 2
-    assert "disagree" in err
+    assert code == 1
+    assert err == "error: roux parameters disagree with the counting formula\n"
+    path = tmp_path / "sl25.json"
+    path.write_text(json.dumps(SL25_SPEC))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: roux parameters disagree with the counting formula\n"
+
+
+def test_failed_symmetry_certificate_exit1(tmp_path, capsys, monkeypatch):
+    # a cocycle that is 1 everywhere does not carry the quadratic roux to itself
+    from rouxforge import cli
+    from rouxforge.radical import HigmanDecompositionTable
+
+    class Trivialized(HigmanDecompositionTable):
+        def __init__(self, cover, x):
+            super().__init__(cover, x)
+            self.h[:] = cover.stab.index[cover.ops.identity]
+
+    monkeypatch.setattr(cli, "HigmanDecompositionTable", Trivialized)
+    path = tmp_path / "sl25.json"
+    path.write_text(json.dumps(SL25_SPEC))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: symmetry certificate fails for generator ") and err.count("\n") == 1
+
+
+def test_family_failed_line_certificate_exit1(capsys):
+    # no Gram is tight to 1e-300: the first line set checked fails, named
+    # by its character, k and residual, with no traceback
+    code, out, err = run(["family", "psl2", "--q", "13", "--tol-etf", "1e-300"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: character 0, k = 0: input Gram is not tight (residual ")
+    assert err.count("\n") == 1
+
+
+def test_detect_su33_reads_one_transversal_per_action_and_base(tmp_path, capsys, monkeypatch):
+    # the stabilizer and the decomposition table share the G* transversal
+    # from b; the table adds the stabilizer's transversal from x.b
+    from rouxforge import group
+    from rouxforge.group import MatOps, Transversal
+
+    built, counts = [], {"apply": 0, "mul": 0}
+
+    def counted(name):
+        original = getattr(MatOps, name)
+
+        def wrapper(self, *args):
+            counts[name] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(MatOps, name, counted(name))
+    init = Transversal.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Transversal, "__init__", recording_init)
+    stabilizers = record_calls(monkeypatch, group, "stabilizer")
+    path = tmp_path / "su33.json"
+    path.write_text(json.dumps(dict(su33_bench_spec(), action="isotropic")))
+    code, out, _ = run(["detect", str(path)], capsys)
+    assert code == 0 and json.loads(out)["stabilizer_order"] == 216
+    assert len(stabilizers) == 1
+    assert [(len(t.reps), t.base) for t in built] == [(28, 0), (27, built[1].base)] and built[1].base != 0
+    # 1,006 applies and 934 products before the transversals were shared
+    assert counts["apply"] <= 380 and counts["mul"] <= 800

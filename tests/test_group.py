@@ -37,7 +37,7 @@ from rouxforge.oracles import (
     stabilizer_scan,
 )
 from rouxforge.radical import CoverData, RadicalError
-from util import materialized, record_calls, su33_bench_generators
+from util import materialized, record_calls, su33_bench_generators, su33_bench_spec
 
 
 def s3():
@@ -342,13 +342,6 @@ def test_the_symplectic_witness_leaves_its_groups_unsorted(monkeypatch):
     assert all(unsorted(G) for G in closed)
 
 
-def su33_bench_spec():
-    """The benchmark's SU(3,3) generating set as a JSON group spec."""
-    ops, gens = su33_bench_generators()
-    entries = [[list(ops.spec.decode(e)) for row in g for e in row] for g in gens]
-    return {"kind": "matrix", "field": {"p": 3, "k": 2}, "dim": 3, "generators": entries}
-
-
 def test_action_compatibility():
     # every kind of action production builds satisfies the axioms that
     # GroupAction proves instead of checking
@@ -391,7 +384,7 @@ def test_orbit_walks_read_the_cached_point_permutations():
 
 
 def doubly_transitive(action):
-    return is_doubly_transitive(action, stabilizer(action, action.points[0]))
+    return is_doubly_transitive(action, CoverData(action, stabilizer(action, action.points[0])).stab_action)
 
 
 def test_is_doubly_transitive():
@@ -545,6 +538,43 @@ def test_characters_match_the_derived_subgroup_on_permutation_groups(G):
 def test_stabilizer_matches_the_scan_on_permutation_groups(G):
     # every point is a base point, transitive action or not
     check_stabilizers_against_the_scan(natural_permutation_action(G))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_permutation_groups())
+def test_doubly_transitive_matches_bruteforce_on_permutation_groups(G):
+    action = natural_permutation_action(G)
+    if not action.is_transitive():
+        with pytest.raises(GroupError, match="not transitive"):
+            doubly_transitive(action)
+    else:
+        assert doubly_transitive(action) == is_doubly_transitive_bruteforce(action)
+
+
+def test_a_transversal_is_built_once_per_action_base_and_root():
+    action = natural_permutation_action(closure([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], PermOps(5)))
+    first = action.transversal(2)
+    assert action.transversal(2) is first and action.transversal(3) is not first
+    assert action.transversal(2, root=(1, 2, 0, 3, 4)) is not first
+    stab = stabilizer(action, 2)
+    assert action.transversal(2) is first and first.schreier is first.schreier
+    assert set(first.schreier) <= stab.members
+
+
+def test_a_rooted_transversal_conjugates_by_its_root():
+    # with root r, t_j = w_j r for the unrooted t_j = w_j, and the products
+    # are r^-1 s_jk r: they fix r^-1.b and close to that point's stabilizer
+    action = projective_line_action(sl2(7))
+    ops, r = action.group.ops, ((0, 1), (6, 0))
+    plain, rooted = action.transversal(3), action.transversal(3, root=r)
+    rinv = ops.inv(r)
+    assert rooted.tree == plain.tree and rooted.off_tree == plain.off_tree
+    for j, t in plain.reps.items():
+        assert rooted.reps[j] == ops.mul(t, r)
+        assert rooted.inv_reps[j] == ops.mul(rinv, plain.inv_reps[j])
+    assert rooted.schreier == [ops.mul(ops.mul(rinv, s), r) for s in plain.schreier]
+    point = action.act(rinv, action.points[3])
+    assert closure(rooted.schreier, ops).members == stabilizer(action, point).members
 
 
 def su33_bench_stabilizer():

@@ -14,6 +14,7 @@ from rouxforge.group import (
 )
 from rouxforge.oracles import (
     PerCellTable,
+    covering_kernel_scan,
     detect_higman_g01_scan,
     detect_higman_scan,
     double_coset_scan,
@@ -26,6 +27,7 @@ from rouxforge.oracles import (
     verify_higman_axioms,
 )
 from rouxforge.radical import (
+    CoverData,
     HigmanDecompositionTable,
     Key,
     RadicalError,
@@ -574,6 +576,44 @@ def test_cover_verify_rejects_a_stabilizer_element_outside_the_group():
         CoverData(cover.action, stab, cover.base_point).verify()
 
 
+KERNEL_CASES = {
+    "sl2_q5_projective": (lambda: materialized(sl2_cover(5)[0]), 2),
+    "su3_q2_isotropic": (lambda: materialized(su3_cover(2)[0]), 3),
+    "su33_bench_isotropic": (lambda: detect_cover(closure(su33_bench_generators()[1], su33_bench_generators()[0]))[0], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_covering_kernel_matches_the_scan(case):
+    # SL(2,5): -I and I; SU(3,2): the three scalar matrices; SU(3,3): trivial
+    build, order = KERNEL_CASES[case]
+    cover = build()
+    assert cover.covering_kernel() == covering_kernel_scan(cover)
+    assert len(cover.covering_kernel()) == order
+    cover.verify()
+
+
+def test_cover_verify_applies_no_element_beyond_the_point_permutations():
+    cover = materialized(sl2_cover(7)[0])
+    cover.stab_action.generator_perms
+    inner = cover.action
+    calls = []
+
+    def apply(g, p):
+        calls.append((g, p))
+        return inner.act(g, p)
+
+    from rouxforge.group import GroupAction
+
+    action = GroupAction(inner.group, inner.points, apply)
+    action.generator_perms
+    cover = CoverData(action, cover.stab, cover.base_point)
+    cover.stab_action.generator_perms
+    calls.clear()
+    cover.verify()
+    assert calls == []
+
+
 def test_cover_verify_rejects_a_kernel_that_is_not_central():
     # S4 on its three pair-partitions: the kernel V4 is normal, not central
     from rouxforge.group import GroupAction
@@ -586,6 +626,7 @@ def test_cover_verify_rejects_a_kernel_that_is_not_central():
 
     cover = cover_of(GroupAction(S4, partitions, apply))
     assert cover.stab.order == 8
+    assert len(cover.covering_kernel()) == 4 and cover.covering_kernel() == covering_kernel_scan(cover)
     with pytest.raises(RadicalError, match="covering kernel is not central"):
         cover.verify()
 

@@ -114,3 +114,10 @@ SU33_BENCH_GENERATORS = [
 def su33_bench_generators() -> tuple:
     """The benchmark's SU(3,3) backend and generating set."""
     return MatOps(FieldSpec(3, 2), 3), [tuple(map(tuple, g)) for g in SU33_BENCH_GENERATORS]
+
+
+def su33_bench_spec() -> dict:
+    """The benchmark's SU(3,3) generating set as a JSON group spec."""
+    ops, gens = su33_bench_generators()
+    entries = [[list(ops.spec.decode(e)) for row in g for e in row] for g in gens]
+    return {"kind": "matrix", "field": {"p": 3, "k": 2}, "dim": 3, "generators": entries}
