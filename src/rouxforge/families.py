@@ -20,6 +20,7 @@ import numpy as np
 
 from .field import MAX_ORDER, FieldSpec, primitive_element
 from .group import (
+    TABLE_CHUNK,
     FiniteGroup,
     GeneratedGroup,
     GroupAction,
@@ -273,6 +274,13 @@ def su3_cover(q: int) -> tuple[CoverData, tuple, tuple]:
     Returns the cover data, the antidiagonal involution x, and the
     stabilizer element eta(b0) whose character value fixes the key sign
     (b0 a nonzero element of zero trace: b0 + b0^q = 0).
+
+    The stabilizer is the unipotent group U = {xi(a, b)} extended by the
+    torus {eta(e)}, listed as the disjoint cosets U eta(e), one batched
+    product each.  The torus normalizes U: eta(e)^-1 xi(a, b) eta(e) =
+    xi(a e^(q-2), b e^(-q-1)), and a^(q+1) + b + b^q = 0 carries over
+    because every term is multiplied by e^(-q-1) (e^(q^2-1) = 1), so
+    eta(e) U = U eta(e).
     """
     p, k = prime_power(q)
     spec2 = FieldSpec(p, 2 * k)
@@ -288,17 +296,19 @@ def su3_cover(q: int) -> tuple[CoverData, tuple, tuple]:
     def xi(a, b):
         return ((1, a, b), (0, 1, spec2.neg(conj(a))), (0, 0, 1))
 
+    norms = [spec2.pow(a, q + 1) for a in range(spec2.q)]
+    traces = [spec2.add(b, conj(b)) for b in range(spec2.q)]
     pairs = [
         (a, b)
         for a in range(spec2.q)
         for b in range(spec2.q)
-        if spec2.add(spec2.pow(a, q + 1), spec2.add(b, conj(b))) == 0
+        if spec2.add(norms[a], traces[b]) == 0
     ]
     if len(pairs) != q**3:
         raise FamilyError("wrong unipotent count in unitary stabilizer")
-    stab_elements = [
-        ops.mul(eta(e), xi(a, b)) for e in range(1, spec2.q) for (a, b) in pairs
-    ]
+    U = [xi(a, b) for a, b in pairs]
+    chunks = [ops.batch(U[i : i + TABLE_CHUNK]) for i in range(0, len(U), TABLE_CHUNK)]
+    stab_elements = [h for e in range(1, spec2.q) for c in chunks for h in ops.batch_mul(c, eta(e))]
     stab = FiniteGroup(
         ops, stab_elements, small_generating_set(ops, stab_elements), name=f"Stab(SU(3,{q}))"
     )

@@ -9,7 +9,7 @@ polynomial arithmetic above ``TABLE_LIMIT``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 TABLE_LIMIT = 4096
 MAX_ORDER = 2**20
@@ -200,6 +200,30 @@ class FieldSpec:
                 self._build_tables()
             return self._add_table[a * self.q + b]
         return self.encode([(x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))])
+
+    def dots(self, u: Sequence[int], vs: Iterable[Sequence[int]]) -> tuple[int, ...]:
+        """The dot products sum_i u_i v_i of u with each v in vs.  At or
+        below ``TABLE_LIMIT`` each nonzero term is two reads of the flat
+        tables held in locals, with no method call."""
+        out = []
+        if self.q <= TABLE_LIMIT:
+            if self._mul_table is None:
+                self._build_tables()
+            q, add, mul = self.q, self._add_table, self._mul_table
+            for v in vs:
+                acc = 0
+                for x, y in zip(u, v):
+                    if x and y:
+                        acc = add[acc * q + mul[x * q + y]]
+                out.append(acc)
+            return tuple(out)
+        for v in vs:
+            acc = 0
+            for x, y in zip(u, v):
+                if x and y:
+                    acc = self.add(acc, self.mul(x, y))
+            out.append(acc)
+        return tuple(out)
 
     def neg(self, a: int) -> int:
         return self.encode([(-x) % self.p for x in self.decode(a)])

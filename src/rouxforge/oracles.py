@@ -1,7 +1,8 @@
 """Brute-force reference checks, kept apart from the production path.
 
 Each function here recomputes, straight from a definition, something the
-library computes faster elsewhere or only proves: the closure of a
+library computes faster elsewhere or only proves: matrix products over a
+finite field from polynomial arithmetic alone, the closure of a
 generating set, the action axioms on generator products, the point
 stabilizer and the covering kernel by acting with every element, double
 transitivity, double cosets and their decompositions, the per-cell
@@ -23,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .field import FieldSpec, _poly_mul_mod
 from .group import (
     FiniteGroup,
     GroupAction,
@@ -54,6 +56,24 @@ RANK_RTOL = 1e-6
 
 # ---------------------------------------------------------------------------
 # groups
+
+
+def matrix_product_poly(spec: FieldSpec, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
+    """The product a b of matrices of field codes, each entry summed from
+    the polynomial products of the decoded entries, reduced mod f and p:
+    no field table and no FieldSpec arithmetic."""
+    p, k = spec.p, spec.k
+    out = []
+    for row in a:
+        entries = []
+        for col in zip(*b):
+            acc = [0] * k
+            for x, y in zip(row, col):
+                prod = _poly_mul_mod(spec.decode(x), spec.decode(y), spec.irreducible, p)
+                acc = [(s + t) % p for s, t in zip(acc, prod)]
+            entries.append(spec.encode(acc))
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def closure_bfs(generators: Sequence, ops) -> FiniteGroup:

@@ -34,6 +34,7 @@ from rouxforge.oracles import (
     closure_bfs,
     double_coset_decomposition,
     is_doubly_transitive_bruteforce,
+    matrix_product_poly,
     stabilizer_scan,
 )
 from rouxforge.radical import CoverData, RadicalError
@@ -155,6 +156,58 @@ def test_batch_mul_matches_scalar_products(backend, data):
     H = data.draw(st.lists(elements, max_size=12))
     b = data.draw(elements)
     assert ops.batch_mul(ops.batch(H), b) == [ops.mul(h, b) for h in H]
+
+
+ORACLE_FIELDS = {
+    "F_7": FieldSpec(7),
+    "F_9": F9,
+    "F_16": FieldSpec(2, 4),
+    "F_31": FieldSpec(31),
+    "F_64": FieldSpec(2, 6),
+    "F_4099": FieldSpec(4099),
+    "F_4489": FieldSpec(67, 2, (65, 0, 1)),  # x^2 - 2, above TABLE_LIMIT
+    "F_8192": FieldSpec(2, 13, (1, 1, 0, 1, 1) + (0,) * 8 + (1,)),  # x^13 + x^4 + x^3 + x + 1
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_matrix_arithmetic_matches_the_polynomial_oracle(name, data):
+    spec = ORACLE_FIELDS[name]
+    dim = data.draw(st.integers(1, 3))
+    ops = MatOps(spec, dim)
+    a, b = data.draw(_matrices(spec, dim)), data.draw(_matrices(spec, dim))
+    v = data.draw(st.lists(st.integers(0, spec.q - 1), min_size=dim, max_size=dim).map(tuple))
+    H = data.draw(st.lists(_matrices(spec, dim), max_size=6))
+    assert ops.mul(a, b) == matrix_product_poly(spec, a, b)
+    assert ops.apply(a, v) == tuple(e for (e,) in matrix_product_poly(spec, a, [(x,) for x in v]))
+    assert ops.batch_mul(ops.batch(H), b) == [matrix_product_poly(spec, h, b) for h in H]
+    # an invertible matrix as (lower unitriangular) x (upper, nonzero diagonal)
+    lower = tuple(tuple(1 if i == j else a[i][j] if j < i else 0 for j in range(dim)) for i in range(dim))
+    upper = tuple(tuple((b[i][j] or 1) if i == j else b[i][j] if j > i else 0 for j in range(dim)) for i in range(dim))
+    c = matrix_product_poly(spec, lower, upper)
+    assert matrix_product_poly(spec, c, ops.inv(c)) == ops.identity
+
+
+def test_three_oracle_fields_lie_above_the_table_limit():
+    big = [spec for spec in ORACLE_FIELDS.values() if spec.q > TABLE_LIMIT]
+    assert sorted((spec.q, spec.k) for spec in big) == [(4099, 1), (4489, 2), (8192, 13)]
+
+
+@pytest.mark.parametrize("name", ["F_9", "F_16", "F_4489"])
+def test_batch_mul_makes_no_field_products_after_its_first_call(name, monkeypatch):
+    spec = ORACLE_FIELDS[name]
+    ops = MatOps(spec, 3)
+    rng = random.Random(5)
+    H = ops.batch([tuple(tuple(rng.randrange(spec.q) for _ in range(3)) for _ in range(3)) for _ in range(4)])
+    ops.batch_mul(H, ops.identity)
+    calls = []
+    original = FieldSpec.mul
+    monkeypatch.setattr(FieldSpec, "mul", lambda self, x, y: calls.append(1) or original(self, x, y))
+    for _ in range(3):
+        ops.batch_mul(H, tuple(tuple(rng.randrange(spec.q) for _ in range(3)) for _ in range(3)))
+    assert calls == []
 
 
 class CountingOps:
@@ -315,6 +368,45 @@ def test_stabilizer_applies_no_element_once_the_point_permutations_are_cached():
 
 def unsorted(G) -> bool:
     return not {"elements", "index"} & vars(G).keys()
+
+
+def test_stabilizer_closure_stops_at_the_orbit_stabilizer_order(monkeypatch):
+    # |Stab| = |G| / |orbit| = 6048 / 28: the stabilizer's own closure (the
+    # first one it makes) ends its walk there, at 46 products; without the
+    # stop it makes 59
+    action = su33_bench_action()
+    action.transversal(0).schreier
+    original, counts = group.closure, []
+
+    def counting_closure(generators, ops, *args, **kwargs):
+        counting = CountingOps(ops)
+        G = original(generators, counting, *args, **kwargs)
+        counts.append(counting.mul_calls)
+        return G
+
+    monkeypatch.setattr(group, "closure", counting_closure)
+    stab = stabilizer(action, action.points[0])
+    assert stab.order == 216
+    assert counts[0] <= 46
+
+
+def test_closure_stops_at_a_given_order():
+    ops, gens = su33_bench_generators()
+    walked, stopped = CountingOps(ops), CountingOps(ops)
+    full = closure(gens, walked)
+    assert closure(gens, stopped, order=full.order).elements == full.elements
+    assert stopped.mul_calls < walked.mul_calls
+
+
+def test_su3_cover_lists_its_stabilizer_by_cosets(monkeypatch):
+    # q^3 (q^2 - 1) = 960 elements at q = 4: a scalar product per element
+    # would make four times the bound
+    q, calls = 4, []
+    original = MatOps.mul
+    monkeypatch.setattr(MatOps, "mul", lambda self, a, b: calls.append(1) or original(self, a, b))
+    stab = su3_cover(q)[0].stab
+    assert stab.order == q**3 * (q * q - 1)
+    assert len(calls) < q**3 * (q * q - 1) // 4
 
 
 def test_a_closed_group_sorts_on_first_read():
