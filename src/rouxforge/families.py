@@ -50,7 +50,6 @@ from .roux import (
     idempotent_report,
     is_real_lines,
     signature_matrix,
-    verify_roux,
 )
 
 SL2_MAX_Q = 31
@@ -412,7 +411,8 @@ def _process_character(
     working, working_params = B, params
     if compress_to is not None and compress_to != rad.r:
         working = compress_to_subgroup(B, compress_to, params)
-        working_params = verify_roux(working)
+        # read off, not verified again: see compress_to_subgroup
+        working_params = RouxParameters(B.n, compress_to, params.coeffs[:: rad.r // compress_to])
     block.roux_matrix = B
     block.working_roux = working
     block.working_r = working.r

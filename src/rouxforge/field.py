@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 TABLE_LIMIT = 4096
 MAX_ORDER = 2**20
+# Largest numpy temporary of ``FieldSpec._build_tables``: glibc's default
+# mmap threshold, above which each temporary is a fresh mapping.
+TABLE_BLOCK_BYTES = 2**17
 
 # Monic irreducible polynomials (coefficients low-degree-first) for the
 # built-in extension fields.  Anything else must be user-supplied.
@@ -170,28 +175,37 @@ class FieldSpec:
     # -- code-level arithmetic (hot path) ---------------------------------
 
     def _build_tables(self) -> None:
-        q = self.q
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        coeffs = [self.decode(c) for c in range(q)]
-        for a in range(q):
-            ca = coeffs[a]
-            for b in range(a, q):
-                cb = coeffs[b]
-                s = self.encode([(x + y) % self.p for x, y in zip(ca, cb)])
-                m = self.encode(_poly_mul_mod(ca, cb, self.irreducible, self.p))
-                add[a * q + b] = add[b * q + a] = s
-                mul[a * q + b] = mul[b * q + a] = m
+        """The flat q x q add and mul tables, entry a * q + b, and the
+        inverse table, from numpy arithmetic on coefficient vectors.
+
+        The pairs (a, b) are taken in row-major blocks.  A sum is the
+        coefficientwise sum mod p; a product contracts the outer product
+        of the coefficients with ``shift``, the coefficients of x^(s+t)
+        mod f.  Each of its k^2 terms is below p^3 <= 2^36 (q is at most
+        ``TABLE_LIMIT`` = 2^12), so int64 holds it exactly.  The inverse of a is the b where row a of
+        the mul table holds 1, unique when it exists.
+        """
+        p, k, q = self.p, self.k, self.q
+        powers = p ** np.arange(k, dtype=np.int64)
+        basis = np.eye(k, dtype=np.int64).tolist()
+        shift = np.array([_poly_mul_mod(x_s, x_t, self.irreducible, p) for x_s in basis for x_t in basis])
+        block = max(1, TABLE_BLOCK_BYTES // (8 * k * k))
+        add, mul = [], []
+        inv = [0] * q
+        for start in range(0, q * q, block):
+            pair = np.arange(start, min(start + block, q * q))
+            a = pair[:, None] // q // powers % p
+            b = pair[:, None] % q // powers % p
+            add += ((a + b) % p @ powers).tolist()
+            prod = (a[:, :, None] * b[:, None, :]).reshape(-1, k * k) @ shift % p @ powers
+            mul += prod.tolist()
+            for one in pair[prod == 1].tolist():
+                inv[one // q] = one % q
+        for a in range(1, q):
+            if not inv[a]:
+                raise FieldError(f"{self.decode(a)} has no inverse: {self.irreducible} is not irreducible")
         self._add_table = add
         self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise FieldError(f"{self.decode(a)} has no inverse: {self.irreducible} is not irreducible")
         self._inv_table = inv
 
     def add(self, a: int, b: int) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,7 +104,7 @@ class RouxMatrix:
         cells = np.array(data["entries"], dtype=object)
         if cells.shape != (n, n):
             raise RouxFormatError(f"entries must be {n} rows of {n} cells")
-        if {type(v) for v in cells.flat} - {int, type(None)}:
+        if set(map(type, cells.ravel().tolist())) - {int, type(None)}:
             (i, j), v = next(
                 (cell, v) for cell, v in np.ndenumerate(cells) if v is not None and type(v) is not int
             )
@@ -147,16 +148,21 @@ class RouxParameters:
             raise RouxIdentityError("roux parameters must satisfy c_g = c_{g^{-1}}")
         object.__setattr__(self, "coeffs", coeffs)
 
+    @cached_property
+    def _terms(self) -> tuple:
+        """The (e, c_e) with c_e != 0, e ascending: a report reads them r
+        times, and over a large C_r most coefficients are 0."""
+        return tuple((e, coeff) for e, coeff in enumerate(self.coeffs) if coeff)
+
     def fourier(self, k: int) -> float:
         """Fourier transform at the k-th character (real by symmetry)."""
         val = 0.0
-        for e, coeff in enumerate(self.coeffs):
-            if coeff:
-                val += coeff * math.cos(2 * math.pi * k * e / self.r)
+        for e, coeff in self._terms:
+            val += coeff * math.cos(2 * math.pi * k * e / self.r)
         return val
 
     def support(self) -> list[int]:
-        return [e for e, coeff in enumerate(self.coeffs) if coeff]
+        return [e for e, _ in self._terms]
 
     def to_json(self) -> dict:
         return {"n": self.n, "r": self.r, "c": list(self.coeffs)}
@@ -165,10 +171,13 @@ class RouxParameters:
 def verify_roux(B: RouxMatrix) -> RouxParameters:
     """Exact check of the quadratic identity; returns the parameters.
 
-    Column block u of the n x rn matrix ``stacked`` is the indicator H_u
-    of exponent u off the diagonal, so one product of rows of H_u with
-    ``stacked`` gives H_u H_v for every v, and the coefficient of
-    exponent s in (B^2)_{ij} is sum_u (H_u H_{s-u})_{ij}.  Every entry
+    Let U be the exponents that occur in the grid.  Column block a of
+    the n x |U|n matrix ``stacked`` is the indicator H_u of exponent
+    u = U[a] off the diagonal, so one product of rows of H_u with
+    ``stacked`` gives H_u H_v for every v in U, and the coefficient of
+    exponent s in (B^2)_{ij} is the sum of (H_u H_v)_{ij} over u + v = s
+    mod r.  That is |U|^2 n^3 work, not r^2 n^3: a grid over a large C_r
+    that uses few exponents costs no more than a small one.  Every entry
     and partial sum of these products is an integer of at most n, which
     float32 holds exactly for n <= 2^24, so the BLAS products are exact.
     The parameter vector is read off cell (0,1) and every off-diagonal
@@ -185,18 +194,23 @@ def verify_roux(B: RouxMatrix) -> RouxParameters:
     if n > FLOAT32_EXACT_MAX:
         raise RouxIdentityError(f"n = {n} exceeds 2^24, beyond exact float32 integers")
     idx = np.arange(n)
-    hot = np.zeros((n, r, n), dtype=np.float32)
-    hot[idx[:, None], B.exps, idx[None, :]] = 1
-    hot[idx, 0, idx] = 0  # the diagonal holds exponent 0 but is no entry of B
-    stacked = hot.reshape(n, r * n)
+    # U, ascending; it holds 0 through the diagonal, which is no entry of
+    # B, so H_0 is cleared there
+    mark = np.zeros(r, dtype=bool)
+    mark[B.exps] = True
+    used = np.flatnonzero(mark)
+    hot = np.zeros((n, len(used), n), dtype=np.float32)
+    hot[idx[:, None], np.searchsorted(used, B.exps), idx[None, :]] = 1
+    hot[idx, 0, idx] = 0
+    stacked = hot.reshape(n, len(used) * n)
     c = None
     for start in range(0, n, VERIFY_ROW_BLOCK):
         rows = slice(start, min(start + VERIFY_ROW_BLOCK, n))
         # square[i, s, j] = coefficient of exponent s in (B^2)_{start+i, j}
         square = np.zeros((rows.stop - start, r, n), dtype=np.float32)
-        for u in range(r):
-            products = (stacked[rows, u * n : (u + 1) * n] @ stacked).reshape(-1, r, n)
-            square += np.roll(products, u, axis=1)
+        for a, u in enumerate(used):
+            products = (stacked[rows, a * n : (a + 1) * n] @ stacked).reshape(-1, len(used), n)
+            square[:, (u + used) % r] += products  # distinct slots: no index repeats
         # (B^2)_{ij} must equal sum_w c_w (w + B_ij): shifted[i, w, j] is
         # the coefficient of w + B_ij, to be compared with c_w
         shifts = (np.arange(r)[:, None] + B.exps[rows, None, :]) % r
@@ -231,6 +245,16 @@ def compress_to_subgroup(B: RouxMatrix, r_new: int, params: RouxParameters) -> R
     divisible by r/r').  Switches so that row 0 becomes the identity;
     after that every off-diagonal exponent lies in the subgroup, and the
     grid reinterprets with exponents divided by r/r'.
+
+    When ``params`` are B's verified parameters c, the result's are
+    ``params.coeffs[::r // r']``, and need no second ``verify_roux``.
+    Switching by a diagonal D conjugates B^2 = (n-1)I + sum c_g gB into
+    the same identity for DBD^{-1}, so c is unchanged.  Every entry of
+    the switched grid and every g with c_g != 0 lies in the subgroup of
+    exponents divisible by step = r/r', and dividing exponents by step
+    maps that subgroup isomorphically onto C_{r'}.  The identity holds
+    in the group algebra of the subgroup, so its image holds over C_{r'}
+    with c_{step e} as the coefficient of exponent e.
     """
     n, r = B.n, B.r
     if r % r_new != 0:

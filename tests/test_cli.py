@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -389,34 +391,34 @@ BOOL_EXPONENT = [row[:] for row in PALEY6["entries"]]
 BOOL_EXPONENT[2][4] = True
 HUGE_EXPONENT = [row[:] for row in PALEY6["entries"]]
 HUGE_EXPONENT[2][4] = 2**70
+BOOL_DIAGONAL = [row[:] for row in PALEY6["entries"]]
+BOOL_DIAGONAL[0][0] = False
 
 
 @pytest.mark.parametrize(
-    "blob",
+    "blob,message",
     [
-        dict(PALEY6, entries=STRING_EXPONENT),
-        dict(PALEY6, entries=SHORT_ROW),
-        dict(PALEY6, entries=HALF_EXPONENT),
-        dict(PALEY6, entries=BOOL_EXPONENT),
-        dict(PALEY6, entries=HUGE_EXPONENT),
-        dict(PALEY6, entries=PALEY6["entries"][:5]),
-        dict(PALEY6, entries="none"),
-        dict(PALEY6, n=-1),
-        dict(PALEY6, n="6"),
-        dict(PALEY6, r=0),
-        dict(PALEY6, r=4.0),
-        {"n": 6, "entries": PALEY6["entries"]},
+        (dict(PALEY6, entries=STRING_EXPONENT), "cell (2,4) must be null or an integer, got '2'"),
+        (dict(PALEY6, entries=SHORT_ROW), "entries must be 6 rows of 6 cells"),
+        (dict(PALEY6, entries=HALF_EXPONENT), "cell (2,4) must be null or an integer, got 1.5"),
+        (dict(PALEY6, entries=BOOL_EXPONENT), "cell (2,4) must be null or an integer, got True"),
+        (dict(PALEY6, entries=HUGE_EXPONENT), "exponents must lie in the 64-bit integer range"),
+        (dict(PALEY6, entries=PALEY6["entries"][:5]), "entries must be 6 rows of 6 cells"),
+        (dict(PALEY6, entries="none"), "entries must be 6 rows of 6 cells"),
+        (dict(PALEY6, n=-1), "n must be a positive integer, got -1"),
+        (dict(PALEY6, n="6"), "n must be a positive integer, got '6'"),
+        (dict(PALEY6, r=0), "r must be a positive integer, got 0"),
+        (dict(PALEY6, r=4.0), "r must be a positive integer, got 4.0"),
+        ({"n": 6, "entries": PALEY6["entries"]}, "missing key 'r'"),
+        (dict(PALEY6, entries=BOOL_DIAGONAL), "cell (0,0) must be null or an integer, got False"),
     ],
     ids=["string", "short-row", "half", "bool", "huge", "missing-row", "not-a-grid",
-         "n-negative", "n-string", "r-zero", "r-float", "no-r"],
+         "n-negative", "n-string", "r-zero", "r-float", "no-r", "bool-diagonal"],
 )
-def test_verify_malformed_roux_file_exit2(tmp_path, capsys, blob):
+def test_verify_malformed_roux_file_exit2(tmp_path, capsys, blob, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))
-    code, out, err = run(["verify", str(path), "--kind", "roux"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(["verify", str(path), "--kind", "roux"], capsys) == (2, "", f"error: {message}\n")
 
 
 def without(blob: dict, key: str) -> dict:
@@ -484,24 +486,95 @@ def test_verify_roux_r1_faults_keep_exit1_and_cell(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["signature", "etf"])
 @pytest.mark.parametrize(
-    "entries",
+    "entries,message",
     [
-        [[0.0, 0.0, 0.0]] * 4,
-        [[0.0, 0.0]] * 3,
-        [[0.0, 0.0]] * 3 + [[1.0]],
-        [[0.0, 0.0]] * 3 + [["1", "0"]],
-        [[0.0, 0.0]] * 3 + [[None, 0.0]],
-        [[0.0, 0.0]] * 3 + [[float("nan"), 0.0]],
+        ([[0.0, 0.0, 0.0]] * 4, "entries must be 4 [re, im] pairs of numbers"),
+        ([[0.0, 0.0]] * 3, "entries must be 4 [re, im] pairs of numbers"),
+        ([[0.0, 0.0]] * 3 + [[1.0]], "entries must be 4 [re, im] pairs"),
+        ([[0.0, 0.0]] * 3 + [["1", "0"]], "entries must be 4 [re, im] pairs of numbers"),
+        ([[0.0, 0.0]] * 3 + [[None, 0.0]], "entries must be 4 [re, im] pairs of numbers"),
+        ([[0.0, 0.0]] * 3 + [[float("nan"), 0.0]], "entries must be finite"),
+        ({"0": [0.0, 0.0]}, "entries must be 4 [re, im] pairs of numbers"),
+        ([[0.0, 0.0]] * 3 + [[[1.0], 0.0]], "entries must be 4 [re, im] pairs"),
+        ([[True, False]] * 4, "entries must be 4 [re, im] pairs of numbers"),
     ],
-    ids=["three-numbers", "too-few", "ragged", "string", "null", "nan"],
+    ids=["three-numbers", "too-few", "ragged", "string", "null", "nan", "dict", "nested-cell", "booleans"],
 )
-def test_verify_malformed_matrix_file_exit2(tmp_path, capsys, kind, entries):
+def test_verify_malformed_matrix_file_exit2(tmp_path, capsys, kind, entries, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "entries": entries}))
-    code, out, err = run(["verify", str(path), "--kind", kind], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(["verify", str(path), "--kind", kind], capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.fixture(scope="module")
+def paley110_files(tmp_path_factory):
+    """The Paley roux at p = 109 and its signature, Gram and two-graph
+    files: n = 110, so a pairs file parses to 12,100 lists."""
+    exps = paley_exponents(109)
+    n = len(exps)
+    signs = [[1 if e == 0 else -1 for e in row] for row in exps]
+    mu = 1 / math.sqrt(n - 1)
+
+    def pairs(diagonal, scale):
+        return [[diagonal if i == j else scale * signs[i][j], 0.0] for i in range(n) for j in range(n)]
+
+    blobs = {
+        "roux": roux_json(RouxMatrix(n, 4, exps)),
+        "signature": {"n": n, "entries": pairs(0.0, 1.0)},
+        "etf": {"n": n, "entries": pairs(1.0, mu)},
+        "twograph": {"n": n, "triples": [
+            [i, j, k] for i, j, k in itertools.combinations(range(n), 3) if signs[i][j] * signs[j][k] * signs[k][i] < 0
+        ]},
+    }
+    root = tmp_path_factory.mktemp("paley110")
+    for kind, blob in blobs.items():
+        (root / f"{kind}.json").write_text(json.dumps(blob))
+    return root
+
+
+@pytest.mark.parametrize("kind", ["roux", "signature", "etf", "twograph"])
+def test_verify_makes_no_collection(paley110_files, capsys, kind):
+    argv = ["verify", str(paley110_files / f"{kind}.json"), "--kind", kind]
+    assert main(argv) == 0  # first call: the parser and lazy imports
+    events = []
+
+    def record(phase, info):
+        events.append((phase, info["generation"]))
+
+    gc.collect()  # nothing left over from earlier tests starts a collection
+    gc.callbacks.append(record)
+    try:
+        code = main(argv)
+    finally:
+        gc.callbacks.remove(record)
+    capsys.readouterr()
+    assert (code, events) == (0, [])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_keeps_the_callers_collector_state(tmp_path, capsys, enabled):
+    good, corrupted, malformed = tmp_path / "good.json", tmp_path / "corrupted.json", tmp_path / "malformed.json"
+    good.write_text(json.dumps(PALEY6))
+    flipped = [row[:] for row in PALEY6["entries"]]
+    flipped[0][1] = (flipped[0][1] + 1) % 4  # breaks inverse-symmetry: exit 1
+    corrupted.write_text(json.dumps(dict(PALEY6, entries=flipped)))
+    malformed.write_text(json.dumps(dict(PALEY6, entries=STRING_EXPONENT)))
+    cases = [
+        (["verify", str(good), "--kind", "roux"], 0),
+        (["verify", str(corrupted), "--kind", "roux"], 1),
+        (["verify", str(malformed), "--kind", "roux"], 2),
+        (["verify", str(tmp_path / "absent.json"), "--kind", "etf"], 2),
+        (["family", "psl2", "--q", "5"], 0),
+    ]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in cases:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 
 def test_verify_signature_all_ones(tmp_path, capsys):

@@ -14,6 +14,7 @@ from rouxforge.families import (
     symplectic_witness,
     trivial_parameters_closed_form,
 )
+from rouxforge.roux import verify_roux
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +146,17 @@ def test_su3_family_q3(psu3):
     for b in blocks4:
         assert tuple(b.working_params) == (2, 8, 8, 8)
         assert b.key_z_exponent == 4  # the sign the closed form is written for
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_compressed_roux_parameters_equal_verify_roux(q):
+    # the pipeline reads a compressed roux's parameters off the verified
+    # ones (see compress_to_subgroup); su3 is the family that compresses
+    rep = su3_family(q, allow_large=True)
+    compressed = [b for b in rep.characters if b.higman and b.working_r != b.r]
+    assert len(compressed) == q
+    for b in compressed:
+        assert verify_roux(b.working_roux).coeffs == tuple(b.working_params)
 
 
 def test_su3_family_q3_lines(psu3):

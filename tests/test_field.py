@@ -4,6 +4,7 @@ from rouxforge.field import (
     IRREDUCIBLE_TABLE,
     FieldError,
     FieldSpec,
+    _poly_mul_mod,
     primitive_element,
 )
 
@@ -146,6 +147,17 @@ def test_irreducibility_test_matches_inverse_table(p, k):
         except FieldError:
             is_field = False
         assert accepted == is_field, poly
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (3, 2), (2, 4), (31, 1), (7, 2), (2, 6), (3, 4)])
+def test_tables_match_polynomial_arithmetic_on_every_pair(p, k):
+    F = FieldSpec(p, k)
+    F._build_tables()
+    coeffs = [F.decode(a) for a in range(F.q)]
+    assert F._add_table == [F.encode([(x + y) % p for x, y in zip(ca, cb)]) for ca in coeffs for cb in coeffs]
+    assert F._mul_table == [F.encode(_poly_mul_mod(ca, cb, F.irreducible, p)) for ca in coeffs for cb in coeffs]
+    assert F._inv_table[0] == 0
+    assert all(F._mul_table[a * F.q + F._inv_table[a]] == 1 for a in range(1, F.q))
 
 
 def test_spec_json_roundtrip():

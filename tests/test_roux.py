@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from functools import lru_cache
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -171,6 +172,43 @@ def test_check_r3_matches_loop(case):
             RouxMatrix(len(exps), r, exps)
         assert err.value.cell == expected
         assert str(err.value) == f"inverse-symmetry fails at cell ({expected[0]},{expected[1]})"
+
+
+@st.composite
+def sparse_r3_grids(draw, max_n: int = 7):
+    """Inverse-symmetric grids over C_r, r up to 60, whose entries come
+    from at most three exponents and their negatives: verify_roux
+    multiplies the indicators of those alone."""
+    n = draw(st.integers(2, max_n))
+    r = draw(st.integers(5, 60))
+    pool = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=3))
+    exps = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            exps[i][j] = draw(st.sampled_from(pool))
+            exps[j][i] = -exps[i][j]
+    return RouxMatrix(n, r, exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_r3_grids(), row_blocks)
+@example(RouxMatrix(6, 40, np.array(paley_exponents(5)) * 10), 64)
+@example(RouxMatrix(14, 60, np.array(paley_exponents(13)) * 15), 3)
+@example(RouxMatrix(6, 7, [[0] * 6] * 6), 2)
+def test_verify_roux_over_the_used_exponents_matches_loop(B, block):
+    with patch.object(roux, "VERIFY_ROW_BLOCK", block):
+        fast = outcome(verify_roux, B)
+    assert fast == outcome(verify_roux_loop, B)
+
+
+def test_verify_roux_cost_follows_the_exponents_used():
+    # one indicator product over C_30000, not 30000^2 of them
+    B = RouxMatrix(3, 30000, [[0] * 3] * 3)
+    start = time.perf_counter()
+    params = verify_roux(B)
+    rows = idempotent_report(params)
+    assert time.perf_counter() - start < 1.0
+    assert (params.support(), params.coeffs[0], len(rows)) == ([0], 1, 60000)
 
 
 def test_verify_roux_refuses_n_beyond_exact_float32():
