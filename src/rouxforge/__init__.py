@@ -15,7 +15,7 @@ from .field import FieldSpec
 from .group import FiniteGroup, GroupAction, LinearCharacter
 from .roux import IdempotentData, RouxMatrix, RouxParameters, verify_roux
 from .radical import CoverData, Key, Radicalization, detect_higman, radicalize
-from .lines import ETFCertificate, LineGram, TwoGraph, verify_etf
+from .lines import ETFCertificate, LineGram, Tolerances, TwoGraph, verify_etf
 from .families import FamilyReport, sl2_family, su3_family
 
 __version__ = "0.1.0"
@@ -34,6 +34,7 @@ __all__ = [
     "Radicalization",
     "RouxMatrix",
     "RouxParameters",
+    "Tolerances",
     "TwoGraph",
     "detect_higman",
     "radicalize",

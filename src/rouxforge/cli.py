@@ -5,7 +5,15 @@ Subcommands: ``family`` (built-in family sweeps and negative witnesses),
 ``verify`` (certification of roux/signature/Gram/two-graph files).
 
 Exit codes are a stable contract: 0 success, 1 certification failure,
-2 input error, 3 double-transitivity (H1) precondition failure.
+2 input error, 3 double-transitivity (H1) precondition failure.  Each
+error class carries its code as ``exit_code``: 1 for ``CertificateError``,
+``LineSetError``, ``LinesError``, ``RouxAxiomError`` and
+``RouxIdentityError``; 2 for ``InputError``, ``FamilyError``,
+``FieldError``, ``GroupError``, ``RadicalError``, ``RouxFormatError`` and
+``TwoGraphFormatError``; 3 for ``TransitivityError``.  ``main`` alone
+maps an error, a malformed file's ``KeyError``, ``TypeError`` or other
+``ValueError`` (2) included, to its code and one ``error:`` line; ``verify``
+reports a failed certificate as a ``"passed": false`` payload instead.
 Reports are deterministic: the same configuration produces byte-identical
 output.
 """
@@ -21,14 +29,15 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import families, lines
-from .field import FieldError
 from .group import (
     FiniteGroup,
+    TransitivityError,
     enumerate_linear_characters,
     group_from_json,
     is_doubly_transitive,
@@ -36,24 +45,16 @@ from .group import (
     projective_line_action,
     stabilizer,
 )
-from .radical import CertificateError, CoverData, HigmanDecompositionTable, RadicalError, higman_roux
-from .roux import (
-    RouxAxiomError,
-    RouxFormatError,
-    RouxIdentityError,
-    RouxMatrix,
-    idempotent_report,
-    verify_roux,
-)
+from .radical import CoverData, HigmanDecompositionTable, higman_roux
+from .roux import RouxMatrix, idempotent_report, verify_roux
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_INPUT = 2
-EXIT_NOT_2TRANSITIVE = 3
 
 
 class InputError(ValueError):
-    pass
+    exit_code = EXIT_INPUT
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +99,25 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _input_error(exc: Exception) -> None:
-    """One ``error:`` line for an input file the command cannot read."""
-    text = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    print(f"error: {text}", file=sys.stderr)
-
-
 def _complex_matrix_from_json(data: dict) -> np.ndarray:
-    """The n x n matrix of a file whose entries are n^2 [re, im] pairs, row-major."""
+    """The n x n matrix of a file whose entries are n^2 [re, im] pairs of
+    numbers, row-major.  The pairs are flattened first: numpy reads a flat
+    list faster, and one pass over it refuses a boolean, which numpy would
+    read as 0 or 1."""
     n = data["n"]
     if type(n) is not int or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
+    # popped, so the n^2 parsed pairs are freed here and not by the caller
+    entries = data.pop("entries")
+    rows = (type(entries) is list and len(entries) == n * n
+            and set(map(type, entries)) == {list} and set(map(len, entries)) == {2})
+    if rows:
+        entries = list(chain.from_iterable(entries))
     try:
-        # popped, so the n^2 parsed pairs are freed here and not by the caller
-        pairs = np.asarray(data.pop("entries"))
+        pairs = np.asarray(entries)
     except ValueError as exc:  # ragged rows
         raise InputError(f"entries must be {n * n} [re, im] pairs") from exc
-    if pairs.shape != (n * n, 2) or pairs.dtype.kind not in "iuf":
+    if not rows or pairs.shape != (2 * n * n,) or pairs.dtype.kind not in "iuf" or bool in set(map(type, entries)):
         raise InputError(f"entries must be {n * n} [re, im] pairs of numbers")
     pairs = pairs.astype(float, copy=False)
     if not np.isfinite(pairs).all():
@@ -128,32 +131,22 @@ def _complex_matrix_from_json(data: dict) -> np.ndarray:
 
 
 def cmd_family(args) -> int:
-    name = args.family
-    try:
-        if name == "psl2":
-            _require(args.q is not None, "--q is required for psl2")
-            report = families.sl2_family(args.q)
-        elif name == "psu3":
-            _require(args.q is not None, "--q is required for psu3")
-            report = families.su3_family(args.q, allow_large=args.allow_large)
-        elif name == "suzuki":
-            _require(args.q is not None, "--q is required for suzuki")
-            report = families.suzuki_refutation(args.q)
-        elif name == "ree":
-            _require(args.q is not None, "--q is required for ree")
-            report = families.ree_refutation(args.q)
-        elif name == "sp":
-            _require(args.m is not None, "--m is required for sp")
-            eps = +1 if args.epsilon in ("+", "plus", "1", "+1") else -1
-            report = families.symplectic_witness(args.m, eps)
-        else:
-            raise InputError(f"unknown family {name!r}")
-    except (families.FamilyError, FieldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except families.LineSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERT_FAIL
+    name = args.family  # one of the parser's choices
+    if name == "sp":
+        _require(args.m is not None, "--m is required for sp")
+    else:
+        _require(args.q is not None, f"--q is required for {name}")
+    if name == "psl2":
+        report = families.sl2_family(args.q, _tolerances(args))
+    elif name == "psu3":
+        report = families.su3_family(args.q, allow_large=args.allow_large, tol=_tolerances(args))
+    elif name == "suzuki":
+        report = families.suzuki_refutation(args.q)
+    elif name == "ree":
+        report = families.ree_refutation(args.q)
+    else:
+        eps = +1 if args.epsilon in ("+", "plus", "1", "+1") else -1
+        report = families.symplectic_witness(args.m, eps)
 
     payload = report.to_json()
     if name in ("psl2", "psu3") and args.r_prime:
@@ -220,33 +213,25 @@ def _action_for(G: FiniteGroup, spec: str):
 def cmd_detect(args) -> int:
     data = _load_json(args.group)
     action_kind = data.pop("action", "natural" if data.get("kind") == "permutation" else "projective")
-    try:
-        G = group_from_json(data)
-        action = _action_for(G, action_kind)
-        # first: it needs no transitivity, and the H1 checks below reuse
-        # the generators' point permutations it reads and the cover's
-        # stabilizer action
-        cover = CoverData(action, stabilizer(action, action.points[0]))
-        if not action.is_transitive():
-            print("error: action is not transitive (H1 fails)", file=sys.stderr)
-            return EXIT_NOT_2TRANSITIVE
-        if action.degree < 3:
-            # radicalize's normalizer identity N(H) = G0* x C_r needs n >= 3
-            print("error: action has fewer than 3 points (H1 fails)", file=sys.stderr)
-            return EXIT_NOT_2TRANSITIVE
-        if not is_doubly_transitive(action, cover.stab_action):
-            print("error: action is not doubly transitive (H1 fails)", file=sys.stderr)
-            return EXIT_NOT_2TRANSITIVE
-        cover.verify()
-        chars = enumerate_linear_characters(cover.stab)
-    except (KeyError, TypeError, ValueError) as exc:  # GroupError and InputError included
-        _input_error(exc)
-        return EXIT_INPUT
+    G = group_from_json(data)
+    action = _action_for(G, action_kind)
+    # first: it needs no transitivity, and the H1 checks below reuse the
+    # transversal of point 0 it builds, the generators' point permutations
+    # it reads and the cover's stabilizer action
+    cover = CoverData(action, stabilizer(action, action.points[0]))
+    # raises TransitivityError on an intransitive action
+    doubly_transitive = is_doubly_transitive(action, cover.stab_action)
+    if action.degree < 3:
+        # radicalize's normalizer identity N(H) = G0* x C_r needs n >= 3
+        raise TransitivityError("action has fewer than 3 points (H1 fails)")
+    if not doubly_transitive:
+        raise TransitivityError("action is not doubly transitive (H1 fails)")
+    cover.verify()
+    chars = enumerate_linear_characters(cover.stab)
 
     if args.character_index is not None:
         if not 0 <= args.character_index < len(chars):
-            print(f"error: character index out of range 0..{len(chars) - 1}", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError(f"character index out of range 0..{len(chars) - 1}")
         wanted = [(args.character_index, chars[args.character_index])]
     else:
         wanted = list(enumerate(chars))
@@ -312,7 +297,8 @@ def cmd_verify(args) -> int:
     """``verify`` with the cyclic collector paused: a parsed file holds
     up to n^2 lists and no reference cycle, so each collection would walk
     them for nothing.  The tree is dead when ``_verify_file`` returns,
-    before collection resumes, and the caller's collector state is kept."""
+    before collection resumes, and the caller's collector state is kept.
+    An error raised on the way keeps it alive until ``main`` reports it."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -324,34 +310,18 @@ def cmd_verify(args) -> int:
 
 def _verify_file(args) -> int:
     data = _load_json(args.file)
-    kind = args.kind
-    try:
-        if kind == "roux":
-            return _verify_roux_file(data, args)
-        if kind == "signature":
-            return _verify_signature_file(data, args)
-        if kind == "etf":
-            return _verify_etf_file(data, args)
-        if kind == "twograph":
-            return _verify_twograph_file(data, args)
-        raise InputError(f"unknown kind {kind!r}")
-    except (InputError, RouxFormatError, lines.TwoGraphFormatError, KeyError, TypeError) as exc:
-        _input_error(exc)
-        return EXIT_INPUT
+    kind = args.kind  # one of the parser's choices
+    if kind == "roux":
+        return _verify_roux_file(data, args)
+    if kind == "signature":
+        return _verify_signature_file(data, args)
+    if kind == "etf":
+        return _verify_etf_file(data, args)
+    return _verify_twograph_file(data, args)
 
 
 def _verify_roux_file(data: dict, args) -> int:
-    try:
-        B = RouxMatrix.from_json(data)
-        params = verify_roux(B)
-    except (RouxAxiomError, RouxIdentityError) as exc:
-        payload = {
-            "kind": "roux",
-            "passed": False,
-            "error": {"message": str(exc), "cell": getattr(exc, "cell", None)},
-        }
-        _emit(payload, args)
-        return EXIT_CERT_FAIL
+    params = verify_roux(RouxMatrix.from_json(data))
     payload = {
         "kind": "roux",
         "passed": True,
@@ -364,40 +334,22 @@ def _verify_roux_file(data: dict, args) -> int:
 
 def _verify_signature_file(data: dict, args) -> int:
     S = _complex_matrix_from_json(data)
-    try:
-        gram = lines.gram_from_signature(S)
-        cert = lines.verify_etf(gram)
-    except lines.SignatureAxiomError as exc:
-        _emit({"kind": "signature", "passed": False,
-               "error": {"message": str(exc), "cell": getattr(exc, "cell", None)}}, args)
-        return EXIT_CERT_FAIL
-    except lines.LinesError as exc:
-        _emit({"kind": "signature", "passed": False, "error": {"message": str(exc)}}, args)
-        return EXIT_CERT_FAIL
+    tol = _tolerances(args)
+    cert = lines.verify_etf(lines.gram_from_signature(S, tol), tol)
     payload = {"kind": "signature", "passed": cert.passed or cert.degenerate, "certificate": cert.to_json()}
     _emit(payload, args)
     return EXIT_OK if payload["passed"] else EXIT_CERT_FAIL
 
 
 def _verify_etf_file(data: dict, args) -> int:
-    G = _complex_matrix_from_json(data)
-    try:
-        cert = lines.verify_etf(G)
-    except lines.LinesError as exc:
-        _emit({"kind": "etf", "passed": False, "error": {"message": str(exc)}}, args)
-        return EXIT_CERT_FAIL
+    cert = lines.verify_etf(_complex_matrix_from_json(data), _tolerances(args))
     payload = {"kind": "etf", "passed": cert.passed, "certificate": cert.to_json()}
     _emit(payload, args)
     return EXIT_OK if cert.passed else EXIT_CERT_FAIL
 
 
 def _verify_twograph_file(data: dict, args) -> int:
-    tg = lines.TwoGraph.from_json(data)
-    try:
-        reg = lines.two_graph_regularity(tg)
-    except lines.LinesError as exc:
-        _emit({"kind": "twograph", "passed": False, "error": {"message": str(exc)}}, args)
-        return EXIT_CERT_FAIL
+    reg = lines.two_graph_regularity(lines.TwoGraph.from_json(data), _tolerances(args))
     payload = {"kind": "twograph", "passed": True, "regularity": reg}
     _emit(payload, args)
     return EXIT_OK
@@ -405,6 +357,11 @@ def _verify_twograph_file(data: dict, args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _tolerances(args) -> lines.Tolerances:
+    """The ``--tol-etf`` and ``--tol-eig`` of this call, defaults where not given."""
+    return lines.Tolerances(args.tol_etf, args.tol_eig)
 
 
 def _tolerance(upper: float):
@@ -431,8 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--jobs", type=int, default=1, help="worker pool size for character sweeps")
     # only the commands that certify lines read the tolerances
     tolerances = argparse.ArgumentParser(add_help=False)
-    tolerances.add_argument("--tol-eig", type=_tolerance(1.0), help="relative eigenvalue clustering tolerance, in (0, 1)")
-    tolerances.add_argument("--tol-etf", type=_tolerance(float("inf")), help="frame certification tolerance, finite and > 0")
+    # their defaults are those of lines.Tolerances
+    tolerances.add_argument("--tol-eig", type=_tolerance(1.0), default=lines.Tolerances.eig,
+                            help="relative eigenvalue clustering tolerance, in (0, 1)")
+    tolerances.add_argument("--tol-etf", type=_tolerance(float("inf")), default=lines.Tolerances.etf,
+                            help="frame certification tolerance, finite and > 0")
 
     fam = sub.add_parser("family", parents=[shared, tolerances], help="run a built-in family pipeline")
     fam.add_argument("family", choices=("psl2", "psu3", "suzuki", "ree", "sp"))
@@ -457,22 +417,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the tolerance flags hold for this call only
-    saved = lines.EIG_CLUSTER_RTOL, lines.ETF_TOL
-    if getattr(args, "tol_eig", None) is not None:
-        lines.EIG_CLUSTER_RTOL = args.tol_eig
-    if getattr(args, "tol_etf", None) is not None:
-        lines.ETF_TOL = args.tol_etf
     try:
         return args.func(args)
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERT_FAIL
-    except (InputError, RadicalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    finally:
-        lines.EIG_CLUSTER_RTOL, lines.ETF_TOL = saved
+    except (KeyError, TypeError, ValueError) as exc:  # the one exit-code mapping: see the module docstring
+        code = getattr(exc, "exit_code", EXIT_INPUT)
+        if args.command == "verify" and code == EXIT_CERT_FAIL:
+            error = {"message": str(exc)}
+            if hasattr(exc, "cell"):
+                error["cell"] = exc.cell
+            _emit({"kind": args.kind, "passed": False, "error": error}, args)
+        else:
+            text = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            print(f"error: {text}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

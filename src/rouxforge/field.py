@@ -38,7 +38,7 @@ IRREDUCIBLE_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
 
 
 class FieldError(ValueError):
-    pass
+    exit_code = 2  # bad input
 
 
 def is_prime(n: int) -> bool:

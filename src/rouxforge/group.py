@@ -37,11 +37,18 @@ TABLE_CHUNK = 256
 
 
 class GroupError(ValueError):
-    pass
+    exit_code = 2  # bad input
 
 
 class CapExceededError(GroupError):
     pass
+
+
+class TransitivityError(GroupError):
+    """The action is not doubly transitive on at least 3 points: the
+    radical construction's hypothesis H1 fails."""
+
+    exit_code = 3
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +474,8 @@ class GroupAction:
         return self._transversals[base, root]
 
     def is_transitive(self) -> bool:
-        return len(self.search_tree(0)) == self.degree - 1
+        """Read off point 0's cached transversal, which ``stabilizer`` builds."""
+        return len(self.transversal(0).reps) == self.degree
 
 
 class Transversal:
@@ -568,9 +576,10 @@ def stabilizer(action: GroupAction, point) -> FiniteGroup:
 
 def is_doubly_transitive(action: GroupAction, stab_action: GroupAction) -> bool:
     """True iff the stabilizer of the first point, acting on the same
-    points through ``stab_action``, is transitive on the rest."""
+    points through ``stab_action``, is transitive on the rest; an
+    intransitive action raises ``TransitivityError``."""
     if not action.is_transitive():
-        raise GroupError("action is not transitive")
+        raise TransitivityError("action is not transitive (H1 fails)")
     if action.degree < 2:
         return False
     return len(stab_action.search_tree(1)) == action.degree - 2

@@ -2,7 +2,10 @@
 certification, Welch bound, Naimark complements, and two-graphs.
 
 Everything here is floating point; the exact layers live upstream.
-Tolerances are pinned as module constants.
+The two tolerances a run may set, ``--tol-etf`` and ``--tol-eig``, form
+one frozen ``Tolerances`` value that the caller passes to each function
+that reads them (the defaults when omitted); a certificate fixes its
+verdict when it is built.  The other bounds are constants.
 """
 
 from __future__ import annotations
@@ -15,18 +18,28 @@ from typing import Optional
 import numpy as np
 
 SIG_TOL = 1e-12
-ETF_TOL = 1e-9
-EIG_CLUSTER_RTOL = 1e-6
 PSD_TOL = 1e-9
 REAL_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class Tolerances:
+    """``etf`` bounds the unit diagonal, tightness, equiangularity and
+    Welch residuals; eigenvalues above ``eig`` times the largest count
+    towards the rank d."""
+
+    etf: float = 1e-9
+    eig: float = 1e-6
+
+
 class LinesError(ValueError):
-    pass
+    exit_code = 1  # a failed certificate
 
 
 class TwoGraphFormatError(LinesError):
     """A two-graph that does not list 3-subsets of range(n)."""
+
+    exit_code = 2  # bad input
 
 
 class SignatureAxiomError(LinesError):
@@ -71,18 +84,18 @@ class LineGram:
     eigenvalues: np.ndarray
 
     @classmethod
-    def from_matrix(cls, G: np.ndarray) -> "LineGram":
+    def from_matrix(cls, G: np.ndarray, tol: Tolerances = Tolerances()) -> "LineGram":
         G = np.asarray(G, dtype=complex)
-        return cls.from_spectrum(G, np.linalg.eigvalsh(G))
+        return cls.from_spectrum(G, np.linalg.eigvalsh(G), tol)
 
     @classmethod
-    def from_spectrum(cls, G: np.ndarray, w: np.ndarray) -> "LineGram":
+    def from_spectrum(cls, G: np.ndarray, w: np.ndarray, tol: Tolerances = Tolerances()) -> "LineGram":
         """The Gram ``G`` given its eigenvalues ``w`` in ascending order."""
         if w[0] < -PSD_TOL * max(1.0, w[-1]):
             raise LinesError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-        if np.max(np.abs(np.diag(G) - 1)) > ETF_TOL:
+        if np.max(np.abs(np.diag(G) - 1)) > tol.etf:
             raise LinesError("Gram diagonal is not all ones")
-        d = int((w > EIG_CLUSTER_RTOL * w[-1]).sum())
+        d = int((w > tol.eig * w[-1]).sum())
         return cls(G.shape[0], d, G, w)
 
     @cached_property
@@ -92,7 +105,7 @@ class LineGram:
         return float(np.max(np.abs(G @ G - (self.n / self.d) * G)))
 
 
-def gram_from_signature(S: np.ndarray) -> LineGram:
+def gram_from_signature(S: np.ndarray, tol: Tolerances = Tolerances()) -> LineGram:
     """Scale by the least eigenvalue: G = -S/lambda_min + I is a unit
     diagonal PSD Gram.  Its eigenvalues are 1 - w/lambda_min for the
     eigenvalues w of S, in the same ascending order since lambda_min < 0,
@@ -103,12 +116,13 @@ def gram_from_signature(S: np.ndarray) -> LineGram:
     if lam >= 0:
         raise LinesError("least eigenvalue must be negative (trace is zero)")
     G = np.eye(S.shape[0]) - S / lam
-    return LineGram.from_spectrum(G, 1 - w / lam)
+    return LineGram.from_spectrum(G, 1 - w / lam, tol)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ETFCertificate:
-    """Numeric report for a candidate equiangular tight frame."""
+    """Numeric report for a candidate equiangular tight frame, its
+    verdict fixed by ``verify_etf`` under the tolerances of that call."""
 
     n: int
     d: int
@@ -117,16 +131,8 @@ class ETFCertificate:
     equiangularity_residual: float
     welch_equality: bool
     real: bool
-    degenerate: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.degenerate
-            and self.welch_equality
-            and self.tightness_residual < ETF_TOL
-            and self.equiangularity_residual < ETF_TOL
-        )
+    degenerate: bool
+    passed: bool
 
     def to_json(self) -> dict:
         return {
@@ -146,15 +152,17 @@ def welch_bound(n: int, d: int) -> float:
     return math.sqrt((n - d) / (d * (n - 1)))
 
 
-def verify_etf(data) -> ETFCertificate:
+def verify_etf(data, tol: Tolerances = Tolerances()) -> ETFCertificate:
     """Certify an ETF from a LineGram or a square Gram matrix.
 
     Residuals: tightness is measured on the Gram as |G^2 - (n/d) G|_max
     (equivalently the frame operator being (n/d) I), equiangularity as
     the spread of off-diagonal moduli.  The lines are real when (G - I)/mu
-    is a signature matrix whose normalized form is real.
+    is a signature matrix whose normalized form is real.  It passes when
+    it is not degenerate (n > d), meets the Welch bound and both
+    residuals are below ``tol.etf``.
     """
-    gram = data if isinstance(data, LineGram) else LineGram.from_matrix(data)
+    gram = data if isinstance(data, LineGram) else LineGram.from_matrix(data, tol)
     n, d, G = gram.n, gram.d, gram.matrix
     off = ~np.eye(n, dtype=bool)
     mods = np.abs(G[off])
@@ -162,29 +170,29 @@ def verify_etf(data) -> ETFCertificate:
     equiang = float(np.max(mods) - np.min(mods)) if n > 1 else 0.0
     tight = gram.tightness_residual
     if n == d:
-        return ETFCertificate(n, d, mu, tight, equiang, False, True, degenerate=True)
-    welch = welch_bound(n, d)
-    welch_eq = abs(mu - welch) < ETF_TOL
+        return ETFCertificate(n, d, mu, tight, equiang, False, True, degenerate=True, passed=False)
+    welch_eq = abs(mu - welch_bound(n, d)) < tol.etf
     real = False
-    if mu > 0 and equiang < ETF_TOL:
+    if mu > 0 and equiang < tol.etf:
         try:
             real = is_real_line_sequence(check_signature((G - np.eye(n)) / mu))
         except SignatureAxiomError:
             pass
-    return ETFCertificate(n, d, mu, tight, equiang, welch_eq, real)
+    passed = welch_eq and tight < tol.etf and equiang < tol.etf
+    return ETFCertificate(n, d, mu, tight, equiang, welch_eq, real, degenerate=False, passed=passed)
 
 
-def naimark_complement(gram: LineGram) -> LineGram:
+def naimark_complement(gram: LineGram, tol: Tolerances = Tolerances()) -> LineGram:
     """The (n-d)-dimensional partner Gram n/(n-d) (I - (d/n) G), whose
     eigenvalues n/(n-d) (1 - (d/n) w) are G's, w, mapped and reversed."""
     n, d, G = gram.n, gram.d, gram.matrix
     if n == d:
         raise LinesError("no complement when n = d")
     tight = gram.tightness_residual
-    if tight > ETF_TOL:
+    if tight > tol.etf:
         raise LinesError(f"input Gram is not tight (residual {tight:.3e})")
     comp = (n / (n - d)) * (np.eye(n) - (d / n) * G)
-    out = LineGram.from_spectrum(comp, (n / (n - d)) * (1 - (d / n) * gram.eigenvalues[::-1]))
+    out = LineGram.from_spectrum(comp, (n / (n - d)) * (1 - (d / n) * gram.eigenvalues[::-1]), tol)
     if out.d != n - d:
         raise LinesError("complement rank mismatch")
     return out
@@ -276,7 +284,7 @@ def signature_from_two_graph(tg: TwoGraph) -> np.ndarray:
     return S
 
 
-def two_graph_regularity(tg: TwoGraph) -> dict:
+def two_graph_regularity(tg: TwoGraph, tol: Tolerances = Tolerances()) -> dict:
     """Eigenvalue test: regular iff the signature has two distinct values.
 
     When regular, ``d`` is the dimension spanned by the associated lines
@@ -289,7 +297,7 @@ def two_graph_regularity(tg: TwoGraph) -> dict:
     scale = max(1.0, float(np.max(np.abs(w))))
     clusters: list[list[float]] = []
     for val in w:
-        if clusters and abs(val - clusters[-1][-1]) < EIG_CLUSTER_RTOL * scale:
+        if clusters and abs(val - clusters[-1][-1]) < tol.eig * scale:
             clusters[-1].append(float(val))
         else:
             clusters.append([float(val)])

@@ -34,7 +34,6 @@ from .group import (
     stabilizer,
 )
 from .lines import (
-    EIG_CLUSTER_RTOL,
     LineGram,
     LinesError,
     TwoGraph,
@@ -436,9 +435,9 @@ def idempotency_residual(G: np.ndarray) -> float:
 
 def gram_vectors(gram: LineGram) -> np.ndarray:
     """A d x n matrix Phi with Phi* Phi equal to the Gram: unit-norm
-    vectors spanning the lines."""
+    vectors spanning the lines, from its d largest eigenvalues."""
     w, V = np.linalg.eigh(gram.matrix)
-    keep = w > EIG_CLUSTER_RTOL * w[-1]
+    keep = slice(gram.n - gram.d, None)
     return np.sqrt(w[keep])[:, None] * V[:, keep].conj().T
 
 

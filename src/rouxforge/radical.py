@@ -49,18 +49,20 @@ from typing import Optional
 
 import numpy as np
 
-from .group import FiniteGroup, GroupAction, LinearCharacter
+from .group import FiniteGroup, GroupAction, LinearCharacter, TransitivityError
 from .roux import RouxMatrix, RouxParameters, verify_roux
 
 
 class RadicalError(ValueError):
-    pass
+    exit_code = 2  # bad input
 
 
 class CertificateError(RadicalError):
     """An exact certificate failed on a well-formed input: the counted
     and the verified roux parameters disagree, or the roux is not
     invariant under G*."""
+
+    exit_code = 1
 
 
 class CoverData:
@@ -125,8 +127,9 @@ class CoverData:
         """Check the covering invariants (materialized covers only).
 
         With G materialized, the listed keys must lie in G, and
-        |stab| * |orbit(b)| = |G|.  Then ``stab.generator_table`` (cached;
-        the characters read it next) proves that the listed elements are
+        |stab| * |orbit(b)| = |G|, the orbit read off b's cached
+        transversal.  Then ``stab.generator_table`` (cached; the
+        characters read it next) proves that the listed elements are
         closed under right products by the generators and reached from the
         identity by them: the list is exactly the subgroup the generators
         generate, without repeats.  If every generator fixes b, every word
@@ -140,7 +143,7 @@ class CoverData:
         if G is not None:
             if not self.stab.members <= G.members:
                 raise RadicalError("stabilizer element lies outside the group")
-            if self.stab.order * (1 + len(self.action.search_tree(b))) != G.order:
+            if self.stab.order * len(self.action.transversal(b).reps) != G.order:
                 raise RadicalError("stabilizer list is incomplete")
         self.stab.generator_table
         if (self.stab_action.generator_perms[:, b] != b).any():
@@ -245,7 +248,7 @@ class HigmanDecompositionTable:
         self.base_index = b = action.point_index[cover.base_point]
         g01 = cover.stab_action.transversal(action.point_index[action.act(x, cover.base_point)], root=x)
         if len(g01.reps) != n - 1:
-            raise RadicalError("stabilizer is not transitive on the other points")
+            raise TransitivityError("stabilizer is not transitive on the other points")
         self.xinv = xinv = g01.inv_reps[g01.base]
         self._u = g01.inv_reps
         # xi_p = t_p x^-1 for every point: one batched product
@@ -259,7 +262,7 @@ class HigmanDecompositionTable:
 
         transversal = action.transversal(b)
         if len(transversal.reps) != n:
-            raise RadicalError("the action is not transitive")
+            raise TransitivityError("the action is not transitive")
         self.tree = transversal.tree
         self.reps = [transversal.reps[j] for j in range(n)]
         self.perms = action.generator_perms

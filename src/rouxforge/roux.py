@@ -32,9 +32,13 @@ VERIFY_BYTES_MAX = 2**30
 class RouxFormatError(ValueError):
     """A roux file that does not describe an n x n exponent grid."""
 
+    exit_code = 2  # bad input
+
 
 class RouxAxiomError(ValueError):
     """R1-R3 failure; carries the first offending cell."""
+
+    exit_code = 1  # a failed certificate
 
     def __init__(self, message: str, cell: Optional[tuple] = None):
         super().__init__(message)
@@ -43,6 +47,8 @@ class RouxAxiomError(ValueError):
 
 class RouxIdentityError(ValueError):
     """B^2 identity failure; carries the offending cell."""
+
+    exit_code = 1  # a failed certificate
 
     def __init__(self, message: str, cell: Optional[tuple] = None):
         super().__init__(message)

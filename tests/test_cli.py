@@ -506,6 +506,25 @@ def test_verify_malformed_matrix_file_exit2(tmp_path, capsys, kind, entries, mes
     assert run(["verify", str(path), "--kind", kind], capsys) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("kind", ["signature", "etf"])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0, 0], [0, 0], [0, 0], [True, 0.0]],
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [False, 0.0]],
+        [[0, 0], [1, 0], [1, 0], [0, False]],
+    ],
+    ids=["true-among-floats", "false-among-floats", "false-among-integers"],
+)
+def test_verify_boolean_among_numbers_exit2(tmp_path, capsys, kind, entries):
+    # numpy reads a boolean among numbers as 0 or 1, so without its own
+    # check the file was certified, or refused with exit 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "entries": entries}))
+    message = "error: entries must be 4 [re, im] pairs of numbers\n"
+    assert run(["verify", str(path), "--kind", kind], capsys) == (2, "", message)
+
+
 @pytest.fixture(scope="module")
 def paley110_files(tmp_path_factory):
     """The Paley roux at p = 109 and its signature, Gram and two-graph
@@ -683,7 +702,6 @@ def test_verify_exported_psl27_roux(tmp_path, capsys):
 
 
 def test_tolerance_override_flags(tmp_path, capsys):
-    import rouxforge.lines as lines_mod
     from rouxforge.lines import gram_from_signature
     from rouxforge.roux import signature_matrix
 
@@ -694,16 +712,13 @@ def test_tolerance_override_flags(tmp_path, capsys):
     blob = {"n": 6, "entries": [[float(v.real), float(v.imag)] for v in M.flatten()]}
     path = tmp_path / "gram.json"
     path.write_text(json.dumps(blob))
-    default_tol = lines_mod.ETF_TOL
     assert run(["verify", str(path), "--kind", "etf"], capsys)[0] == 1
     assert run(["verify", str(path), "--kind", "etf", "--tol-etf", "0.05"], capsys)[0] == 0
     # the flag holds for its own call only
     assert run(["verify", str(path), "--kind", "etf"], capsys)[0] == 1
-    assert lines_mod.ETF_TOL == default_tol
 
 
 def test_tol_eig_sets_gram_rank(tmp_path, capsys):
-    import rouxforge.lines as lines_mod
     from rouxforge.lines import gram_from_signature
     from rouxforge.roux import signature_matrix
 
@@ -717,7 +732,6 @@ def test_tol_eig_sets_gram_rank(tmp_path, capsys):
     blob = {"n": 6, "entries": [[float(v.real), float(v.imag)] for v in M.flatten()]}
     path = tmp_path / "gram.json"
     path.write_text(json.dumps(blob))
-    default_rtol = lines_mod.EIG_CLUSTER_RTOL
     _, out, _ = run(["verify", str(path), "--kind", "etf"], capsys)
     assert json.loads(out)["certificate"]["d"] == 4
     _, out, _ = run(["verify", str(path), "--kind", "etf", "--tol-eig", "1e-3"], capsys)
@@ -725,7 +739,6 @@ def test_tol_eig_sets_gram_rank(tmp_path, capsys):
     # the flag holds for its own call only
     _, out, _ = run(["verify", str(path), "--kind", "etf"], capsys)
     assert json.loads(out)["certificate"]["d"] == 4
-    assert lines_mod.EIG_CLUSTER_RTOL == default_rtol
 
 
 def test_detect_takes_no_tolerance_flags(tmp_path):
@@ -855,3 +868,23 @@ def test_detect_su33_reads_one_transversal_per_action_and_base(tmp_path, capsys,
     assert [(len(t.reps), t.base) for t in built] == [(28, 0), (27, built[1].base)] and built[1].base != 0
     # 1,006 applies and 934 products before the transversals were shared
     assert counts["apply"] <= 380 and counts["mul"] <= 800
+
+
+def test_detect_su33_walks_the_g_star_orbit_once(tmp_path, capsys, monkeypatch):
+    # the stabilizer's transversal walks it; the transitivity checks and
+    # the cover's orbit count read that transversal
+    from rouxforge.group import GroupAction
+
+    walks = []
+    search_tree = GroupAction.search_tree
+
+    def recording(self, base):
+        walks.append(self.group.order)
+        return search_tree(self, base)
+
+    monkeypatch.setattr(GroupAction, "search_tree", recording)
+    path = tmp_path / "su33.json"
+    path.write_text(json.dumps(dict(su33_bench_spec(), action="isotropic")))
+    code, out, _ = run(["detect", str(path)], capsys)
+    assert code == 0 and json.loads(out)["group_order"] == 6048
+    assert walks.count(6048) == 1

@@ -10,6 +10,7 @@ from rouxforge.lines import (
     LineGram,
     LinesError,
     SignatureAxiomError,
+    Tolerances,
     TwoGraph,
     check_signature,
     gram_from_signature,
@@ -349,3 +350,16 @@ def test_psu33_signature_gives_28_7():
     cert = verify_etf(gram_back)
     assert cert.passed and abs(cert.mu - mu) < 1e-9
     assert not cert.real
+
+
+def test_a_certificate_keeps_the_verdict_of_its_tolerances():
+    # the (6,3) frame with one vector tilted: equiangular only to 0.05
+    vectors = gram_vectors(gram_from_signature(etf63_signature()))
+    vectors[1, 0] += 0.01
+    vectors[:, 0] /= np.linalg.norm(vectors[:, 0])
+    G = vectors.conj().T @ vectors
+    loose = verify_etf(G, Tolerances(etf=0.05))
+    assert loose.passed and loose.to_json()["passed"]
+    strict = verify_etf(G)
+    assert not strict.passed
+    assert loose.passed and loose.to_json()["passed"]

@@ -7,6 +7,7 @@ from util import cover_of, materialized, random_outside_stabilizer, su33_bench_g
 from rouxforge.families import isotropic_line_action, sl2_cover, su3_cover
 from rouxforge.group import (
     PermOps,
+    TransitivityError,
     closure,
     enumerate_linear_characters,
     natural_permutation_action,
@@ -169,7 +170,7 @@ def test_find_key_requires_double_transitivity():
     cover = cover_of(natural_permutation_action(C4))
     # find_key reads x^{-1} = xi x eta off the table, which needs G0*
     # transitive on the points other than the base point
-    with pytest.raises(RadicalError, match="not transitive"):
+    with pytest.raises(TransitivityError, match="not transitive"):
         HigmanDecompositionTable(cover, (1, 2, 3, 0))
 
 
@@ -531,7 +532,7 @@ def test_decomposition_table_rejects_an_incomplete_stabilizer():
 
     torus = [g for g in cover.stab.elements if g[0][1] == 0]
     stab = FiniteGroup(cover.ops, torus, small_generating_set(cover.ops, torus))
-    with pytest.raises(RadicalError, match="not transitive"):
+    with pytest.raises(TransitivityError, match="not transitive"):
         HigmanDecompositionTable(CoverData(cover.action, stab, cover.base_point), x)
 
 
