@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", help="output path (default: stdout)")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
-    shared.add_argument("--jobs", type=int, default=1, help="worker pool size for character sweeps")
+    # family and verify take it too, and never read it
+    shared.add_argument("--jobs", type=int, default=1, help="worker pool size for detect's character sweep")
     # only the commands that certify lines read the tolerances
     tolerances = argparse.ArgumentParser(add_help=False)
     # their defaults are those of lines.Tolerances

@@ -6,6 +6,18 @@ The positive pipelines never materialize the full cover group: the
 stabilizer is enumerated structurally, coset representatives come from
 orbit search, and detection/key-finding/parameter extraction are all
 stabilizer-local.
+
+The line sets of a roux B over C_r are its images under the characters
+k of C_r, and ``signature_matrix(B, k)`` computes entry (i, j) from the
+integer m = (B.exps[i, j] k) mod r and from r alone.  Line sets with
+equal n, r and phase grid m therefore have bit-equal signature matrices,
+and so bit-equal Grams, certificates and numeric realness.  Many line
+sets of one family share a grid: every k = 0 set of one r; in the
+unitary family, the sets of a character alpha and of alpha^{-1} (the
+``radical`` module docstring proves it); and, observed at q <= 8 but not
+proved, those of Galois-conjugate characters (62 line sets but 13
+distinct grids at q = 8).  One ``LineCertificates`` per family run
+certifies each grid once, relying on none of these facts.
 """
 
 from __future__ import annotations
@@ -47,9 +59,7 @@ from .roux import (
     RouxMatrix,
     RouxParameters,
     compress_to_subgroup,
-    idempotent_data,
     idempotent_report,
-    is_real_lines,
     signature_matrix,
 )
 
@@ -359,30 +369,65 @@ def trivial_parameters_closed_form(n: int) -> RouxParameters:
 # shared pipeline pieces
 
 
-def _line_set_records(B: RouxMatrix, params: RouxParameters, index: int, tol: Tolerances) -> list[LineSetRecord]:
-    """Certify the lines of every character k of a (working) roux built
-    from character ``index`` under ``tol``; a set the lines layer refuses
-    raises LineSetError naming both."""
+class LineCertificates:
+    """The line-set certificates of one family run, one per phase grid.
+
+    A set of roux B at character k is keyed on n, r and the bytes of the
+    grid (B.exps k) mod r before anything is built: equal keys give bit-equal
+    signature matrices (see the module docstring).  Only d, the two
+    certificates and the numeric realness are stored.  A set that fails
+    raises before it is stored, so the first failing character and k are
+    named as without the cache.  Each family call builds its own, so no
+    verdict outlives the ``tol`` it was fixed under.
+    """
+
+    def __init__(self, tol: Tolerances):
+        self.tol = tol
+        self._certified: dict[tuple, tuple] = {}
+
+    def certify(self, B: RouxMatrix, k: int, index: int) -> tuple:
+        """(d, certificate, complement certificate, numeric realness) of
+        the lines of B at character k; a set the lines layer refuses
+        raises LineSetError naming character ``index`` and k."""
+        n, r = B.n, B.r
+        # (B.exps k) mod r read off a table of (e k) mod r for e in C_r, as
+        # signature_matrix reads its phases, in the least dtype that holds
+        # r - 1: fixed by r, which the key holds
+        grid = (np.arange(r) * k % r).astype(np.min_scalar_type(r - 1))[B.exps]
+        key = (n, r, grid.tobytes())
+        found = self._certified.get(key)
+        if found is None:
+            tol = self.tol
+            S = signature_matrix(B, k)
+            try:
+                gram = gram_from_signature(S, tol)
+                cert = verify_etf(gram, tol)
+                comp_cert = verify_etf(naimark_complement(gram, tol), tol) if gram.d < n else None
+            except LinesError as exc:
+                raise LineSetError(f"character {index}, k = {k}: {exc}") from exc
+            # gram_from_signature has checked S; at k = 0 it is J - I
+            found = self._certified[key] = (gram.d, cert, comp_cert, is_real_line_sequence(S) if k else True)
+        return found
+
+
+def _line_set_records(
+    B: RouxMatrix, idempotents: list[dict], index: int, certs: LineCertificates
+) -> list[LineSetRecord]:
+    """The line set of every character k of a (working) roux built from
+    character ``index``.  d_plus, d_minus and the algebraic realness are
+    read off B's idempotent report rows, the + and the - row of each k in
+    turn; the rest comes from ``certs``."""
     records = []
-    n, r = B.n, B.r
-    for k in range(r):
-        plus, minus = idempotent_data(params, k)
-        S = signature_matrix(B, k)
-        try:
-            gram = gram_from_signature(S, tol)
-            cert = verify_etf(gram, tol)
-            comp_cert = verify_etf(naimark_complement(gram, tol), tol) if gram.d < n else None
-        except LinesError as exc:
-            raise LineSetError(f"character {index}, k = {k}: {exc}") from exc
+    for k, (plus, minus) in enumerate(zip(idempotents[::2], idempotents[1::2])):
+        d, cert, comp_cert, real_numeric = certs.certify(B, k, index)
         records.append(
             LineSetRecord(
                 k=k,
-                d_plus=plus.d,
-                d_minus=minus.d,
-                signature_rank=gram.d,
-                real_algebraic=is_real_lines(params, k),
-                # gram_from_signature has checked S
-                real_numeric=is_real_line_sequence(S) if k % r else True,
+                d_plus=plus["d"],
+                d_minus=minus["d"],
+                signature_rank=d,
+                real_algebraic=plus["real"],
+                real_numeric=real_numeric,
                 etf=cert,
                 complement=comp_cert,
             )
@@ -394,7 +439,7 @@ def _process_character(
     table: HigmanDecompositionTable,
     alpha,
     index: int,
-    tol: Tolerances,
+    certs: LineCertificates,
     compress_to: Optional[int] = None,
     prefer_exponent: Optional[int] = None,
 ) -> CharacterBlock:
@@ -422,7 +467,7 @@ def _process_character(
     block.working_r = working.r
     block.working_params = list(working_params.coeffs)
     block.idempotents = idempotent_report(working_params)
-    block.line_sets = _line_set_records(working, working_params, index, tol)
+    block.line_sets = _line_set_records(working, block.idempotents, index, certs)
     return block
 
 
@@ -457,8 +502,9 @@ def sl2_family(q: int, tol: Tolerances = Tolerances()) -> FamilyReport:
     report.check("character_count", len(chars) == q - 1, f"{len(chars)} characters, expected q-1")
 
     table = HigmanDecompositionTable(cover, x)
+    certs = LineCertificates(tol)
     for idx, alpha in enumerate(chars):
-        block = _process_character(table, alpha, idx, tol)
+        block = _process_character(table, alpha, idx, certs)
         report.characters.append(block)
 
     passing = [b for b in report.characters if b.higman]
@@ -534,6 +580,7 @@ def su3_family(q: int, allow_large: bool = False, tol: Tolerances = Tolerances()
     )
 
     table = HigmanDecompositionTable(cover, x)
+    certs = LineCertificates(tol)
     for idx, alpha in enumerate(chars):
         prefer = None
         if alpha.modulus > 1:
@@ -542,7 +589,7 @@ def su3_family(q: int, allow_large: bool = False, tol: Tolerances = Tolerances()
             table,
             alpha,
             idx,
-            tol,
+            certs,
             compress_to=alpha.modulus if alpha.modulus > 1 else None,
             prefer_exponent=prefer,
         )

@@ -110,6 +110,10 @@ class FieldSpec:
     """A finite field F_{p^k} with a fixed polynomial basis."""
 
     def __init__(self, p: int, k: int = 1, irreducible: Optional[Sequence[int]] = None):
+        # before p^k or is_prime's sqrt(p) trial division is computed:
+        # p > 1 has p^k >= 2^k, above MAX_ORDER once k >= 21
+        if p > MAX_ORDER or (p > 1 and k >= MAX_ORDER.bit_length()):
+            raise FieldError("fields beyond order 2^20 are out of scope")
         if not is_prime(p):
             raise FieldError(f"modulus {p} is not prime")
         if k < 1:

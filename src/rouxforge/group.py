@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .field import FieldError, FieldSpec, json_int
+from .field import MAX_ORDER, FieldError, FieldSpec, json_int
 
 CLOSURE_CAP = 10**6
 DERIVED_CAP = 10**5
@@ -737,20 +737,26 @@ def parse_group_spec(data: dict) -> tuple:
 
     Every count, image and entry must be a JSON integer, ``degree`` and
     ``dim`` at least 1, and every matrix invertible; anything else raises
-    ``GroupError`` (``FieldError`` inside the field spec).
+    ``GroupError`` (``FieldError`` inside the field spec).  Before
+    anything of their size is built, ``degree`` and ``dim``^2, the sizes
+    of the backend's identity, are checked against ``MAX_ORDER``, and a
+    generator's length against ``degree``.
     """
     kind = data.get("kind")
     if kind == "permutation":
         degree = _json_count(data, "degree")
-        ops = PermOps(degree)
+        if degree > MAX_ORDER:
+            raise GroupError(f"degree: at most {MAX_ORDER} points, got {degree}")
         gens = [tuple(json_int(i, "generators", GroupError) for i in g) for g in data["generators"]]
         for g in gens:
-            if sorted(g) != list(range(degree)):
+            if len(g) != degree or sorted(g) != list(range(degree)):
                 raise GroupError(f"not a permutation of [{degree}]: {g}")
-        return ops, gens, data.get("name", "permutation group")
+        return PermOps(degree), gens, data.get("name", "permutation group")
     if kind == "matrix":
         spec = FieldSpec.from_json(data["field"])
         dim = _json_count(data, "dim")
+        if dim * dim > MAX_ORDER:
+            raise GroupError(f"dim: at most {MAX_ORDER} matrix entries, got {dim} x {dim}")
         ops = MatOps(spec, dim)
         gens = []
         for flat in data["generators"]:

@@ -9,8 +9,9 @@ transitivity, double cosets and their decompositions, the per-cell
 roux, the parameter count over all of G0* and the Higman-pair test on
 all of G01*, the groups of a radicalization and the normalizer of H,
 the Higman-pair test and axioms, the roux identity and inverse-symmetry
-checked cell by cell, the idempotent Gram of a roux, and the two-graph
-of a real line sequence read off its triple products.
+checked cell by cell, the idempotent Gram of a roux, a family's line-set
+records with every set certified from its own signature matrix, and the
+two-graph of a real line sequence read off its triple products.
 Tests compare the fast paths against them on small cases, and
 ``gram_vectors`` builds their frame inputs.
 No other rouxforge module imports this one.
@@ -24,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .families import LineSetError, LineSetRecord
 from .field import FieldSpec, _poly_mul_mod
 from .group import (
     FiniteGroup,
@@ -38,7 +40,10 @@ from .lines import (
     LinesError,
     TwoGraph,
     check_signature,
+    gram_from_signature,
     is_real_line_sequence,
+    naimark_complement,
+    verify_etf,
 )
 from .radical import CoverData, HigmanDecompositionTable, Key, RadicalError, Radicalization
 from .roux import (
@@ -46,6 +51,7 @@ from .roux import (
     RouxMatrix,
     RouxParameters,
     idempotent_data,
+    is_real_lines,
     signature_matrix,
     verify_roux,
 )
@@ -431,6 +437,38 @@ def idempotency_residual(G: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # lines and two-graphs
+
+
+def line_set_records_uncached(B: RouxMatrix, params: RouxParameters, index: int) -> list[LineSetRecord]:
+    """The line-set records of a family's (working) roux B with parameters
+    ``params``, built from character ``index`` at the default tolerances:
+    every k certified from its own ``signature_matrix(B, k)``, with no
+    certificate shared between sets, and the idempotent ranks and
+    algebraic realness computed per k."""
+    records = []
+    n, r = B.n, B.r
+    for k in range(r):
+        plus, minus = idempotent_data(params, k)
+        S = signature_matrix(B, k)
+        try:
+            gram = gram_from_signature(S)
+            cert = verify_etf(gram)
+            comp_cert = verify_etf(naimark_complement(gram)) if gram.d < n else None
+        except LinesError as exc:
+            raise LineSetError(f"character {index}, k = {k}: {exc}") from exc
+        records.append(
+            LineSetRecord(
+                k=k,
+                d_plus=plus.d,
+                d_minus=minus.d,
+                signature_rank=gram.d,
+                real_algebraic=is_real_lines(params, k),
+                real_numeric=is_real_line_sequence(S) if k else True,
+                etf=cert,
+                complement=comp_cert,
+            )
+        )
+    return records
 
 
 def gram_vectors(gram: LineGram) -> np.ndarray:

@@ -35,6 +35,23 @@ action (x_j.b = point j):
   changes the defect by alpha(s) - alpha(k) = 0: the defect is constant
   on each coset zeta K.  K has index n - 1, so each coset contributes
   |K| (n-1)/|G0*| = 1, and c_w counts the n - 2 cosets other than K.
+* Inverse characters.  phi(g, z) = (g, z^{-1}) is an automorphism of
+  G* x C_r that fixes G* x 1 and carries H = {(xi, alpha(xi)^{-1})} to
+  H' = {(xi, alpha(xi))}, the subgroup of alpha^{-1}: the radicalization
+  of alpha^{-1} is the image of alpha's.  alpha^{-1} passes the G01*
+  test exactly when alpha does, and with the same x.  Applying phi to
+  x_i^{-1} x_j in H (1, w) (x, z) H gives x_i^{-1} x_j in
+  H' (1, w^{-1}) (x, z^{-1}) H', and (x, z^{-1}) is a key for alpha^{-1},
+  since z^{-2} = alpha^{-1}(xi eta).  So the roux of alpha^{-1} with key
+  exponent -z is -B(alpha) mod r, entry by entry, over the same x and
+  transversal, and its parameters are c_{-w} = c_w.  ``su3_family``
+  prefers the key exponent 2 alpha(eta(b0)) mod r, which is minus
+  alpha's for alpha^{-1}, so it takes that key.  Its working roux over
+  C_{r'} (r = 2r') is -B(alpha) mod r' as well: switching by row 0 gives
+  B[i, j] + B[0, i] - B[0, j], which changes sign with B, and an even
+  exponent 2e mod r negated is 2(-e mod r') mod r, so halving negates
+  mod r'.  The k-th signature matrix of alpha^{-1} therefore has the
+  phase grid of alpha's (r' - k)-th.
 
 Exponent bookkeeping: characters store exponents mod r' (so alpha(xi)
 is the root of unity with exponent 2*alpha_exp mod r inside C_r), and

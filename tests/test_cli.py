@@ -280,6 +280,32 @@ def test_detect_spec_without_a_fitting_action_exit2(tmp_path, capsys, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+HUGE = 10**20
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "permutation", "degree": HUGE, "generators": []},
+        dict(S3_SPEC, degree=HUGE),
+        dict(SL25_SPEC, dim=HUGE, generators=[]),
+        dict(SL25_SPEC, dim=HUGE),
+        dict(SL25_SPEC, field={"p": 2**61 - 1, "k": 1}),
+        dict(SL25_SPEC, field={"p": HUGE, "k": 1}),
+        dict(SL25_SPEC, field={"p": 5, "k": HUGE}),
+    ],
+    ids=["degree-no-generators", "degree", "dim-no-generators", "dim", "p-prime", "p", "k"],
+)
+def test_detect_huge_count_exit2(tmp_path, capsys, spec):
+    # each count is checked before anything of its size is built, and
+    # before a trial division of p: these would exhaust memory or time
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "spec,singular",
     [
@@ -831,6 +857,21 @@ def test_family_failed_line_certificate_exit1(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: character 0, k = 0: input Gram is not tight (residual ")
     assert err.count("\n") == 1
+
+
+def test_family_failed_line_certificate_names_the_first_failing_set(capsys):
+    # with certificates shared between equal phase grids, the first set
+    # that fails is still named with the residual of its own Gram
+    from rouxforge.families import sl2_family
+    from rouxforge.lines import gram_from_signature
+    from rouxforge.roux import signature_matrix
+
+    first = next(b for b in sl2_family(13).characters if b.higman)
+    assert first.index == 0
+    residual = gram_from_signature(signature_matrix(first.working_roux, 0)).tightness_residual
+    code, out, err = run(["family", "psl2", "--q", "13", "--tol-etf", "1e-300"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: character 0, k = 0: input Gram is not tight (residual {residual:.3e})\n"
 
 
 def test_detect_su33_reads_one_transversal_per_action_and_base(tmp_path, capsys, monkeypatch):

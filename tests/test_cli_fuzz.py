@@ -2,8 +2,9 @@
 every kind and mutated `detect` group specs must each end in one exit
 code and at most one `error:` line, never in an exception out of `main`.
 A structural fault (a dropped key, a value of the wrong JSON type, cut
-rows, a boolean among the numbers, a bad `n`, `r`, `degree` or `dim`)
-must exit 2."""
+rows, a boolean among the numbers, a bad `n`, `r`, `degree`, `dim` or
+field `p` or `k`) must exit 2.  `degree`, `dim`, `p` and `k` are drawn up
+to 10^20: each is checked before anything of its size is built."""
 
 import contextlib
 import copy
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from util import paley6_roux, roux_json, two_graph_json
 
 from rouxforge.cli import main
+from rouxforge.field import MAX_ORDER
 from rouxforge.lines import gram_from_signature
 from rouxforge.oracles import two_graph_from_lines
 from rouxforge.roux import signature_matrix
@@ -52,6 +54,16 @@ REQUIRED = {
 ROWS = {
     "roux": "entries", "signature": "entries", "etf": "entries", "twograph": "triples",
     "S3": "generators", "S4": "generators", "SL25": "generators",
+}
+# the counts drawn up to HUGE; the readers' other numbers stay small
+HUGE = 10**20
+WIDE = {
+    "degree": st.integers(-HUGE, HUGE),
+    "dim": st.integers(-HUGE, HUGE),
+    "k": st.integers(-HUGE, HUGE),
+    # a prime p in between makes SL(2, p) a group whose closure is long
+    # real work, not a fault in reading the spec
+    "p": st.integers(-HUGE, 12) | st.integers(MAX_ORDER + 1, HUGE),
 }
 WRONG_TYPE = {
     int: [None, "3", 1.5, True, [], {}],
@@ -104,15 +116,26 @@ def structural_faults(draw):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         row[draw(st.integers(0, len(row) - 1))] = draw(st.booleans())
     else:
-        key = {"S3": "degree", "S4": "degree", "SL25": "dim"}.get(name, "n")
+        parent, key = obj, {"S3": "degree", "S4": "degree"}.get(name, "n")
         if name == "roux":
             key = draw(st.sampled_from(["n", "r"]))
+        if name == "SL25":
+            key = draw(st.sampled_from(["dim", "p", "k"]))
+            parent = obj["field"] if key != "dim" else obj
         bad = [0, -1]  # any r >= 1 reads exponents mod r
-        if key != "r":
+        if key == "p":
+            # not prime, or a field beyond 2^20
+            bad += [1, 4, draw(st.integers(MAX_ORDER + 1, HUGE))]
+        elif key == "k":
+            # 5^k has no built-in polynomial for k >= 3, and is beyond 2^20 for k >= 9
+            bad += [draw(st.integers(3, HUGE))]
+        elif key != "r":
             # the rows fit n, degree or dim exactly, and the two-graph has a
             # triple through vertex n - 1; on more points it is well formed
             bad += [obj[key] - 1] if name == "twograph" else [obj[key] - 1, obj[key] + 1]
-        obj[key] = draw(st.sampled_from(bad))
+            if key in WIDE:
+                bad.append(draw(st.integers(obj[key] + 1, HUGE)))
+        parent[key] = draw(st.sampled_from(bad))
     return name, obj
 
 
@@ -126,8 +149,6 @@ def leaves(obj, path=()):
     yield path
 
 
-# Small numbers only: a huge count can make the reader allocate or loop
-# before it refuses the input, and this fuzz is about the exit codes.
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-1e3, 1e3) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
@@ -150,7 +171,8 @@ def mutations(draw):
         if draw(st.booleans()):
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(ANY_JSON)
+            wide = WIDE.get(path[-1])
+            parent[path[-1]] = draw(ANY_JSON if wide is None else ANY_JSON | wide)
     return name, obj
 
 

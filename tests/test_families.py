@@ -1,6 +1,9 @@
+from functools import cache
+
 import pytest
 from util import record_calls
 
+from rouxforge import lines
 from rouxforge.families import (
     FamilyError,
     UnsupportedFamilyError,
@@ -14,7 +17,11 @@ from rouxforge.families import (
     symplectic_witness,
     trivial_parameters_closed_form,
 )
-from rouxforge.roux import verify_roux
+from rouxforge.oracles import line_set_records_uncached
+from rouxforge.roux import RouxParameters, verify_roux
+
+# every q the special linear family takes: odd prime powers up to its cap, but 9
+SL2_QS = (3, 5, 7, 11, 13, 17, 19, 23, 25, 27, 29, 31)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +47,11 @@ def psu3():
 @pytest.fixture(scope="module")
 def psu4():
     return su3_family(4)
+
+
+@cache
+def su3_report(q):
+    return su3_family(q, allow_large=True)
 
 
 def quad_block(report):
@@ -152,7 +164,7 @@ def test_su3_family_q3(psu3):
 def test_compressed_roux_parameters_equal_verify_roux(q):
     # the pipeline reads a compressed roux's parameters off the verified
     # ones (see compress_to_subgroup); su3 is the family that compresses
-    rep = su3_family(q, allow_large=True)
+    rep = su3_report(q)
     compressed = [b for b in rep.characters if b.higman and b.working_r != b.r]
     assert len(compressed) == q
     for b in compressed:
@@ -288,3 +300,50 @@ def test_sl2_family_prime_power_q25():
     assert tuple(q.params) == (12, 0, 12, 0)
     k1 = next(ls for ls in q.line_sets if ls.k == 1)
     assert k1.etf.d == 13 and k1.real_algebraic
+
+
+@pytest.mark.parametrize("family, q", [("psl2", q) for q in SL2_QS] + [("psu3", q) for q in (3, 4, 5)])
+def test_line_set_records_equal_the_uncached_oracle(family, q):
+    # line sets with equal phase grids share one certificate; every record
+    # must still equal, float for float, that of a sweep certifying each
+    # set from its own signature matrix
+    report = sl2_family(q) if family == "psl2" else su3_report(q)
+    blocks = [b for b in report.characters if b.higman]
+    assert blocks
+    for b in blocks:
+        params = RouxParameters(report.n, b.working_r, b.working_params)
+        expected = line_set_records_uncached(b.working_roux, params, b.index)
+        assert b.line_sets == expected
+        assert repr(b.line_sets) == repr(expected)  # repr keeps every bit of a float
+
+
+def test_each_phase_grid_is_certified_once_per_family_run(monkeypatch):
+    grams = record_calls(monkeypatch, lines, "gram_from_signature")
+    su3_family(4)
+    # 22 line sets: one trivial grid, one k = 0 grid over C_5, and the four
+    # nonzero grids the four order-5 characters share
+    assert len(grams) <= 6
+    counts = []
+    for _ in range(2):
+        grams.clear()
+        sl2_family(31)
+        counts.append(len(grams))
+    # 6 line sets; a second run shares nothing with the first
+    assert counts[0] == counts[1] <= 5
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_the_working_roux_of_an_inverse_character_is_the_negated_grid(q):
+    # proved in the radical module docstring; the line-set cache does not
+    # rely on it, but it is why an inverse pair shares its line sets
+    blocks = {
+        (b.image_order, tuple(b.exponents_on_generators)): b
+        for b in su3_report(q).characters
+        if b.higman and b.image_order > 1
+    }
+    distinct = 0
+    for (r, exps), b in blocks.items():
+        inverse = blocks[r, tuple(-e % r for e in exps)]
+        assert (inverse.working_roux.exps == -b.working_roux.exps % r).all()
+        distinct += inverse is not b
+    assert distinct >= 2
