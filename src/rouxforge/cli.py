@@ -36,12 +36,12 @@ import numpy as np
 
 from . import families, lines
 from .group import (
-    FiniteGroup,
+    GeneratedGroup,
     TransitivityError,
     enumerate_linear_characters,
-    group_from_json,
     is_doubly_transitive,
     natural_permutation_action,
+    parse_group_spec,
     projective_line_action,
     stabilizer,
 )
@@ -200,7 +200,7 @@ def _require(cond, message: str) -> None:
 # detect subcommand
 
 
-def _action_for(G: FiniteGroup, spec: str):
+def _action_for(G: GeneratedGroup, spec: str):
     if spec == "natural":
         return natural_permutation_action(G)
     if spec == "projective":
@@ -213,8 +213,8 @@ def _action_for(G: FiniteGroup, spec: str):
 def cmd_detect(args) -> int:
     data = _load_json(args.group)
     action_kind = data.pop("action", "natural" if data.get("kind") == "permutation" else "projective")
-    G = group_from_json(data)
-    action = _action_for(G, action_kind)
+    # G* is never closed: its stabilizer, order and x come from its action
+    action = _action_for(GeneratedGroup(*parse_group_spec(data)), action_kind)
     # first: it needs no transitivity, and the H1 checks below reuse the
     # transversal of point 0 it builds, the generators' point permutations
     # it reads and the cover's stabilizer action
@@ -236,10 +236,10 @@ def cmd_detect(args) -> int:
     else:
         wanted = list(enumerate(chars))
 
-    x = cover.first_outside_stabilizer()
-    # x's index in sorted G: every element of G below x lies in the stabilizer
-    x_index = bisect.bisect_left(cover.stab.elements, x)
-    table = HigmanDecompositionTable(cover, x)
+    # x is the least element of G* outside the stabilizer
+    table = HigmanDecompositionTable(cover)
+    # x's index in sorted G*: every element of G* below x lies in the stabilizer
+    x_index = bisect.bisect_left(cover.stab.elements, table.x)
 
     def run(item):
         idx, alpha = item
@@ -270,7 +270,7 @@ def cmd_detect(args) -> int:
 
     payload = {
         "n": action.degree,
-        "group_order": G.order,
+        "group_order": action.degree * cover.stab.order,  # orbit-stabilizer: the action is transitive
         "stabilizer_order": cover.stab.order,
         "character_count": len(chars),
         "characters": rows,

@@ -11,13 +11,15 @@ The line sets of a roux B over C_r are its images under the characters
 k of C_r, and ``signature_matrix(B, k)`` computes entry (i, j) from the
 integer m = (B.exps[i, j] k) mod r and from r alone.  Line sets with
 equal n, r and phase grid m therefore have bit-equal signature matrices,
-and so bit-equal Grams, certificates and numeric realness.  Many line
-sets of one family share a grid: every k = 0 set of one r; in the
+and so bit-equal Grams, certificates and numeric realness; a zero grid,
+J - I, has the same matrix for every r.  Many line sets of one family
+share a grid: every k = 0 set, whatever its r; in the
 unitary family, the sets of a character alpha and of alpha^{-1} (the
 ``radical`` module docstring proves it); and, observed at q <= 8 but not
 proved, those of Galois-conjugate characters (62 line sets but 13
 distinct grids at q = 8).  One ``LineCertificates`` per family run
-certifies each grid once, relying on none of these facts.
+certifies each grid once; its key rests on the zero grid's matrix and on
+none of the other facts.
 """
 
 from __future__ import annotations
@@ -247,9 +249,26 @@ def sl2_cover(q: int) -> tuple[CoverData, tuple]:
     return CoverData(action, stab, base), x
 
 
+def isotropic_pairs(spec2: FieldSpec, q: int) -> list[tuple[int, int]]:
+    """The pairs (a, b) over F_{q^2} with a^(q+1) + b + b^q = 0, a-major
+    and b ascending: the zeros of the Hermitian form
+    (u, v) = u1 v3^q + u2 v2^q + u3 v1^q at u = v = (1, a, b).  They give
+    the isotropic points (1, a, b) and the unipotent elements xi(a, b)
+    of the unitary family.  The b are grouped by their trace b + b^q, so
+    the pairs cost O(q^3).  The q^3 + 1 isotropic points are refused
+    above ``MAX_ORDER`` before anything of size q^2 is built."""
+    if q**3 + 1 > MAX_ORDER:
+        raise FamilyError(f"isotropic lines: at most {MAX_ORDER} points, got q^3 + 1 for q = {q}")
+    by_trace: dict = {}
+    for b in range(spec2.q):
+        by_trace.setdefault(spec2.add(b, spec2.pow(b, q)), []).append(b)
+    return [(a, b) for a in range(spec2.q) for b in by_trace.get(spec2.neg(spec2.pow(a, q + 1)), ())]
+
+
 def isotropic_line_action(G, q: Optional[int] = None) -> GroupAction:
-    """Action of a 3x3 matrix group over F_{q^2} on the isotropic lines of
-    the Hermitian form (u, v) = u1 v3^q + u2 v2^q + u3 v1^q."""
+    """Action of a 3x3 matrix group over F_{q^2} on the q^3 + 1 isotropic
+    lines of the Hermitian form of ``isotropic_pairs``: (1, a, b) for
+    each pair, and (0, 0, 1).  A point (0, 1, b) has form value 1."""
     ops = G.ops
     if not (isinstance(ops, MatOps) and ops.dim == 3):
         raise FamilyError("isotropic actions need 3x3 matrices")
@@ -258,25 +277,7 @@ def isotropic_line_action(G, q: Optional[int] = None) -> GroupAction:
         q = math.isqrt(spec2.q)
     if q * q != spec2.q:
         raise FamilyError("isotropic actions need a field of square order")
-
-    def conj(a):
-        return spec2.pow(a, q)
-
-    def hermitian(u, v):
-        t = spec2.mul(u[0], conj(v[2]))
-        t = spec2.add(t, spec2.mul(u[1], conj(v[1])))
-        return spec2.add(t, spec2.mul(u[2], conj(v[0])))
-
-    points = []
-    for a in range(spec2.q):
-        for b in range(spec2.q):
-            if hermitian((1, a, b), (1, a, b)) == 0:
-                points.append((1, a, b))
-    for b in range(spec2.q):
-        if hermitian((0, 1, b), (0, 1, b)) == 0:
-            points.append((0, 1, b))
-    if hermitian((0, 0, 1), (0, 0, 1)) == 0:
-        points.append((0, 0, 1))
+    points = [(1, a, b) for a, b in isotropic_pairs(spec2, q)] + [(0, 0, 1)]
     return GroupAction(G, points, lambda g, pt: projective_point(spec2, ops.apply(g, pt)))
 
 
@@ -308,14 +309,7 @@ def su3_cover(q: int) -> tuple[CoverData, tuple, tuple]:
     def xi(a, b):
         return ((1, a, b), (0, 1, spec2.neg(conj(a))), (0, 0, 1))
 
-    norms = [spec2.pow(a, q + 1) for a in range(spec2.q)]
-    traces = [spec2.add(b, conj(b)) for b in range(spec2.q)]
-    pairs = [
-        (a, b)
-        for a in range(spec2.q)
-        for b in range(spec2.q)
-        if spec2.add(norms[a], traces[b]) == 0
-    ]
+    pairs = isotropic_pairs(spec2, q)
     if len(pairs) != q**3:
         raise FamilyError("wrong unipotent count in unitary stabilizer")
     U = [xi(a, b) for a, b in pairs]
@@ -327,8 +321,6 @@ def su3_cover(q: int) -> tuple[CoverData, tuple, tuple]:
     x = ((0, 0, 1), (0, spec2.neg(1), 0), (1, 0, 0))
     G = GeneratedGroup(ops, list(stab.generators) + [x], name=f"SU(3,{q})")
     action = isotropic_line_action(G, q)
-    if action.degree != q**3 + 1:
-        raise FamilyError("wrong isotropic point count")
     base = projective_point(spec2, (1, 0, 0))
 
     if q % 2:
@@ -372,9 +364,13 @@ def trivial_parameters_closed_form(n: int) -> RouxParameters:
 class LineCertificates:
     """The line-set certificates of one family run, one per phase grid.
 
-    A set of roux B at character k is keyed on n, r and the bytes of the
-    grid (B.exps k) mod r before anything is built: equal keys give bit-equal
-    signature matrices (see the module docstring).  Only d, the two
+    A set of roux B at character k is keyed on n and the bytes of the
+    grid m = (B.exps k) mod r before anything is built: equal keys give
+    bit-equal signature matrices (see the module docstring).  r is left
+    out, and the key stays exact.  A zero grid gives J - I whatever r is.
+    A nonzero grid fixes r: B is inverse-symmetric, so m_ij + m_ji = r
+    wherever m_ij != 0.  Grids of different dtype widths have bytes of
+    different lengths.  Only d, the two
     certificates and the numeric realness are stored.  A set that fails
     raises before it is stored, so the first failing character and k are
     named as without the cache.  Each family call builds its own, so no
@@ -391,10 +387,9 @@ class LineCertificates:
         raises LineSetError naming character ``index`` and k."""
         n, r = B.n, B.r
         # (B.exps k) mod r read off a table of (e k) mod r for e in C_r, as
-        # signature_matrix reads its phases, in the least dtype that holds
-        # r - 1: fixed by r, which the key holds
+        # signature_matrix reads its phases, in the least dtype that holds r - 1
         grid = (np.arange(r) * k % r).astype(np.min_scalar_type(r - 1))[B.exps]
-        key = (n, r, grid.tobytes())
+        key = (n, grid.tobytes())
         found = self._certified.get(key)
         if found is None:
             tol = self.tol

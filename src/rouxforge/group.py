@@ -245,14 +245,6 @@ class FiniteGroup:
         label = self.name or "group"
         return f"<{label} of order {self.order}>"
 
-    def subgroup(self, elements: Iterable, generators: Optional[Sequence] = None) -> FiniteGroup:
-        """A subgroup on the same backend; generators default to a greedy
-        generating set of ``elements``."""
-        elements = list(elements)
-        if generators is None:
-            generators = small_generating_set(self.ops, elements)
-        return FiniteGroup(self.ops, elements, generators, name=f"subgroup of {self.name}")
-
     @cached_property
     def generator_table(self) -> np.ndarray:
         """Row i lists the index of b * generators[i] for each element b.
@@ -303,8 +295,9 @@ class FiniteGroup:
 class GeneratedGroup:
     """A group carrier that is never enumerated: backend plus generators.
 
-    Enough for actions, orbit searches, and transversals on groups too
-    large (or too unnecessary) to materialize.
+    Enough for actions, orbit searches, transversals and point
+    stabilizers on groups too large (or too unnecessary) to materialize:
+    the families and ``detect`` build their covers on one.
     """
 
     def __init__(self, ops, generators: Sequence, name: str = ""):
@@ -389,16 +382,6 @@ def small_generating_set(ops, elements: Sequence) -> list:
     """Greedy generating set of the group whose elements are ``elements``:
     add the first element outside the running closure."""
     return greedy_closure(ops, elements, len(elements)).generators
-
-
-def direct_product_with_cyclic(G: FiniteGroup, r: int) -> FiniteGroup:
-    """G x C_r with componentwise multiplication."""
-    if G.order * r > CLOSURE_CAP:
-        raise CapExceededError("product order exceeds cap")
-    ops = ProductOps(G.ops, r)
-    elements = [(g, z) for g in G.elements for z in range(r)]
-    gens = [(g, 0) for g in G.generators] + [(G.identity, 1 % r)]
-    return FiniteGroup(ops, elements, gens, name=f"{G.name} x C_{r}")
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +515,7 @@ class Transversal:
         return [ops.mul(left[k][perms[k][j]], self.reps[j]) for j, k in self.off_tree]
 
 
-def natural_permutation_action(G: FiniteGroup) -> GroupAction:
+def natural_permutation_action(G) -> GroupAction:
     if not isinstance(G.ops, PermOps):
         raise GroupError("the natural action needs a permutation group")
     return GroupAction(G, range(G.ops.degree), lambda g, p: g[p])
@@ -547,7 +530,7 @@ def projective_point(spec: FieldSpec, v: Sequence[int]) -> tuple:
     return tuple(spec.mul(scale, c) for c in v)
 
 
-def projective_line_action(G: FiniteGroup) -> GroupAction:
+def projective_line_action(G) -> GroupAction:
     """Action of a 2x2 matrix group on the q+1 points of the projective line."""
     ops = G.ops
     if not (isinstance(ops, MatOps) and ops.dim == 2):
@@ -559,19 +542,19 @@ def projective_line_action(G: FiniteGroup) -> GroupAction:
 
 
 def stabilizer(action: GroupAction, point) -> FiniteGroup:
-    """Point stabilizer {g : g.point = point}, closed from the Schreier
-    products of the point's transversal (see ``Transversal``); no element
-    is applied to a point beyond the cached ``generator_perms``."""
+    """Point stabilizer {g : g.point = point} of any group with ``ops``
+    and ``generators``, which is never enumerated.  By Schreier's lemma
+    (see ``Transversal``) the Schreier products of the point's cached
+    transversal generate the stabilizer, so their closure is all of it.
+    The result has the greedy generating set of its sorted elements.  No
+    element is applied to a point beyond the cached ``generator_perms``."""
     G = action.group
-    if not isinstance(G, FiniteGroup):
-        raise GroupError("stabilizer requires an enumerated group")
     transversal = action.transversal(action.point_index[point])
-    # closed generator by generator up to the orbit-stabilizer order
-    # |G| / |orbit|: on the bench SU(3,3) that takes 46 products, against
-    # 201 point by point and 59 without the stop
+    # closed generator by generator: 59 products on the bench SU(3,3),
+    # against 201 point by point
     by_generator = sorted(zip(transversal.off_tree, transversal.schreier), key=lambda edge: edge[0][1])
-    order = G.order // len(transversal.reps)
-    return G.subgroup(closure([s for _, s in by_generator], G.ops, order=order).elements)
+    elements = closure([s for _, s in by_generator], G.ops).elements
+    return FiniteGroup(G.ops, elements, small_generating_set(G.ops, elements), name=f"subgroup of {G.name}")
 
 
 def is_doubly_transitive(action: GroupAction, stab_action: GroupAction) -> bool:
@@ -733,21 +716,31 @@ def _json_count(data: dict, key: str) -> int:
 
 
 def parse_group_spec(data: dict) -> tuple:
-    """Backend, generator keys, and name from a JSON group spec (no closure).
+    """Backend, generator keys, and name from a JSON group spec; nothing
+    is closed or enumerated.
 
-    Every count, image and entry must be a JSON integer, ``degree`` and
-    ``dim`` at least 1, and every matrix invertible; anything else raises
-    ``GroupError`` (``FieldError`` inside the field spec).  Before
-    anything of their size is built, ``degree`` and ``dim``^2, the sizes
-    of the backend's identity, are checked against ``MAX_ORDER``, and a
-    generator's length against ``degree``.
+    Every count, image and entry must be a JSON integer, ``degree``,
+    ``dim`` and ``r`` at least 1, ``generators`` a nonempty list, and
+    every matrix invertible; anything else raises ``GroupError``
+    (``FieldError`` inside the field spec).  Before anything of their
+    size is built, ``degree`` and ``dim``^2, the sizes of the backend's
+    identity, are checked against ``MAX_ORDER``, and a generator's length
+    against ``degree``.  A ``product`` spec gives G x C_r on
+    ``ProductOps``, generated by (g, 0) for each generator g of its
+    ``base`` and (1, 1 mod r).
     """
+    if not isinstance(data, dict):
+        raise GroupError(f"group spec: expected an object, got {type(data).__name__}")
     kind = data.get("kind")
+    if kind == "product":
+        ops, gens, name = parse_group_spec(data["base"])
+        r = _json_count(data, "r")
+        return ProductOps(ops, r), [(g, 0) for g in gens] + [(ops.identity, 1 % r)], f"{name} x C_{r}"
     if kind == "permutation":
         degree = _json_count(data, "degree")
         if degree > MAX_ORDER:
             raise GroupError(f"degree: at most {MAX_ORDER} points, got {degree}")
-        gens = [tuple(json_int(i, "generators", GroupError) for i in g) for g in data["generators"]]
+        gens = [tuple(json_int(i, "generators", GroupError) for i in g) for g in _generators(data)]
         for g in gens:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise GroupError(f"not a permutation of [{degree}]: {g}")
@@ -759,7 +752,7 @@ def parse_group_spec(data: dict) -> tuple:
             raise GroupError(f"dim: at most {MAX_ORDER} matrix entries, got {dim} x {dim}")
         ops = MatOps(spec, dim)
         gens = []
-        for flat in data["generators"]:
+        for flat in _generators(data):
             if len(flat) != dim * dim:
                 raise GroupError("generator has wrong number of entries")
             entries = []
@@ -777,12 +770,10 @@ def parse_group_spec(data: dict) -> tuple:
     raise GroupError(f"unknown group kind {kind!r}")
 
 
-def group_from_json(data: dict) -> FiniteGroup:
-    """Build a group from its JSON spec; see README for the format."""
-    if not isinstance(data, dict):
-        raise GroupError(f"group spec: expected an object, got {type(data).__name__}")
-    if data.get("kind") == "product":
-        base = group_from_json(data["base"])
-        return direct_product_with_cyclic(base, _json_count(data, "r"))
-    ops, gens, name = parse_group_spec(data)
-    return closure(gens, ops, name=name)
+def _generators(data: dict) -> list:
+    """``data["generators"]``, a nonempty list: the group they generate
+    is never closed, so an empty one is refused here."""
+    gens = data["generators"]
+    if type(gens) is not list or not gens:
+        raise GroupError("generators: expected a nonempty list")
+    return gens

@@ -17,6 +17,8 @@ from typing import Optional
 
 import numpy as np
 
+from .field import MAX_ORDER
+
 SIG_TOL = 1e-12
 PSD_TOL = 1e-9
 REAL_TOL = 1e-9
@@ -259,10 +261,13 @@ class TwoGraph:
     def from_json(cls, data: dict) -> "TwoGraph":
         """Parse ``{"n": n, "triples": [[i, j, k], ...]}``, each triple
         three distinct integer vertices in range(n); anything else raises
-        ``TwoGraphFormatError``."""
+        ``TwoGraphFormatError``.  The checks build n x n arrays, so n^2 is
+        checked against ``MAX_ORDER`` first, as a matrix group's dim is."""
         n, triples = data["n"], data["triples"]
         if type(n) is not int or n < 1:
             raise TwoGraphFormatError(f"n must be a positive integer, got {n!r}")
+        if n * n > MAX_ORDER:
+            raise TwoGraphFormatError(f"n: at most {math.isqrt(MAX_ORDER)} vertices, got {n}")
         if not isinstance(triples, list) or not all(
             isinstance(t, list) and all(type(v) is int for v in t) for t in triples
         ):

@@ -3,7 +3,8 @@
 Each function here recomputes, straight from a definition, something the
 library computes faster elsewhere or only proves: matrix products over a
 finite field from polynomial arithmetic alone, the closure of a
-generating set, the action axioms on generator products, the point
+generating set, the action axioms on generator products, the isotropic
+points of the unitary Hermitian form from every vector, the point
 stabilizer and the covering kernel by acting with every element, double
 transitivity, double cosets and their decompositions, the per-cell
 roux, the parameter count over all of G0* and the Higman-pair test on
@@ -28,11 +29,14 @@ import numpy as np
 from .families import LineSetError, LineSetRecord
 from .field import FieldSpec, _poly_mul_mod
 from .group import (
+    CLOSURE_CAP,
+    CapExceededError,
     FiniteGroup,
     GroupAction,
     GroupError,
-    direct_product_with_cyclic,
+    ProductOps,
     is_doubly_transitive,
+    small_generating_set,
     stabilizer,
 )
 from .lines import (
@@ -113,10 +117,45 @@ def check_action_axioms(action: GroupAction) -> None:
                 raise GroupError("action incompatible with multiplication")
 
 
+def subgroup(G: FiniteGroup, elements: Sequence) -> FiniteGroup:
+    """The subgroup of G listed by ``elements``, generated by the greedy
+    generating set of the sorted elements."""
+    elements = list(elements)
+    return FiniteGroup(G.ops, elements, small_generating_set(G.ops, elements), name=f"subgroup of {G.name}")
+
+
+def direct_product_with_cyclic(G: FiniteGroup, r: int) -> FiniteGroup:
+    """G x C_r with componentwise multiplication."""
+    if G.order * r > CLOSURE_CAP:
+        raise CapExceededError("product order exceeds cap")
+    ops = ProductOps(G.ops, r)
+    elements = [(g, z) for g in G.elements for z in range(r)]
+    gens = [(g, 0) for g in G.generators] + [(G.identity, 1 % r)]
+    return FiniteGroup(ops, elements, gens, name=f"{G.name} x C_{r}")
+
+
 def stabilizer_scan(action: GroupAction, point) -> FiniteGroup:
     """Point stabilizer by definition: act with every element on the point."""
     G = action.group
-    return G.subgroup([g for g in G.elements if action.act(g, point) == point])
+    return subgroup(G, [g for g in G.elements if action.act(g, point) == point])
+
+
+def isotropic_points_scan(spec2: FieldSpec, q: int) -> list[tuple]:
+    """The isotropic points of the Hermitian form
+    (u, v) = u1 v3^q + u2 v2^q + u3 v1^q over F_{q^2}, by evaluating it
+    on every normalized vector (1, a, b), (0, 1, b) and (0, 0, 1)."""
+
+    def conj(a):
+        return spec2.pow(a, q)
+
+    def hermitian(u, v):
+        t = spec2.mul(u[0], conj(v[2]))
+        t = spec2.add(t, spec2.mul(u[1], conj(v[1])))
+        return spec2.add(t, spec2.mul(u[2], conj(v[0])))
+
+    vectors = [(1, a, b) for a in range(spec2.q) for b in range(spec2.q)]
+    vectors += [(0, 1, b) for b in range(spec2.q)] + [(0, 0, 1)]
+    return sorted(v for v in vectors if hermitian(v, v) == 0)
 
 
 def covering_kernel_scan(cover: CoverData) -> list:
@@ -181,14 +220,14 @@ def normalizer(G: FiniteGroup, H: FiniteGroup) -> list:
 def radicalization_groups(rad: Radicalization) -> tuple:
     """The explicit (G~*, H, G~0*) of a radicalization of a materialized
     cover: G* x C_r, H = {(xi, alpha(xi)^{-1})} and G0* x C_r."""
-    G = rad.cover.group
-    if G is None:
+    G = rad.cover.action.group
+    if not isinstance(G, FiniteGroup):
         raise RadicalError("cover group not materialized")
     r = rad.r
     Gt = direct_product_with_cyclic(G, r)
     stab = rad.cover.stab.elements
-    H = Gt.subgroup([(xi, -rad.alpha_exp_r(xi) % r) for xi in stab])
-    Gt0 = Gt.subgroup([(xi, z) for xi in stab for z in range(r)])
+    H = subgroup(Gt, [(xi, -rad.alpha_exp_r(xi) % r) for xi in stab])
+    Gt0 = subgroup(Gt, [(xi, z) for xi in stab for z in range(r)])
     return Gt, H, Gt0
 
 
@@ -307,7 +346,7 @@ def verify_higman_axioms(G: FiniteGroup, H: FiniteGroup, b) -> HigmanAxiomReport
     """
     hset = set(H.elements)
     K_members = normalizer(G, H)
-    K = G.subgroup(K_members)
+    K = subgroup(G, K_members)
     kset = set(K_members)
     if b in kset:
         raise RadicalError("key must lie outside the normalizer of H")

@@ -8,7 +8,10 @@ Setting r = 2r', the product G* x C_r together with
 H = {(xi, alpha(xi)^{-1})} is the radicalization; when it is a Higman
 pair, its Schurian scheme is a roux scheme over C_r and the machinery
 here extracts the roux and its parameters without ever materializing
-the product group.
+G* or the product group: G* is known by its generators and its action,
+G0* by the closure of the Schreier products of the action's transversal
+(``group.stabilizer``), and x is found coset by coset
+(``CoverData.first_outside_stabilizer``).
 
 The construction, for a key (x, z) and the transversal x_j of the
 action (x_j.b = point j):
@@ -87,8 +90,10 @@ class CoverData:
 
     ``action`` is the action of G* on the base point set (its kernel is
     the kernel of the covering projection, required central), and
-    ``stab`` is the full stabilizer of ``base_point`` in G*.  The action
-    axioms hold by construction (see ``GroupAction``).
+    ``stab`` is the full stabilizer G0* of ``base_point`` in G*.  The
+    action axioms hold by construction (see ``GroupAction``).  G* itself
+    is never enumerated: its order is n |G0*| by orbit-stabilizer, and
+    the elements outside G0* are walked coset by coset.
     """
 
     def __init__(self, action: GroupAction, stab: FiniteGroup, base_point=None):
@@ -97,11 +102,6 @@ class CoverData:
         self.stab = stab
         self.base_point = action.points[0] if base_point is None else base_point
         self.ops = stab.ops
-
-    @property
-    def group(self) -> Optional[FiniteGroup]:
-        G = self.action.group
-        return G if isinstance(G, FiniteGroup) else None
 
     @property
     def n(self) -> int:
@@ -115,14 +115,20 @@ class CoverData:
         return GroupAction(self.stab, self.action.points, self.action.act)
 
     def first_outside_stabilizer(self):
-        """The least element of G outside the stabilizer, found without sorting G."""
-        G = self.group
-        if G is None:
-            raise RadicalError("cover group not materialized")
-        outside = G.members - self.stab.members
-        if not outside:
+        """The least element of G* outside G0*, without enumerating G*.
+
+        With t_j from b's cached transversal (t_j.b = j), the right coset
+        G0* t_j^{-1} is {g : g^{-1}.b = j}, so G* minus G0* is the union of
+        these cosets over the orbit points j != b.  Each coset is one
+        batched product of the stabilizer, and only its least key is kept,
+        so O(|G0*|) keys are held at a time.
+        """
+        transversal = self.action.transversal(self.action.point_index[self.base_point])
+        batch = self.ops.batch(self.stab.elements)
+        least = [min(self.ops.batch_mul(batch, t)) for j, t in transversal.inv_reps.items() if j != transversal.base]
+        if not least:
             raise RadicalError("group equals its stabilizer")
-        return min(outside)
+        return min(least)
 
     def covering_kernel(self) -> list:
         """The stabilizer elements that fix every point, in sorted order.
@@ -130,7 +136,7 @@ class CoverData:
         Each element's point permutation is read along the stabilizer's
         Cayley tree: perm(e g_k) = perm(e)[pi_k], since (e g_k).p =
         e.(g_k.p), one gather per tree edge and no element applied.  The
-        array has |stab| n entries, |G| for a transitive action.
+        array has |stab| n entries, |G*| for a transitive action.
         """
         stab, n = self.stab, self.n
         pi = self.stab_action.generator_perms
@@ -141,35 +147,30 @@ class CoverData:
         return [stab.elements[i] for i in np.flatnonzero((perms == np.arange(n)).all(axis=1))]
 
     def verify(self) -> None:
-        """Check the covering invariants (materialized covers only).
+        """Check the covering invariants.
 
-        With G materialized, the listed keys must lie in G, and
-        |stab| * |orbit(b)| = |G|, the orbit read off b's cached
-        transversal.  Then ``stab.generator_table`` (cached; the
-        characters read it next) proves that the listed elements are
-        closed under right products by the generators and reached from the
-        identity by them: the list is exactly the subgroup the generators
-        generate, without repeats.  If every generator fixes b, every word
-        in them does, so the list is a subgroup of the stabilizer of b in
-        G, and by orbit-stabilizer the count makes it the whole
-        stabilizer.  The covering kernel fixes b, so it is found among the
-        stabilizer elements.
+        ``stab.generator_table`` (cached; the characters read it next)
+        proves that the listed elements are closed under right products
+        by the generators and reached from the identity by them: the list
+        is exactly the subgroup the generators generate, without repeats.
+        If every generator fixes b, every word in them does, so the list
+        is a subgroup of G0*.  It is all of G0* by Schreier's lemma, with
+        no order to compare: the Schreier products of b's transversal
+        generate G0* (see ``group.Transversal``), and a subgroup that
+        holds them holds G0*.  ``stabilizer`` lists exactly their closure,
+        and the decomposition table looks each of them up in the list, as
+        its h_j(g), and refuses a list that lacks one.  The covering
+        kernel fixes b, so it is found among the stabilizer elements and
+        checked to commute with every generator of G*.
         """
         b = self.action.point_index[self.base_point]
-        G = self.group
-        if G is not None:
-            if not self.stab.members <= G.members:
-                raise RadicalError("stabilizer element lies outside the group")
-            if self.stab.order * len(self.action.transversal(b).reps) != G.order:
-                raise RadicalError("stabilizer list is incomplete")
         self.stab.generator_table
         if (self.stab_action.generator_perms[:, b] != b).any():
             raise RadicalError("stabilizer element moves the base point")
-        if G is None:
-            return
+        mul, gens = self.ops.mul, self.action.group.generators
         for z in self.covering_kernel():
-            for g in G.generators:
-                if G.mul(z, g) != G.mul(g, z):
+            for g in gens:
+                if mul(z, g) != mul(g, z):
                     raise RadicalError("covering kernel is not central")
 
 
@@ -242,7 +243,9 @@ class HigmanDecompositionTable:
     ``perms``, ``h`` pi_g, h_j(g) per generator g of G*; ``row_b`` xi, eta
     of x_j; ``cosets`` xi_p, xi, eta with x zeta_p x^{-1} = xi x eta,
     zeta_p = xi_p xi_{q0}^{-1} (q0 = x^{-1}.b), one per coset of K other
-    than K.  A character sweep over one cover shares one table.
+    than K.  A character sweep over one cover shares one table.  Without
+    an x, the table takes the least element of G* outside G0*
+    (``CoverData.first_outside_stabilizer``); the families pass their own.
 
     Two cached transversals (see ``Transversal``) hold the products.  G*'s
     from b gives x_j and, as its Schreier products (1 on the tree),
@@ -250,7 +253,9 @@ class HigmanDecompositionTable:
     from x.b with root x gives t_p = xi_p x, t_p^{-1} = x^{-1} xi_p^{-1} and
     the conjugates x^{-1} s x of the Schreier generators s of G01*."""
 
-    def __init__(self, cover: CoverData, x):
+    def __init__(self, cover: CoverData, x=None):
+        if x is None:
+            x = cover.first_outside_stabilizer()
         if x in cover.stab:
             raise RadicalError("x lies in the stabilizer")
         self.cover, self.x = cover, x

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from util import paley6_roux, paley_exponents, record_calls, roux_json, su33_bench_spec, two_graph_json
+from util import paley6_roux, paley_exponents, record_calls, roux_json, su3_spec, su33_bench_spec, two_graph_json
 
 from rouxforge.cli import main
 from rouxforge.oracles import gram_vectors
@@ -346,9 +346,9 @@ def test_non_object_json_exit2(tmp_path, capsys, command, text):
 
 def test_detect_builds_no_product_group(tmp_path, capsys, monkeypatch):
     # radicalize proves N(H) = G~0* instead of scanning G* x C_r
-    from rouxforge import group
+    from rouxforge import oracles
 
-    products = record_calls(monkeypatch, group, "direct_product_with_cyclic")
+    products = record_calls(monkeypatch, oracles, "direct_product_with_cyclic")
     path = tmp_path / "sl25.json"
     path.write_text(json.dumps(SL25_SPEC))
     code, out, _ = run(["detect", str(path)], capsys)
@@ -698,6 +698,17 @@ def test_verify_malformed_twograph_file_exit2(tmp_path, capsys, blob):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [1025, 100000, 10**20])
+def test_verify_twograph_huge_n_exit2_at_once(tmp_path, capsys, n):
+    # the parity check builds n x n arrays: 9.31 GiB at n = 100000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "triples": [[0, 1, 2]]}))
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path), "--kind", "twograph"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: n: at most 1024 vertices, got {n}\n")
+
+
 def test_detect_reducible_field_polynomial_exit2(tmp_path, capsys):
     # x^5 + 1 = (x + 1)(x^4 + x^3 + x^2 + x + 1) over F_2
     spec = {
@@ -838,7 +849,7 @@ def test_failed_symmetry_certificate_exit1(tmp_path, capsys, monkeypatch):
     from rouxforge.radical import HigmanDecompositionTable
 
     class Trivialized(HigmanDecompositionTable):
-        def __init__(self, cover, x):
+        def __init__(self, cover, x=None):
             super().__init__(cover, x)
             self.h[:] = cover.stab.index[cover.ops.identity]
 
@@ -912,15 +923,16 @@ def test_detect_su33_reads_one_transversal_per_action_and_base(tmp_path, capsys,
 
 
 def test_detect_su33_walks_the_g_star_orbit_once(tmp_path, capsys, monkeypatch):
-    # the stabilizer's transversal walks it; the transitivity checks and
-    # the cover's orbit count read that transversal
-    from rouxforge.group import GroupAction
+    # the stabilizer's transversal walks it; the transitivity checks, the
+    # search for x and the decomposition table read that transversal
+    from rouxforge.group import FiniteGroup, GroupAction
 
     walks = []
     search_tree = GroupAction.search_tree
 
     def recording(self, base):
-        walks.append(self.group.order)
+        # G* is only generated; the stabilizer's actions are enumerated
+        walks.append(isinstance(self.group, FiniteGroup))
         return search_tree(self, base)
 
     monkeypatch.setattr(GroupAction, "search_tree", recording)
@@ -928,4 +940,60 @@ def test_detect_su33_walks_the_g_star_orbit_once(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(dict(su33_bench_spec(), action="isotropic")))
     code, out, _ = run(["detect", str(path)], capsys)
     assert code == 0 and json.loads(out)["group_order"] == 6048
-    assert walks.count(6048) == 1
+    assert walks.count(False) == 1
+
+
+def test_detect_never_closes_the_group(tmp_path, capsys, monkeypatch):
+    # every closure detect makes lies inside the stabilizer, of order 216;
+    # G* = SU(3,3) has order 6048, n |G0*| by orbit-stabilizer
+    from rouxforge import group
+
+    closures = record_calls(monkeypatch, group, "closure")
+    path = tmp_path / "su33.json"
+    path.write_text(json.dumps(dict(su33_bench_spec(), action="isotropic")))
+    code, out, _ = run(["detect", str(path)], capsys)
+    report = json.loads(out)
+    assert code == 0 and (report["group_order"], report["stabilizer_order"]) == (6048, 216)
+    assert closures and max(G.order for G in closures) == 216
+
+
+# SHA-256 of the `detect` report on `su3_spec(5)`, taken while detect still
+# closed G* (order 378,000): the reports are byte-identical
+SU3_Q5_DETECT_SHA256 = "59c96fbc9e13bb8f984beafbd62fc530fcaa5fc053a6a226977dda8eda1a0da1"
+
+
+def test_detect_su35_report_is_pinned(tmp_path, capsys):
+    path = tmp_path / "su35.json"
+    path.write_text(json.dumps(su3_spec(5)))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SU3_Q5_DETECT_SHA256
+
+
+def test_detect_su37_beyond_the_closure_cap(tmp_path, capsys):
+    # |SU(3,7)| = 5,663,616 exceeds CLOSURE_CAP, which once refused it;
+    # only the stabilizer, of order 16,464, is closed
+    path = tmp_path / "su37.json"
+    path.write_text(json.dumps(su3_spec(7)))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["n"], report["group_order"], report["stabilizer_order"]) == (344, 5663616, 16464)
+    assert report["group_order"] == 344 * 16464
+    assert sum(row["higman"] for row in report["characters"]) == 8
+
+
+def test_detect_isotropic_points_beyond_the_cap_exit2_at_once(tmp_path, capsys):
+    # F_{2^20} has q = 2^10, so q^3 + 1 isotropic points exceed MAX_ORDER;
+    # a scan of the 2^40 vectors once ran for hours
+    irreducible = [0] * 21
+    irreducible[0] = irreducible[3] = irreducible[20] = 1  # x^20 + x^3 + 1
+    spec = {"kind": "matrix", "field": {"p": 2, "k": 20, "irreducible": irreducible}, "dim": 3,
+            "generators": [[1, 0, 0, 0, 1, 0, 0, 0, 1]], "action": "isotropic"}
+    path = tmp_path / "f2_20.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, err = run(["detect", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: isotropic lines: at most 1048576 points, got q^3 + 1 for q = 1024\n"

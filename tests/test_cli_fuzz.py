@@ -3,13 +3,15 @@ every kind and mutated `detect` group specs must each end in one exit
 code and at most one `error:` line, never in an exception out of `main`.
 A structural fault (a dropped key, a value of the wrong JSON type, cut
 rows, a boolean among the numbers, a bad `n`, `r`, `degree`, `dim` or
-field `p` or `k`) must exit 2.  `degree`, `dim`, `p` and `k` are drawn up
-to 10^20: each is checked before anything of its size is built."""
+field `p` or `k`) must exit 2.  `degree`, `dim`, `p`, `k` and the
+two-graph's `n` are drawn up to 10^20: each is checked before anything of
+its size is built."""
 
 import contextlib
 import copy
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +67,10 @@ WIDE = {
     # real work, not a fault in reading the spec
     "p": st.integers(-HUGE, 12) | st.integers(MAX_ORDER + 1, HUGE),
 }
+TWOGRAPH_MAX_N = math.isqrt(MAX_ORDER)
+# a two-graph on up to TWOGRAPH_MAX_N points is well formed, and its
+# regularity test is long real work at the top of that range
+TWOGRAPH_N = st.integers(-HUGE, 12) | st.integers(TWOGRAPH_MAX_N + 1, HUGE)
 WRONG_TYPE = {
     int: [None, "3", 1.5, True, [], {}],
     str: [None, 1, 1.5, True, [], {}],
@@ -135,6 +141,9 @@ def structural_faults(draw):
             bad += [obj[key] - 1] if name == "twograph" else [obj[key] - 1, obj[key] + 1]
             if key in WIDE:
                 bad.append(draw(st.integers(obj[key] + 1, HUGE)))
+            elif name == "twograph":
+                # beyond n^2 = MAX_ORDER vertices
+                bad.append(draw(st.integers(TWOGRAPH_MAX_N + 1, HUGE)))
         parent[key] = draw(st.sampled_from(bad))
     return name, obj
 
@@ -171,7 +180,7 @@ def mutations(draw):
         if draw(st.booleans()):
             del parent[path[-1]]
         else:
-            wide = WIDE.get(path[-1])
+            wide = TWOGRAPH_N if (name, path) == ("twograph", ("n",)) else WIDE.get(path[-1])
             parent[path[-1]] = draw(ANY_JSON if wide is None else ANY_JSON | wide)
     return name, obj
 

@@ -320,16 +320,17 @@ def test_line_set_records_equal_the_uncached_oracle(family, q):
 def test_each_phase_grid_is_certified_once_per_family_run(monkeypatch):
     grams = record_calls(monkeypatch, lines, "gram_from_signature")
     su3_family(4)
-    # 22 line sets: one trivial grid, one k = 0 grid over C_5, and the four
-    # nonzero grids the four order-5 characters share
-    assert len(grams) <= 6
+    # 22 line sets: one zero grid (J - I, shared by the trivial character's
+    # sets and every k = 0 set whatever its r) and the four nonzero grids
+    # the four order-5 characters share
+    assert len(grams) == 5
     counts = []
     for _ in range(2):
         grams.clear()
         sl2_family(31)
         counts.append(len(grams))
-    # 6 line sets; a second run shares nothing with the first
-    assert counts[0] == counts[1] <= 5
+    # 6 line sets, 2 of them J - I; a second run shares nothing with the first
+    assert counts == [4, 4]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])

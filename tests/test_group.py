@@ -12,6 +12,7 @@ from rouxforge.families import BitMatOps, isotropic_line_action, sl2_cover, su3_
 from rouxforge.group import (
     CapExceededError,
     FiniteGroup,
+    GeneratedGroup,
     GroupAction,
     GroupError,
     LinearCharacter,
@@ -20,11 +21,10 @@ from rouxforge.group import (
     ProductOps,
     closure,
     derived_subgroup,
-    direct_product_with_cyclic,
     enumerate_linear_characters,
-    group_from_json,
     is_doubly_transitive,
     natural_permutation_action,
+    parse_group_spec,
     projective_line_action,
     small_generating_set,
     stabilizer,
@@ -32,10 +32,13 @@ from rouxforge.group import (
 from rouxforge.oracles import (
     check_action_axioms,
     closure_bfs,
+    direct_product_with_cyclic,
     double_coset_decomposition,
     is_doubly_transitive_bruteforce,
+    isotropic_points_scan,
     matrix_product_poly,
     stabilizer_scan,
+    subgroup,
 )
 from rouxforge.radical import CoverData, RadicalError
 from util import materialized, record_calls, su33_bench_generators, su33_bench_spec
@@ -85,7 +88,7 @@ def test_closure_cap():
     assert closure(gens, PermOps(5), cap=120).order == 120
     with pytest.raises(CapExceededError):
         closure(gens, PermOps(5), cap=119)
-    U = materialized(su3_cover(3)[0]).group
+    U = materialized(su3_cover(3)[0]).action.group
     assert closure(U.generators, U.ops, cap=6048).order == 6048
     with pytest.raises(CapExceededError):
         closure(U.generators, U.ops, cap=6047)
@@ -110,7 +113,7 @@ def test_closure_matches_bfs_oracle_on_permutations(case):
 def test_closure_matches_bfs_oracle_on_matrices():
     G = sl2(5)
     assert G.elements == closure_bfs(G.generators, G.ops).elements
-    U = materialized(su3_cover(3)[0]).group
+    U = materialized(su3_cover(3)[0]).action.group
     assert U.order == 6048
     assert U.elements == closure_bfs(U.generators, U.ops).elements
     ops, gens = su33_bench_generators()
@@ -343,12 +346,51 @@ STABILIZER_ACTIONS = {
     **{f"sl2_q{q}_projective": (lambda q=q: projective_line_action(sl2(q))) for q in (5, 7, 9)},
     "su33_bench_isotropic": su33_bench_action,
     "A5_natural": lambda: natural_permutation_action(closure([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], PermOps(5))),
+    "S4_natural": lambda: natural_permutation_action(closure([(1, 0, 2, 3), (1, 2, 3, 0)], PermOps(4))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STABILIZER_ACTIONS))
 def test_stabilizer_matches_the_scan(case):
     check_stabilizers_against_the_scan(STABILIZER_ACTIONS[case]())
+
+
+def generated_copy(action):
+    """The same action through its group's generators alone, as ``detect``
+    builds it: the group is never enumerated."""
+    G = action.group
+    return GroupAction(GeneratedGroup(G.ops, G.generators, name=G.name), action.points, action.act)
+
+
+@pytest.mark.parametrize("case", sorted(STABILIZER_ACTIONS))
+def test_stabilizer_of_a_generated_group_matches_the_scan_of_its_closure(case):
+    closed = STABILIZER_ACTIONS[case]()
+    action = generated_copy(closed)
+    for point in closed.points:
+        stab, scan = stabilizer(action, point), stabilizer_scan(closed, point)
+        assert stab.elements == scan.elements
+        assert stab.generators == scan.generators
+
+
+@pytest.mark.parametrize("case", sorted(STABILIZER_ACTIONS))
+def test_coset_search_finds_the_least_element_outside_the_stabilizer(case):
+    # x is searched over the cosets G0* t_j^-1 of a group that is only
+    # generated, against the set difference of the closed group
+    closed = STABILIZER_ACTIONS[case]()
+    action = generated_copy(closed)
+    members = set(closed.group.elements)
+    for point in closed.points:
+        cover = CoverData(action, stabilizer(action, point), point)
+        assert cover.first_outside_stabilizer() == min(members - set(cover.stab.elements))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_isotropic_points_match_the_scan_of_every_vector(q):
+    p, k = _pk(q)
+    ops = MatOps(FieldSpec(p, 2 * k), 3)
+    action = isotropic_line_action(GeneratedGroup(ops, [ops.identity]))
+    assert action.points == isotropic_points_scan(ops.spec, q)
+    assert action.degree == q**3 + 1
 
 
 def test_stabilizer_applies_no_element_once_the_point_permutations_are_cached():
@@ -370,24 +412,27 @@ def unsorted(G) -> bool:
     return not {"elements", "index"} & vars(G).keys()
 
 
-def test_stabilizer_closure_stops_at_the_orbit_stabilizer_order(monkeypatch):
-    # |Stab| = |G| / |orbit| = 6048 / 28: the stabilizer's own closure (the
-    # first one it makes) ends its walk there, at 46 products; without the
-    # stop it makes 59
-    action = su33_bench_action()
+def test_stabilizer_closes_the_schreier_products_without_closing_the_group(monkeypatch):
+    # the stabilizer's own closure (the first one it makes) walks every
+    # coset of the Schreier products' closure, at 59 products; no closure
+    # reaches the order 6048 of the group, which is only generated
+    ops, gens = su33_bench_generators()
+    action = isotropic_line_action(GeneratedGroup(ops, gens))
     action.transversal(0).schreier
-    original, counts = group.closure, []
+    original, counts, orders = group.closure, [], []
 
     def counting_closure(generators, ops, *args, **kwargs):
         counting = CountingOps(ops)
         G = original(generators, counting, *args, **kwargs)
         counts.append(counting.mul_calls)
+        orders.append(G.order)
         return G
 
     monkeypatch.setattr(group, "closure", counting_closure)
     stab = stabilizer(action, action.points[0])
     assert stab.order == 216
-    assert counts[0] <= 46
+    assert counts[0] == 59
+    assert max(orders) == 216
 
 
 def test_closure_stops_at_a_given_order():
@@ -442,7 +487,7 @@ def test_action_compatibility():
     actions = [natural_permutation_action(S4), natural_permutation_action(A5)]
     actions += [sl2_cover(q)[0].action for q in (5, 7, 13, 31)]
     actions += [su3_cover(q)[0].action for q in (3, 4)]
-    actions.append(isotropic_line_action(group_from_json(su33_bench_spec())))
+    actions.append(isotropic_line_action(GeneratedGroup(*parse_group_spec(su33_bench_spec()))))
     for action in actions:
         check_action_axioms(action)
 
@@ -503,7 +548,7 @@ def test_doubly_transitive_matches_bruteforce():
 
 def test_double_cosets_s3():
     G = s3()
-    H = G.subgroup([G.identity, (1, 0, 2)])
+    H = subgroup(G, [G.identity, (1, 0, 2)])
     cells = double_coset_decomposition(G, H)
     assert sorted(len(c) for c in cells) == [2, 4]
 
@@ -517,7 +562,7 @@ def test_double_cosets_two_transitive_stabilizer():
 
 def test_double_cosets_whole_group():
     G = s3()
-    H = G.subgroup(G.elements)
+    H = subgroup(G, G.elements)
     assert len(double_coset_decomposition(G, H)) == 1
 
 
@@ -720,9 +765,15 @@ def test_associativity_and_inverses_spot_check():
         assert G.mul(a, G.inv(a)) == G.identity
 
 
+def closed_spec(data):
+    """The group of a JSON spec, closed: ``detect`` itself never closes it."""
+    ops, gens, name = parse_group_spec(data)
+    return closure(gens, ops, name=name)
+
+
 def test_group_json_roundtrip():
     data = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
-    G = group_from_json(data)
+    G = closed_spec(data)
     assert G.order == 6
     assert sorted(G.generators) == [(1, 0, 2), (1, 2, 0)]
 
@@ -732,16 +783,35 @@ def test_group_json_roundtrip():
         "dim": 2,
         "generators": [[1, 1, 0, 1], [0, 1, 4, 0]],
     }
-    M = group_from_json(mdata)
+    M = closed_spec(mdata)
     assert M.order == 120
     assert sorted(M.generators) == [((0, 1), (4, 0)), ((1, 1), (0, 1))]
 
 
 def test_group_json_bad_input():
     with pytest.raises(GroupError):
-        group_from_json({"kind": "permutation", "degree": 3, "generators": [[0, 0, 1]]})
+        parse_group_spec({"kind": "permutation", "degree": 3, "generators": [[0, 0, 1]]})
     with pytest.raises(GroupError):
-        group_from_json({"kind": "nonsense"})
+        parse_group_spec({"kind": "nonsense"})
+
+
+@pytest.mark.parametrize("generators", ["missing", [], {}, 5, "abc"])
+def test_group_spec_refuses_a_missing_empty_or_non_list_generators(generators):
+    # no closure follows the parse to catch a group with nothing to generate it
+    for spec in ({"kind": "permutation", "degree": 3}, {"kind": "matrix", "field": {"p": 3, "k": 1}, "dim": 2}):
+        if generators != "missing":
+            spec["generators"] = generators
+        with pytest.raises((GroupError, KeyError)):
+            parse_group_spec(spec)
+
+
+def test_product_spec_is_parsed_without_enumeration():
+    base = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+    ops, gens, name = parse_group_spec({"kind": "product", "base": base, "r": 4})
+    assert isinstance(ops, ProductOps) and (ops.r, ops.base.degree) == (4, 3)
+    assert gens == [((1, 0, 2), 0), ((1, 2, 0), 0), ((0, 1, 2), 1)]
+    assert closure(gens, ops).order == 24
+    assert parse_group_spec({"kind": "product", "base": base, "r": 1})[1][-1] == ((0, 1, 2), 0)
 
 
 def test_associativity_spot_checks_small_groups():

@@ -6,6 +6,8 @@ from util import cover_of, materialized, random_outside_stabilizer, su33_bench_g
 
 from rouxforge.families import isotropic_line_action, sl2_cover, su3_cover
 from rouxforge.group import (
+    FiniteGroup,
+    GroupError,
     PermOps,
     TransitivityError,
     closure,
@@ -64,7 +66,7 @@ def test_cover_verify_sl25():
     cover.verify()
     assert cover.n == 6
     assert cover.stab.order == 20
-    assert cover.group.order == 120
+    assert cover.action.group.order == 120
 
 
 def test_su3_cover_counts():
@@ -76,7 +78,7 @@ def test_su3_cover_counts():
 
 def test_su33_closure_order():
     cover = materialized(su3_cover(3)[0])
-    assert cover.group.order == 6048
+    assert cover.action.group.order == 6048
     cover.verify()
 
 
@@ -87,7 +89,7 @@ def test_radicalize_trivial():
     assert rad.r == 2
     _, H, _ = radicalization_groups(rad)
     assert H.elements == [(xi, 0) for xi in cover.stab.elements]
-    assert cover.group.order * rad.r == 12
+    assert cover.action.group.order * rad.r == 12
 
 
 def test_radicalize_sl25_quadratic():
@@ -98,7 +100,7 @@ def test_radicalize_sl25_quadratic():
     _, H, _ = radicalization_groups(rad)
     assert H.order == 20
     assert all(z == -rad.alpha_exp_r(xi) % 4 for xi, z in H.elements)
-    assert cover.group.order * rad.r == 480
+    assert cover.action.group.order * rad.r == 480
 
 
 def test_radicalize_su33_bookkeeping():
@@ -108,7 +110,7 @@ def test_radicalize_su33_bookkeeping():
     order4 = by_order(chars, 4)[0]
     rad = radicalize(cover, order4)
     assert rad.r == 8
-    assert cover.group.order * rad.r == 48384
+    assert cover.action.group.order * rad.r == 48384
 
 
 def test_detect_sl25():
@@ -480,9 +482,9 @@ def test_detector_and_key_match_the_stabilizer_scans(case):
     build, _ = DECOMPOSITION_CASES[case]
     cover, x = build()
     xs = [x]
-    if cover.group is not None:
+    if isinstance(cover.action.group, FiniteGroup):
         # three more elements outside the stabilizer, spread over the group
-        outside = [g for g in cover.group.elements if g != x and g not in cover.stab]
+        outside = [g for g in cover.action.group.elements if g != x and g not in cover.stab]
         xs += outside[:: max(1, len(outside) // 3)][:3]
         assert len(xs) == 4
     chars = enumerate_linear_characters(cover.stab)
@@ -560,8 +562,10 @@ def test_cover_verify_rejects_an_incomplete_stabilizer():
     cover.verify()
     short = cover.stab.elements[:-1]
     stab = FiniteGroup(cover.ops, short, small_generating_set(cover.ops, short))
-    with pytest.raises(RadicalError, match="stabilizer list is incomplete"):
+    # the greedy generators of the short list generate the whole Borel group
+    with pytest.raises(GroupError, match="the elements are not closed under the generators") as refused:
         CoverData(cover.action, stab, cover.base_point).verify()
+    assert refused.value.exit_code == 2
 
 
 def test_cover_verify_rejects_a_stabilizer_element_outside_the_group():
@@ -570,11 +574,13 @@ def test_cover_verify_rejects_a_stabilizer_element_outside_the_group():
 
     cover = materialized(sl2_cover(5)[0])
     outside = ((2, 0), (0, 1))  # fixes the base point, determinant 2
-    assert outside not in cover.group
+    assert outside not in cover.action.group
     listed = cover.stab.elements[:-1] + [outside]
     stab = FiniteGroup(cover.ops, listed, small_generating_set(cover.ops, listed))
-    with pytest.raises(RadicalError, match="outside the group"):
+    # the list's greedy generators generate a group beyond the list
+    with pytest.raises(GroupError, match="the elements are not closed under the generators") as refused:
         CoverData(cover.action, stab, cover.base_point).verify()
+    assert refused.value.exit_code == 2
 
 
 KERNEL_CASES = {

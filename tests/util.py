@@ -121,3 +121,15 @@ def su33_bench_spec() -> dict:
     ops, gens = su33_bench_generators()
     entries = [[list(ops.spec.decode(e)) for row in g for e in row] for g in gens]
     return {"kind": "matrix", "field": {"p": 3, "k": 2}, "dim": 3, "generators": entries}
+
+
+def su3_spec(q: int) -> dict:
+    """A JSON group spec of SU(3,q) on its isotropic points: the generators
+    of ``families.su3_cover(q)``, entries as coefficient lists."""
+    from rouxforge.families import su3_cover
+
+    cover = su3_cover(q)[0]
+    spec = cover.ops.spec
+    entries = [[list(spec.decode(e)) for row in g for e in row] for g in cover.action.group.generators]
+    field = {"p": spec.p, "k": spec.k, "irreducible": list(spec.irreducible)}
+    return {"kind": "matrix", "field": field, "dim": 3, "generators": entries, "action": "isotropic"}
