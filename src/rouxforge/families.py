@@ -35,16 +35,14 @@ import numpy as np
 from .field import MAX_ORDER, FieldSpec, primitive_element
 from .group import (
     TABLE_CHUNK,
-    FiniteGroup,
     GeneratedGroup,
     GroupAction,
     MatOps,
+    closure,
     derived_subgroup,
     enumerate_linear_characters,
-    greedy_closure,
     projective_line_action,
     projective_point,
-    small_generating_set,
 )
 from .lines import (
     ETFCertificate,
@@ -245,7 +243,7 @@ def sl2_cover(q: int) -> tuple[CoverData, tuple]:
         for a in range(1, spec.q)
         for b in range(spec.q)
     ]
-    stab = FiniteGroup(ops, borel, small_generating_set(ops, borel), name=f"Borel(SL(2,{q}))")
+    stab = closure(sorted(borel), ops, order=len(borel), name=f"Borel(SL(2,{q}))")
     return CoverData(action, stab, base), x
 
 
@@ -265,19 +263,18 @@ def isotropic_pairs(spec2: FieldSpec, q: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(spec2.q) for b in by_trace.get(spec2.neg(spec2.pow(a, q + 1)), ())]
 
 
-def isotropic_line_action(G, q: Optional[int] = None) -> GroupAction:
+def isotropic_line_action(G, pairs: Optional[list] = None) -> GroupAction:
     """Action of a 3x3 matrix group over F_{q^2} on the q^3 + 1 isotropic
-    lines of the Hermitian form of ``isotropic_pairs``: (1, a, b) for
-    each pair, and (0, 0, 1).  A point (0, 1, b) has form value 1."""
+    lines (1, a, b), one per pair of ``isotropic_pairs`` (or ``pairs``),
+    and (0, 0, 1).  A point (0, 1, b) has form value 1."""
     ops = G.ops
     if not (isinstance(ops, MatOps) and ops.dim == 3):
         raise FamilyError("isotropic actions need 3x3 matrices")
     spec2 = ops.spec
-    if q is None:
-        q = math.isqrt(spec2.q)
+    q = math.isqrt(spec2.q)
     if q * q != spec2.q:
         raise FamilyError("isotropic actions need a field of square order")
-    points = [(1, a, b) for a, b in isotropic_pairs(spec2, q)] + [(0, 0, 1)]
+    points = [(1, a, b) for a, b in pairs or isotropic_pairs(spec2, q)] + [(0, 0, 1)]
     return GroupAction(G, points, lambda g, pt: projective_point(spec2, ops.apply(g, pt)))
 
 
@@ -315,12 +312,10 @@ def su3_cover(q: int) -> tuple[CoverData, tuple, tuple]:
     U = [xi(a, b) for a, b in pairs]
     chunks = [ops.batch(U[i : i + TABLE_CHUNK]) for i in range(0, len(U), TABLE_CHUNK)]
     stab_elements = [h for e in range(1, spec2.q) for c in chunks for h in ops.batch_mul(c, eta(e))]
-    stab = FiniteGroup(
-        ops, stab_elements, small_generating_set(ops, stab_elements), name=f"Stab(SU(3,{q}))"
-    )
+    stab = closure(sorted(stab_elements), ops, order=len(stab_elements), name=f"Stab(SU(3,{q}))")
     x = ((0, 0, 1), (0, spec2.neg(1), 0), (1, 0, 0))
     G = GeneratedGroup(ops, list(stab.generators) + [x], name=f"SU(3,{q})")
-    action = isotropic_line_action(G, q)
+    action = isotropic_line_action(G, pairs)
     base = projective_point(spec2, (1, 0, 0))
 
     if q % 2:
@@ -1007,7 +1002,7 @@ def symplectic_witness(m: int, epsilon: int) -> WitnessReport:
 
     if m == 3:
         singular_units = [u for u in range(1, 1 << dim) if Q(u) == 1]
-        O = greedy_closure(ops, [transvection(v) for v in singular_units])
+        O = closure(sorted(transvection(v) for v in singular_units), ops)
         sp_order = 2 ** (m * m)
         for i in range(1, m + 1):
             sp_order *= 4**i - 1

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-TABLE_LIMIT = 4096
+TABLE_LIMIT = 256  # F_256's tables take 0.05 s to build, F_4096's 29 s and 1.25 GB
 MAX_ORDER = 2**20
 # Largest numpy temporary of ``FieldSpec._build_tables``: glibc's default
 # mmap threshold, above which each temporary is a fresh mapping.
@@ -185,8 +185,8 @@ class FieldSpec:
         The pairs (a, b) are taken in row-major blocks.  A sum is the
         coefficientwise sum mod p; a product contracts the outer product
         of the coefficients with ``shift``, the coefficients of x^(s+t)
-        mod f.  Each of its k^2 terms is below p^3 <= 2^36 (q is at most
-        ``TABLE_LIMIT`` = 2^12), so int64 holds it exactly.  The inverse of a is the b where row a of
+        mod f.  Each of its k^2 terms is below p^3 <= 2^24 (q is at most
+        ``TABLE_LIMIT`` = 2^8), so int64 holds it exactly.  The inverse of a is the b where row a of
         the mul table holds 1, unique when it exists.
         """
         p, k, q = self.p, self.k, self.q

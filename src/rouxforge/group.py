@@ -10,7 +10,8 @@ Besides ``mul`` and ``inv``, every backend that ``closure`` reaches has a
 batched right product: ``batch(H)`` packs a list of keys once, and
 ``batch_mul(batch, r)`` returns ``[mul(h, r) for h in H]``, in order, so
 a whole coset H r costs one call (one numpy expression on the array
-backends).
+backends).  On ``PermOps`` and ``MatOps`` it is ``keys(batch_codes(...))``,
+``batch_codes`` an integer array, one row per product, ordered as its key.
 
 Groups are immutable once closed; all queries are pure.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -76,9 +77,15 @@ class PermOps:
         # row i holds h(i) for every h in H
         return np.array(H, dtype=np.intp).reshape(len(H), self.degree).T.copy()
 
+    def batch_codes(self, batch, b) -> np.ndarray:
+        # (hb)(i) = h(b(i)): one gather of the rows, then row j is hb's key
+        return batch[list(b)].T
+
+    def keys(self, codes: np.ndarray) -> list:
+        return list(zip(*codes.T.tolist()))
+
     def batch_mul(self, batch, b):
-        # (hb)(i) = h(b(i)): one gather of the rows
-        return list(zip(*batch[list(b)].tolist()))
+        return self.keys(self.batch_codes(batch, b))
 
 
 class MatOps:
@@ -134,20 +141,27 @@ class MatOps:
             [[spec.decode(spec.mul(x_s, x_t)) for x_t in powers] for x_s in powers], dtype=np.int64
         ).reshape(spec.k, spec.k, spec.k)
 
-    def batch_mul(self, batch, b):
-        """Multiplication by b is F_p-linear: block (l, j) of its dk x dk
-        matrix maps the coefficients of a to those of a * b[l][j], column
-        s being x^s * b[l][j], whose coefficients are b[l][j]'s contracted
-        with the cached ``_shift``.  One integer matmul, then mod p and
-        re-encode.  Each sum has dk terms below p^2 <= 2^40 (FieldSpec
-        caps q at 2^20), so int64 holds it exactly."""
+    def batch_codes(self, batch, b) -> np.ndarray:
+        """Row j: the entry codes of h_j b, row-major.  Multiplication by b
+        is F_p-linear: block (l, j) of its dk x dk matrix maps the
+        coefficients of a to those of a * b[l][j], column s being
+        x^s * b[l][j], whose coefficients are b[l][j]'s contracted with the
+        cached ``_shift``.  One integer matmul, then mod p and re-encode.
+        Each sum has dk terms below p^2 <= 2^40 (FieldSpec caps q at 2^20)."""
         spec, d, k = self.spec, self.dim, self.spec.k
         coeffs = np.array(b, dtype=np.int64).reshape(d, d, 1) // self._powers % spec.p  # [l, j, t]
         block = np.einsum("ljt,stu->lsju", coeffs, self._shift) % spec.p
         coeffs = batch @ block.reshape(d * k, d * k) % spec.p
-        codes = coeffs.reshape(-1, d, d, k) @ self._powers  # entry codes, |H| x d x d
+        return coeffs.reshape(-1, d * d, k) @ self._powers
+
+    def keys(self, codes: np.ndarray) -> list:
+        d = self.dim
+        codes = codes.reshape(-1, d, d)
         rows = [zip(*codes[:, i].T.tolist()) for i in range(d)]  # row i of each key
         return list(zip(*rows))
+
+    def batch_mul(self, batch, b):
+        return self.keys(self.batch_codes(batch, b))
 
 
 class ProductOps:
@@ -184,8 +198,8 @@ class ProductOps:
 class FiniteGroup:
     """An enumerated finite group: canonical keys, sorted on first read.
 
-    The group keeps the list of keys it was given.  ``in``, ``order`` and
-    ``len`` never sort it; ``elements`` sorts it in place the first time
+    The group keeps the list of keys it was given.  ``in`` and ``order``
+    never sort it; ``elements`` sorts it in place the first time
     it is read, and ``index`` enumerates the sorted list.  Membership is
     answered by a set of the keys until the index exists, and by the index
     after that, so a group never holds both.
@@ -226,20 +240,8 @@ class FiniteGroup:
     def identity(self):
         return self.ops.identity
 
-    def mul(self, a, b):
-        return self.ops.mul(a, b)
-
-    def inv(self, a):
-        return self.ops.inv(a)
-
     def __contains__(self, key) -> bool:
         return key in self.members
-
-    def __iter__(self) -> Iterator:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -251,7 +253,7 @@ class FiniteGroup:
 
         Built once per group from batched right products by each generator,
         after checking that the elements are closed under right products by
-        the generators and that these reach every element from the identity.
+        the generators; ``cayley_tree`` checks that these reach every element.
         """
         index = self.index
         if self.identity not in index:
@@ -261,12 +263,6 @@ class FiniteGroup:
         table = np.array(rows, dtype=np.intp).reshape(len(rows), self.order)
         if (table < 0).any():
             raise GroupError("the elements are not closed under the generators")
-        reached = frontier = {index[self.identity]}
-        while frontier:
-            frontier = set(table[:, sorted(frontier)].ravel().tolist()) - reached
-            reached = reached | frontier
-        if len(reached) != self.order:
-            raise GroupError("the generators do not generate the group")
         return table
 
     @cached_property
@@ -274,7 +270,8 @@ class FiniteGroup:
         """A breadth-first spanning tree of the Cayley graph (edges
         b -> b g_k) from the identity, read off ``generator_table`` layer by
         layer: each layer's new element indices, their parents' and the
-        generators' indices, so a parent's layer comes before its child's."""
+        generators' indices, so a parent's layer comes before its child's.
+        It must span every element: then the generators generate the list."""
         table = self.generator_table
         t = len(table)
         seen = np.zeros(self.order, dtype=bool)
@@ -289,6 +286,8 @@ class FiniteGroup:
             frontier, first = frontier[new], first[new]
             seen[frontier] = True
             layers.append((frontier, parents[first], gens[first]))
+        if not seen.all():
+            raise GroupError("the generators do not generate the group")
         return layers
 
 
@@ -310,18 +309,23 @@ class GeneratedGroup:
 
 
 def closure(generators: Sequence, ops, cap: int = CLOSURE_CAP, name: str = "", order: Optional[int] = None) -> FiniteGroup:
-    """The group generated by ``generators``, by Dimino's algorithm.
+    """The group generated by ``generators``, by Dimino's algorithm; its
+    generators are the candidates that extended it ([identity] if none).
 
     A generator g outside the group H closed so far appends the right
     coset H g, then the coset representatives are walked: for each
     representative r and each generator s so far, a new r s brings in
     the coset H (r s).  A coset is one batched product of H by r, and
     the walk costs one scalar product per representative and generator.
+    After the walk for a kept g_k, H r g_i = H (r g_i) makes the list the
+    group <g_1, ..., g_k>, so skipping a listed candidate is the greedy
+    step "skip an element of the running closure": for every element of
+    a group, sorted, the kept ones are its greedy generating set.
 
     ``order``, when given, must be the order of the group generated: the
-    walk ends as soon as that many elements are listed, because a set of
-    distinct elements of a group with as many elements as the group is
-    the whole group.
+    walk and the scan end once that many elements are listed, which are
+    then the whole group.  Candidates that generate a larger group list
+    ``order`` of its elements, which ``generator_table`` refuses.
     """
     if not generators:
         raise GroupError("need at least one generator")
@@ -331,6 +335,8 @@ def closure(generators: Sequence, ops, cap: int = CLOSURE_CAP, name: str = "", o
     gens: list = []
 
     for g in generators:
+        if len(elements) == order:
+            break
         if g in members:
             continue
         gens.append(g)
@@ -354,34 +360,7 @@ def closure(generators: Sequence, ops, cap: int = CLOSURE_CAP, name: str = "", o
                 if c not in members:
                     reps.append(c)
                     add_coset(c)
-    return FiniteGroup(ops, elements, generators, name=name, members=members)
-
-
-def greedy_closure(ops, elements: Sequence, order: Optional[int] = None) -> FiniteGroup:
-    """The group generated by ``elements``, closed along a greedy
-    generating set: each element outside the running closure is added.
-    Returns the group the last closure built, with that set as its
-    generators ([identity] when every element is the identity).
-
-    ``order``, when given, is the order of the group generated
-    (``len(elements)`` when the elements are a whole group): the search
-    ends at a closure of that order, and that closure ends its walk there.
-    """
-    G = closure([ops.identity], ops)
-    gens: list = []
-    for el in sorted(elements):
-        if el not in G:
-            gens.append(el)
-            G = closure(gens, ops, order=order)
-            if G.order == order:
-                break
-    return G
-
-
-def small_generating_set(ops, elements: Sequence) -> list:
-    """Greedy generating set of the group whose elements are ``elements``:
-    add the first element outside the running closure."""
-    return greedy_closure(ops, elements, len(elements)).generators
+    return FiniteGroup(ops, elements, gens or [ops.identity], name=name, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +525,15 @@ def stabilizer(action: GroupAction, point) -> FiniteGroup:
     and ``generators``, which is never enumerated.  By Schreier's lemma
     (see ``Transversal``) the Schreier products of the point's cached
     transversal generate the stabilizer, so their closure is all of it.
-    The result has the greedy generating set of its sorted elements.  No
-    element is applied to a point beyond the cached ``generator_perms``."""
+    Closing its sorted elements again keeps their greedy generating set.
+    No element is applied to a point beyond the cached ``generator_perms``."""
     G = action.group
     transversal = action.transversal(action.point_index[point])
     # closed generator by generator: 59 products on the bench SU(3,3),
     # against 201 point by point
     by_generator = sorted(zip(transversal.off_tree, transversal.schreier), key=lambda edge: edge[0][1])
     elements = closure([s for _, s in by_generator], G.ops).elements
-    return FiniteGroup(G.ops, elements, small_generating_set(G.ops, elements), name=f"subgroup of {G.name}")
+    return closure(elements, G.ops, order=len(elements), name=f"subgroup of {G.name}")
 
 
 def is_doubly_transitive(action: GroupAction, stab_action: GroupAction) -> bool:
@@ -619,9 +598,10 @@ class LinearCharacter:
 
         Checked as chi(b g) = chi(b) + chi(g), one array comparison per row
         of the generator table.  By induction on words w in the generators,
-        chi(a w g) = chi(a w) + chi(g) = chi(a) + chi(w g) (1 * g = g forces chi(1) = 0).
-        """
+        chi(a w g) = chi(a w) + chi(g) = chi(a) + chi(w g) (1 * g = g forces chi(1) = 0);
+        the Cayley tree makes every element such a word."""
         G, values = self.group, self.values
+        G.cayley_tree
         for g, row in zip(G.generators, G.generator_table):
             if ((values + values[G.index[g]]) % self.modulus != values[row]).any():
                 raise GroupError("character is not a homomorphism")

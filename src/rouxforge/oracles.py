@@ -35,8 +35,8 @@ from .group import (
     GroupAction,
     GroupError,
     ProductOps,
+    closure,
     is_doubly_transitive,
-    small_generating_set,
     stabilizer,
 )
 from .lines import (
@@ -120,8 +120,8 @@ def check_action_axioms(action: GroupAction) -> None:
 def subgroup(G: FiniteGroup, elements: Sequence) -> FiniteGroup:
     """The subgroup of G listed by ``elements``, generated by the greedy
     generating set of the sorted elements."""
-    elements = list(elements)
-    return FiniteGroup(G.ops, elements, small_generating_set(G.ops, elements), name=f"subgroup of {G.name}")
+    elements = sorted(elements)
+    return closure(elements, G.ops, order=len(elements), name=f"subgroup of {G.name}")
 
 
 def direct_product_with_cyclic(G: FiniteGroup, r: int) -> FiniteGroup:
@@ -184,7 +184,7 @@ def double_coset_decomposition(G: FiniteGroup, H: FiniteGroup) -> list[list]:
     for g in G.elements:
         if g in assigned:
             continue
-        members = sorted({G.mul(G.mul(h1, g), h2) for h1 in H.elements for h2 in H.elements})
+        members = sorted({G.ops.mul(G.ops.mul(h1, g), h2) for h1 in H.elements for h2 in H.elements})
         cells.append(members)
         for m in members:
             assigned[m] = True
@@ -199,18 +199,18 @@ def coset_action(G: FiniteGroup, K: FiniteGroup) -> GroupAction:
     for g in G.elements:
         if g in rep_of:
             continue
-        members = sorted(G.mul(g, k) for k in K.elements)
+        members = sorted(G.ops.mul(g, k) for k in K.elements)
         r = members[0]
         reps.append(r)
         for m in members:
             rep_of[m] = r
-    return GroupAction(G, reps, lambda g, p: rep_of[G.mul(g, p)])
+    return GroupAction(G, reps, lambda g, p: rep_of[G.ops.mul(g, p)])
 
 
 def normalizer(G: FiniteGroup, H: FiniteGroup) -> list:
     """The g in G with g h g^{-1} in H for every h in H, in G's order."""
     hset = set(H.elements)
-    return [g for g in G.elements if all(G.mul(G.mul(g, h), G.inv(g)) in hset for h in H.elements)]
+    return [g for g in G.elements if all(G.ops.mul(G.ops.mul(g, h), G.ops.inv(g)) in hset for h in H.elements)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +365,19 @@ def verify_higman_axioms(G: FiniteGroup, H: FiniteGroup, b) -> HigmanAxiomReport
     record(
         "H2",
         all(
-            G.mul(G.inv(G.mul(bb, a)), G.mul(a, bb)) in hset
+            G.ops.mul(G.ops.inv(G.ops.mul(bb, a)), G.ops.mul(a, bb)) in hset
             for a in K_members
             for bb in K_members
         ),
     )
 
     def double_coset(el):
-        return {G.mul(G.mul(h1, el), h2) for h1 in H.elements for h2 in H.elements}
+        return {G.ops.mul(G.ops.mul(h1, el), h2) for h1 in H.elements for h2 in H.elements}
 
     HbH = double_coset(b)
-    record("H3", HbH == double_coset(G.inv(b)))
-    record("H4", all(G.mul(G.mul(a, b), G.inv(a)) in HbH for a in K_members))
-    record("H5", all(a in hset for a in K_members if G.mul(a, b) in HbH))
+    record("H3", HbH == double_coset(G.ops.inv(b)))
+    record("H4", all(G.ops.mul(G.ops.mul(a, b), G.ops.inv(a)) in HbH for a in K_members))
+    record("H5", all(a in hset for a in K_members if G.ops.mul(a, b) in HbH))
     return HigmanAxiomReport(axioms, first_failure)
 
 

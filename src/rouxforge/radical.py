@@ -120,12 +120,17 @@ class CoverData:
         With t_j from b's cached transversal (t_j.b = j), the right coset
         G0* t_j^{-1} is {g : g^{-1}.b = j}, so G* minus G0* is the union of
         these cosets over the orbit points j != b.  Each coset is one
-        batched product of the stabilizer, and only its least key is kept,
-        so O(|G0*|) keys are held at a time.
+        batched product of the stabilizer, whose least row in
+        ``batch_codes`` is found column by column and made a key.
         """
+        ops, least = self.ops, []
         transversal = self.action.transversal(self.action.point_index[self.base_point])
-        batch = self.ops.batch(self.stab.elements)
-        least = [min(self.ops.batch_mul(batch, t)) for j, t in transversal.inv_reps.items() if j != transversal.base]
+        batch = ops.batch(self.stab.elements)
+        for t in list(transversal.inv_reps.values())[1:]:  # the base point's comes first
+            codes = ops.batch_codes(batch, t)
+            for column in range(codes.shape[1]):
+                codes = codes[codes[:, column] == codes[:, column].min()]
+            least.append(ops.keys(codes[:1])[0])
         if not least:
             raise RadicalError("group equals its stabilizer")
         return min(least)
@@ -149,10 +154,10 @@ class CoverData:
     def verify(self) -> None:
         """Check the covering invariants.
 
-        ``stab.generator_table`` (cached; the characters read it next)
-        proves that the listed elements are closed under right products
-        by the generators and reached from the identity by them: the list
-        is exactly the subgroup the generators generate, without repeats.
+        ``stab.cayley_tree`` (cached; the characters read it next) proves
+        that the listed elements are closed under right products by the
+        generators and reached from the identity by them: the list is
+        exactly the subgroup the generators generate, without repeats.
         If every generator fixes b, every word in them does, so the list
         is a subgroup of G0*.  It is all of G0* by Schreier's lemma, with
         no order to compare: the Schreier products of b's transversal
@@ -164,7 +169,7 @@ class CoverData:
         checked to commute with every generator of G*.
         """
         b = self.action.point_index[self.base_point]
-        self.stab.generator_table
+        self.stab.cayley_tree
         if (self.stab_action.generator_perms[:, b] != b).any():
             raise RadicalError("stabilizer element moves the base point")
         mul, gens = self.ops.mul, self.action.group.generators

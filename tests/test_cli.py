@@ -955,6 +955,8 @@ def test_detect_never_closes_the_group(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert code == 0 and (report["group_order"], report["stabilizer_order"]) == (6048, 216)
     assert closures and max(G.order for G in closures) == 216
+    # the Schreier products' closure, then the greedy generating set's
+    assert len(closures) == 2
 
 
 # SHA-256 of the `detect` report on `su3_spec(5)`, taken while detect still

@@ -12,6 +12,7 @@ from rouxforge.families import (
     psu3_parameters_closed_form,
     ree_refutation,
     sl2_family,
+    su3_cover,
     su3_family,
     suzuki_refutation,
     symplectic_witness,
@@ -272,7 +273,7 @@ def test_symplectic_witness_m3():
 
 
 def test_symplectic_witness_closes_the_stabilizer_once(monkeypatch):
-    # the greedy generating-set pass already closes O+(6,2), of order 8! = 40320
+    # one closure of the sorted transvections builds O+(6,2), of order 8! = 40320
     from rouxforge import group
 
     closed = record_calls(monkeypatch, group, "closure")
@@ -348,3 +349,12 @@ def test_the_working_roux_of_an_inverse_character_is_the_negated_grid(q):
         assert (inverse.working_roux.exps == -b.working_roux.exps % r).all()
         distinct += inverse is not b
     assert distinct >= 2
+
+
+def test_su3_cover_lists_the_isotropic_pairs_once(monkeypatch):
+    # the stabilizer's unipotent part and the action's points share them
+    from rouxforge import families
+
+    calls = record_calls(monkeypatch, families, "isotropic_pairs")
+    su3_cover(4)
+    assert len(calls) == 1

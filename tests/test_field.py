@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from rouxforge.field import (
     IRREDUCIBLE_TABLE,
+    TABLE_LIMIT,
     FieldError,
     FieldSpec,
     _poly_mul_mod,
@@ -172,3 +175,13 @@ def test_elements_are_canonical_keys():
     assert len({F9.decode(a) for a in range(F9.q)}) == 9
     assert all(F9.encode(F9.decode(a)) == a for a in range(F9.q))
     assert F9.encode([4, 3]) == F9.encode([1, 0])  # reduced mod p
+
+
+def test_a_field_above_the_table_limit_builds_no_table():
+    # F_4096's two q^2-entry tables took 29 s and 1.25 GB to build
+    spec = FieldSpec(2, 12, (1, 1, 0, 0, 1, 0, 1) + (0,) * 5 + (1,))  # x^12 + x^6 + x^4 + x + 1
+    start = time.perf_counter()
+    assert spec.mul(2, 3) == 6  # x (1 + x) = x + x^2
+    assert time.perf_counter() - start < 1.0
+    assert spec._mul_table is None and spec._add_table is None
+    assert spec.q > TABLE_LIMIT

@@ -26,7 +26,6 @@ from rouxforge.group import (
     natural_permutation_action,
     parse_group_spec,
     projective_line_action,
-    small_generating_set,
     stabilizer,
 )
 from rouxforge.oracles import (
@@ -107,7 +106,13 @@ def test_closure_matches_bfs_oracle_on_permutations(case):
     n, gens = case
     G = closure(gens, PermOps(n))
     assert G.elements == closure_bfs(gens, PermOps(n)).elements
-    assert G.generators == gens
+    # the generators that extend the closure of the ones before them
+    kept, reached = [], {PermOps(n).identity}
+    for g in gens:
+        if g not in reached:
+            kept.append(g)
+            reached = set(closure_bfs(kept, PermOps(n)).elements)
+    assert G.generators == (kept or [PermOps(n).identity])
 
 
 def test_closure_matches_bfs_oracle_on_matrices():
@@ -276,10 +281,16 @@ def greedy_generators_bfs(ops, elements):
     return gens or [ops.identity]
 
 
+def greedy_set(G) -> list:
+    """The greedy generating set of G's sorted elements, as ``closure``
+    keeps it."""
+    return closure(G.elements, G.ops, order=G.order).generators
+
+
 @pytest.mark.parametrize("q", [5, 7, 13])
 def test_small_generating_set_matches_greedy_oracle_borel(q):
     stab = sl2_cover(q)[0].stab
-    assert small_generating_set(stab.ops, stab.elements) == greedy_generators_bfs(stab.ops, stab.elements)
+    assert greedy_set(stab) == stab.generators == greedy_generators_bfs(stab.ops, stab.elements)
 
 
 def test_small_generating_set_matches_greedy_oracle_su33_stabilizer():
@@ -288,13 +299,38 @@ def test_small_generating_set_matches_greedy_oracle_su33_stabilizer():
     assert stab.generators == greedy_generators_bfs(stab.ops, stab.elements)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closure_keeps_the_greedy_generating_set_of_permutation_groups(data):
+    G = data.draw(small_permutation_groups())
+    assert greedy_set(G) == greedy_generators_bfs(G.ops, G.elements)
+
+
 def test_generator_table_rejects_a_bad_presentation():
     ops = PermOps(3)
     S3 = s3()
-    with pytest.raises(GroupError, match="do not generate"):
-        FiniteGroup(ops, S3.elements, [(1, 2, 0)]).generator_table
     with pytest.raises(GroupError, match="not closed"):
         FiniteGroup(ops, [(0, 1, 2), (1, 0, 2)], [(1, 2, 0)]).generator_table
+    # closed under the 3-cycle, which misses the transpositions: only the
+    # Cayley tree finds that
+    C3 = FiniteGroup(ops, S3.elements, [(1, 2, 0)])
+    assert C3.generator_table.shape == (1, 6)
+    with pytest.raises(GroupError, match="do not generate"):
+        C3.cayley_tree
+
+
+def test_generation_is_proved_by_the_cayley_tree_alone():
+    # the character check and the cover check refuse generators that miss
+    # an element, through the tree
+    ops = PermOps(3)
+    C3 = FiniteGroup(ops, s3().elements, [(1, 2, 0)])
+    trivial = LinearCharacter(1, C3, np.zeros(6, dtype=np.int64))
+    with pytest.raises(GroupError, match="do not generate"):
+        trivial.verify_homomorphism()
+    action = natural_permutation_action(s3())
+    stab = FiniteGroup(ops, [(0, 1, 2), (0, 2, 1)], [(0, 1, 2)])  # the identity cannot reach (0 2 1)
+    with pytest.raises(GroupError, match="do not generate"):
+        CoverData(action, stab, 0).verify()
 
 
 def test_stabilizer_s3():
@@ -435,6 +471,22 @@ def test_stabilizer_closes_the_schreier_products_without_closing_the_group(monke
     assert max(orders) == 216
 
 
+CLOSURE_COUNTS = {
+    "su3_cover(4)": (lambda: su3_cover(4), 1),
+    "sl2_cover(31)": (lambda: sl2_cover(31), 1),
+    # what `family sp --m 3` closes: O+(6,2) and its derived subgroup
+    "symplectic_witness(3)": (lambda: symplectic_witness(3, +1), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_COUNTS))
+def test_a_listed_group_and_its_greedy_generating_set_take_one_closure(case, monkeypatch):
+    build, count = CLOSURE_COUNTS[case]
+    closed = record_calls(monkeypatch, group, "closure")
+    build()
+    assert len(closed) == count
+
+
 def test_closure_stops_at_a_given_order():
     ops, gens = su33_bench_generators()
     walked, stopped = CountingOps(ops), CountingOps(ops)
@@ -457,7 +509,7 @@ def test_su3_cover_lists_its_stabilizer_by_cosets(monkeypatch):
 def test_a_closed_group_sorts_on_first_read():
     G = sl2(7)
     assert unsorted(G)
-    assert G.order == len(G) == 336
+    assert G.order == 336
     assert G.identity in G and ((1, 2), (0, 1)) in G and ((2, 0), (0, 2)) not in G
     assert unsorted(G)
     keys = list(G.members)
@@ -471,7 +523,7 @@ def test_a_closed_group_sorts_on_first_read():
 
 
 def test_the_symplectic_witness_leaves_its_groups_unsorted(monkeypatch):
-    # greedy_closure's closures, O+(6,2) and its derived subgroup: the
+    # the closures of O+(6,2) and of its derived subgroup: the
     # witness reads their orders only
     closed = record_calls(monkeypatch, group, "closure")
     symplectic_witness(3, +1)
@@ -573,8 +625,8 @@ def test_double_coset_size_formula():
     hset = set(H.elements)
     for cell in double_coset_decomposition(G, H):
         x = cell[0]
-        xinv = G.inv(x)
-        inter = sum(1 for h in H.elements if G.mul(G.mul(x, h), xinv) in hset)
+        xinv = G.ops.inv(x)
+        inter = sum(1 for h in H.elements if G.ops.mul(G.ops.mul(x, h), xinv) in hset)
         assert len(cell) == H.order**2 // inter
 
 
@@ -625,10 +677,10 @@ def test_verify_homomorphism_reads_every_generator_row():
     t, c = (1, 0, 2), (1, 2, 0)
     S3 = FiniteGroup(PermOps(3), s3().elements, [t, c])
     f = {S3.identity: 0, t: 1}
-    for b in (c, S3.mul(c, c)):
+    for b in (c, S3.ops.mul(c, c)):
         f[b] = 1
-        f[S3.mul(t, b)] = 0
-    assert all((f[t] + f[b]) % 2 == f[S3.mul(t, b)] for b in S3.elements)
+        f[S3.ops.mul(t, b)] = 0
+    assert all((f[t] + f[b]) % 2 == f[S3.ops.mul(t, b)] for b in S3.elements)
     values = np.array([f[b] for b in S3.elements])
     with pytest.raises(GroupError, match="not a homomorphism"):
         LinearCharacter(2, S3, values, (2, ())).verify_homomorphism()
@@ -750,7 +802,7 @@ def test_direct_product():
     assert P.order == 12
     a = (G.elements[1], 1)
     b = (G.elements[2], 1)
-    assert P.mul(a, b) == (G.mul(G.elements[1], G.elements[2]), 0)
+    assert P.ops.mul(a, b) == (G.ops.mul(G.elements[1], G.elements[2]), 0)
     assert direct_product_with_cyclic(sl2(5), 4).order == 480
 
 
@@ -760,9 +812,9 @@ def test_associativity_and_inverses_spot_check():
     els = G.elements
     for _ in range(1000):
         a, b, c = (rng.choice(els) for _ in range(3))
-        assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
+        assert G.ops.mul(G.ops.mul(a, b), c) == G.ops.mul(a, G.ops.mul(b, c))
     for a in els:
-        assert G.mul(a, G.inv(a)) == G.identity
+        assert G.ops.mul(a, G.ops.inv(a)) == G.identity
 
 
 def closed_spec(data):
@@ -828,7 +880,7 @@ def test_associativity_spot_checks_small_groups():
         els = G.elements
         for _ in range(1000):
             a, b, c = (rng.choice(els) for _ in range(3))
-            assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
+            assert G.ops.mul(G.ops.mul(a, b), c) == G.ops.mul(a, G.ops.mul(b, c))
         for a in els:
-            assert G.mul(a, G.inv(a)) == G.identity
-            assert G.mul(G.inv(a), a) == G.identity
+            assert G.ops.mul(a, G.ops.inv(a)) == G.identity
+            assert G.ops.mul(G.ops.inv(a), a) == G.identity

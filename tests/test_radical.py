@@ -529,11 +529,11 @@ def test_decomposition_table_rejects_an_incomplete_stabilizer():
     cover, x = sl2_cover(5)
     # drop the unipotent part: the torus alone is not transitive on the
     # five points other than the base point
-    from rouxforge.group import FiniteGroup, small_generating_set
+    from rouxforge.group import FiniteGroup
     from rouxforge.radical import CoverData
 
     torus = [g for g in cover.stab.elements if g[0][1] == 0]
-    stab = FiniteGroup(cover.ops, torus, small_generating_set(cover.ops, torus))
+    stab = FiniteGroup(cover.ops, torus, closure(sorted(torus), cover.ops, order=len(torus)).generators)
     with pytest.raises(TransitivityError, match="not transitive"):
         HigmanDecompositionTable(CoverData(cover.action, stab, cover.base_point), x)
 
@@ -541,7 +541,7 @@ def test_decomposition_table_rejects_an_incomplete_stabilizer():
 def test_decomposition_table_rejects_a_stabilizer_missing_one_element():
     # the listed generators still reach the dropped element, but it is one
     # of the h_j(g), which must lie in the listed stabilizer
-    from rouxforge.group import FiniteGroup, small_generating_set
+    from rouxforge.group import FiniteGroup
     from rouxforge.radical import CoverData
 
     cover, x = sl2_cover(5)
@@ -549,19 +549,19 @@ def test_decomposition_table_rejects_a_stabilizer_missing_one_element():
     dropped = cover.stab.elements[table.h.max()]
     assert dropped != cover.ops.identity
     short = [g for g in cover.stab.elements if g != dropped]
-    stab = FiniteGroup(cover.ops, short, small_generating_set(cover.ops, short))
+    stab = FiniteGroup(cover.ops, short, closure(sorted(short), cover.ops, order=len(short)).generators)
     with pytest.raises(RadicalError, match="stabilizer list is incomplete"):
         HigmanDecompositionTable(CoverData(cover.action, stab, cover.base_point), x)
 
 
 def test_cover_verify_rejects_an_incomplete_stabilizer():
-    from rouxforge.group import FiniteGroup, small_generating_set
+    from rouxforge.group import FiniteGroup
     from rouxforge.radical import CoverData
 
     cover = materialized(sl2_cover(5)[0])
     cover.verify()
     short = cover.stab.elements[:-1]
-    stab = FiniteGroup(cover.ops, short, small_generating_set(cover.ops, short))
+    stab = FiniteGroup(cover.ops, short, closure(sorted(short), cover.ops, order=len(short)).generators)
     # the greedy generators of the short list generate the whole Borel group
     with pytest.raises(GroupError, match="the elements are not closed under the generators") as refused:
         CoverData(cover.action, stab, cover.base_point).verify()
@@ -569,14 +569,14 @@ def test_cover_verify_rejects_an_incomplete_stabilizer():
 
 
 def test_cover_verify_rejects_a_stabilizer_element_outside_the_group():
-    from rouxforge.group import FiniteGroup, small_generating_set
+    from rouxforge.group import FiniteGroup
     from rouxforge.radical import CoverData
 
     cover = materialized(sl2_cover(5)[0])
     outside = ((2, 0), (0, 1))  # fixes the base point, determinant 2
     assert outside not in cover.action.group
     listed = cover.stab.elements[:-1] + [outside]
-    stab = FiniteGroup(cover.ops, listed, small_generating_set(cover.ops, listed))
+    stab = FiniteGroup(cover.ops, listed, closure(sorted(listed), cover.ops, order=len(listed)).generators)
     # the list's greedy generators generate a group beyond the list
     with pytest.raises(GroupError, match="the elements are not closed under the generators") as refused:
         CoverData(cover.action, stab, cover.base_point).verify()
