@@ -27,7 +27,6 @@ import gc
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -241,8 +240,8 @@ def cmd_detect(args) -> int:
     # x's index in sorted G*: every element of G* below x lies in the stabilizer
     x_index = bisect.bisect_left(cover.stab.elements, table.x)
 
-    def run(item):
-        idx, alpha = item
+    rows = []
+    for idx, alpha in wanted:
         found = higman_roux(table, alpha)
         row = {
             "character": {
@@ -260,13 +259,7 @@ def cmd_detect(args) -> int:
             row["params"] = list(found.params.coeffs)
             row["r"] = found.rad.r
             row["idempotents"] = idempotent_report(found.params)
-        return row
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, wanted))
-    else:
-        rows = [run(item) for item in wanted]
+        rows.append(row)
 
     payload = {
         "n": action.degree,
@@ -385,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", help="output path (default: stdout)")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
-    # family and verify take it too, and never read it
-    shared.add_argument("--jobs", type=int, default=1, help="worker pool size for detect's character sweep")
+    # no command reads it: it is kept because bench/workloads.py passes --jobs 1 on every input
+    shared.add_argument("--jobs", type=int, default=1, help="accepted and ignored; no command reads it")
     # only the commands that certify lines read the tolerances
     tolerances = argparse.ArgumentParser(add_help=False)
     # their defaults are those of lines.Tolerances

@@ -181,8 +181,19 @@ class CharacterBlock:
         }
 
 
+class CheckedReport:
+    """A report's named checks: it passes when every one of them does."""
+
+    @property
+    def passed(self) -> bool:
+        return all(c["passed"] for c in self.checks)
+
+    def check(self, name: str, passed: bool, detail: str = "") -> None:
+        self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
+
 @dataclass
-class FamilyReport:
+class FamilyReport(CheckedReport):
     family: str
     q: int
     n: int
@@ -191,15 +202,8 @@ class FamilyReport:
     schema: int = 1
 
     @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-    @property
     def higman_count(self) -> int:
         return sum(1 for c in self.characters if c.higman)
-
-    def check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     def to_json(self) -> dict:
         return {
@@ -640,18 +644,11 @@ def su3_family(q: int, allow_large: bool = False, tol: Tolerances = Tolerances()
 
 
 @dataclass
-class WitnessReport:
+class WitnessReport(CheckedReport):
     family: str
     label: str
     checks: list
     notes: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-    def check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     def to_json(self) -> dict:
         return {

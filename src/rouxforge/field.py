@@ -9,6 +9,7 @@ polynomial arithmetic above ``TABLE_LIMIT``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -138,9 +139,9 @@ class FieldSpec:
         self.irreducible = poly
         if k > 1:
             self._check_irreducible()
-        self._mul_table: Optional[list[int]] = None
-        self._add_table: Optional[list[int]] = None
-        self._inv_table: Optional[list[int]] = None
+        self.powers = p ** np.arange(k, dtype=np.int64)  # p^t, the place value of coefficient t in a code
+        if self.q <= TABLE_LIMIT:
+            self._build_tables()
 
     def _check_irreducible(self) -> None:
         """Rabin's test: monic f of degree k is irreducible over F_p iff
@@ -178,21 +179,26 @@ class FieldSpec:
 
     # -- code-level arithmetic (hot path) ---------------------------------
 
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """[s, t, u]: coefficient u of x^(s+t) mod f, for s, t < k."""
+        k, basis = self.k, np.eye(self.k, dtype=np.int64).tolist()
+        shift = [_poly_mul_mod(x_s, x_t, self.irreducible, self.p) for x_s in basis for x_t in basis]
+        return np.array(shift, dtype=np.int64).reshape(k, k, k)
+
     def _build_tables(self) -> None:
         """The flat q x q add and mul tables, entry a * q + b, and the
         inverse table, from numpy arithmetic on coefficient vectors.
 
         The pairs (a, b) are taken in row-major blocks.  A sum is the
         coefficientwise sum mod p; a product contracts the outer product
-        of the coefficients with ``shift``, the coefficients of x^(s+t)
-        mod f.  Each of its k^2 terms is below p^3 <= 2^24 (q is at most
-        ``TABLE_LIMIT`` = 2^8), so int64 holds it exactly.  The inverse of a is the b where row a of
-        the mul table holds 1, unique when it exists.
+        of the coefficients with ``shift``.  Each of its k^2 terms is below
+        p^3 <= 2^24 (q is at most ``TABLE_LIMIT`` = 2^8), so int64 holds it
+        exactly.  The inverse of a is the b where row a of the mul table
+        holds 1, unique when it exists.
         """
-        p, k, q = self.p, self.k, self.q
-        powers = p ** np.arange(k, dtype=np.int64)
-        basis = np.eye(k, dtype=np.int64).tolist()
-        shift = np.array([_poly_mul_mod(x_s, x_t, self.irreducible, p) for x_s in basis for x_t in basis])
+        p, k, q, powers = self.p, self.k, self.q, self.powers
+        shift = self.shift.reshape(k * k, k)
         block = max(1, TABLE_BLOCK_BYTES // (8 * k * k))
         add, mul = [], []
         inv = [0] * q
@@ -214,8 +220,6 @@ class FieldSpec:
 
     def add(self, a: int, b: int) -> int:
         if self.q <= TABLE_LIMIT:
-            if self._add_table is None:
-                self._build_tables()
             return self._add_table[a * self.q + b]
         return self.encode([(x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))])
 
@@ -225,8 +229,6 @@ class FieldSpec:
         tables held in locals, with no method call."""
         out = []
         if self.q <= TABLE_LIMIT:
-            if self._mul_table is None:
-                self._build_tables()
             q, add, mul = self.q, self._add_table, self._mul_table
             for v in vs:
                 acc = 0
@@ -251,8 +253,6 @@ class FieldSpec:
 
     def mul(self, a: int, b: int) -> int:
         if self.q <= TABLE_LIMIT:
-            if self._mul_table is None:
-                self._build_tables()
             return self._mul_table[a * self.q + b]
         return self.encode(_poly_mul_mod(self.decode(a), self.decode(b), self.irreducible, self.p))
 
@@ -260,8 +260,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("division by zero in finite field")
         if self.q <= TABLE_LIMIT:
-            if self._inv_table is None:
-                self._build_tables()
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
 

@@ -97,8 +97,6 @@ class MatOps:
         self.identity = tuple(
             tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
         )
-        # p^t is both the place value of coefficient t and the code of x^t
-        self._powers = [spec.p**t for t in range(spec.k)]
 
     def mul(self, a, b):
         dots, cols = self.spec.dots, list(zip(*b))
@@ -131,28 +129,20 @@ class MatOps:
         h[i][l], l-major, so the array is (|H| dim) x (dim k)."""
         d, k = self.dim, self.spec.k
         codes = np.array(H, dtype=np.int64).reshape(len(H) * d, d, 1)
-        return (codes // self._powers % self.spec.p).reshape(len(H) * d, d * k)
-
-    @cached_property
-    def _shift(self) -> np.ndarray:
-        """[s, t, u]: coefficient u of x^(s+t) mod f, from k^2 field products."""
-        spec, powers = self.spec, self._powers
-        return np.array(
-            [[spec.decode(spec.mul(x_s, x_t)) for x_t in powers] for x_s in powers], dtype=np.int64
-        ).reshape(spec.k, spec.k, spec.k)
+        return (codes // self.spec.powers % self.spec.p).reshape(len(H) * d, d * k)
 
     def batch_codes(self, batch, b) -> np.ndarray:
         """Row j: the entry codes of h_j b, row-major.  Multiplication by b
         is F_p-linear: block (l, j) of its dk x dk matrix maps the
         coefficients of a to those of a * b[l][j], column s being
         x^s * b[l][j], whose coefficients are b[l][j]'s contracted with the
-        cached ``_shift``.  One integer matmul, then mod p and re-encode.
+        field's ``shift``.  One integer matmul, then mod p and re-encode.
         Each sum has dk terms below p^2 <= 2^40 (FieldSpec caps q at 2^20)."""
         spec, d, k = self.spec, self.dim, self.spec.k
-        coeffs = np.array(b, dtype=np.int64).reshape(d, d, 1) // self._powers % spec.p  # [l, j, t]
-        block = np.einsum("ljt,stu->lsju", coeffs, self._shift) % spec.p
+        coeffs = np.array(b, dtype=np.int64).reshape(d, d, 1) // spec.powers % spec.p  # [l, j, t]
+        block = np.einsum("ljt,stu->lsju", coeffs, spec.shift) % spec.p
         coeffs = batch @ block.reshape(d * k, d * k) % spec.p
-        return coeffs.reshape(-1, d * d, k) @ self._powers
+        return coeffs.reshape(-1, d * d, k) @ spec.powers
 
     def keys(self, codes: np.ndarray) -> list:
         d = self.dim
@@ -267,28 +257,43 @@ class FiniteGroup:
 
     @cached_property
     def cayley_tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """A breadth-first spanning tree of the Cayley graph (edges
-        b -> b g_k) from the identity, read off ``generator_table`` layer by
-        layer: each layer's new element indices, their parents' and the
-        generators' indices, so a parent's layer comes before its child's.
-        It must span every element: then the generators generate the list."""
-        table = self.generator_table
-        t = len(table)
-        seen = np.zeros(self.order, dtype=bool)
-        frontier = np.array([self.index[self.identity]])
-        seen[frontier] = True
-        layers = []
-        while frontier.size:
-            parents = np.tile(frontier, t)
-            gens = np.repeat(np.arange(t), frontier.size)
-            frontier, first = np.unique(table[gens, parents], return_index=True)
-            new = ~seen[frontier]
-            frontier, first = frontier[new], first[new]
-            seen[frontier] = True
-            layers.append((frontier, parents[first], gens[first]))
-        if not seen.all():
+        """The ``breadth_first_tree`` of the Cayley graph (edges b -> b g_k)
+        from the identity, read off ``generator_table``.  It must span
+        every element: then the generators generate the list."""
+        layers = breadth_first_tree(self.generator_table, self.index[self.identity])
+        if 1 + sum(len(children) for children, _, _ in layers) != self.order:
             raise GroupError("the generators do not generate the group")
         return layers
+
+
+def breadth_first_tree(table: np.ndarray, root: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A breadth-first spanning tree of what ``root`` reaches along the
+    edges p -> table[k, p] of a (t x n) index table (``generator_perms``
+    for an orbit, ``generator_table`` for a Cayley graph): per layer, the
+    new nodes, their parents and the generators' indices.
+
+    Flattened, the layers are the edges (child, parent, k) in the order a
+    first-in first-out search reaches them: a layer's candidates are
+    formed parent-major, an unseen child keeps its first occurrence, and
+    the next frontier is ordered by that occurrence, not by node index.
+    So Schreier transversals, off-tree edges and products, and the
+    stabilizers, x and roux read from them are the search's.  No report
+    reads a Cayley tree's shape: characters are homomorphisms whatever
+    words the tree gives and are sorted by key, and ``covering_kernel``
+    sorts its output.
+    """
+    t = len(table)
+    seen = np.zeros(table.shape[1], dtype=bool)
+    frontier, layers = np.array([root]), []
+    while frontier.size:
+        seen[frontier] = True
+        parents, gens = np.repeat(frontier, t), np.tile(np.arange(t), frontier.size)
+        children = table[gens, parents]
+        _, first = np.unique(children, return_index=True)
+        first = np.sort(first[~seen[children[first]]])
+        frontier = children[first]
+        layers.append((frontier, parents[first], gens[first]))
+    return layers
 
 
 class GeneratedGroup:
@@ -412,21 +417,6 @@ class GroupAction:
             raise GroupError("a generator moves a point off the point set")
         return perms
 
-    def search_tree(self, base: int) -> list[tuple[int, int, int]]:
-        """Breadth-first search tree of the orbit of point index ``base``:
-        edges (child, parent, k), child = generators[k].parent, in the
-        order the points are reached; the orbit is base and the children."""
-        perms = self.generator_perms.tolist()
-        tree, order, reached = [], [base], {base}
-        for p in order:
-            for k, perm in enumerate(perms):
-                q = perm[p]
-                if q not in reached:
-                    reached.add(q)
-                    tree.append((q, p, k))
-                    order.append(q)
-        return tree
-
     def transversal(self, base: int, root=None) -> Transversal:
         """The Schreier transversal of point index ``base``'s orbit with
         t_base = ``root`` (default the identity), built once per action,
@@ -444,12 +434,13 @@ class Transversal:
     """The Schreier transversal of one orbit, and its Schreier products.
 
     Let b be the base point's index, g_k the generators and pi_k their
-    point permutations.  Along ``tree`` = ``action.search_tree(b)``,
-    t_b = 1 and t_q = g_k t_p on a tree edge (q, p, k), so t_j.b = j;
-    ``reps`` and ``inv_reps`` hold t_j and t_j^{-1} for each orbit point j
-    in the order it is reached, at one product each per tree edge.
-    ``off_tree`` lists the other edges (j, k), point by point and then by
-    generator, and ``schreier`` their products s_jk = t_{pi_k j}^{-1} g_k t_j.
+    point permutations.  Along the pi_k's ``breadth_first_tree`` from b
+    (``layers``), t_b = 1 and t_q = g_k t_p on a tree edge (q, p, k), so
+    t_j.b = j; ``reps`` and ``inv_reps`` hold t_j and t_j^{-1} for each
+    orbit point j in the order it is reached, at one product each per tree
+    edge.  ``off_tree`` lists the other edges (j, k), point by point and
+    then by generator, and ``schreier`` their products
+    s_jk = t_{pi_k j}^{-1} g_k t_j.
 
     Schreier's lemma: the s_jk generate the stabilizer of b.  Each fixes
     b, since g_k t_j.b = pi_k j = t_{pi_k j}.b.  Conversely, an element s
@@ -472,14 +463,15 @@ class Transversal:
         # no reference back to the action, which caches this object: a
         # cycle would keep both alive until the cyclic collector runs
         self.base, self._ops, self._gens, self._perms = base, ops, gens, action.generator_perms
-        self.tree = action.search_tree(base)
+        self.layers = breadth_first_tree(action.generator_perms, base)
         self.reps = {base: ops.identity if root is None else root}
         self.inv_reps = {base: ops.identity if root is None else ops.inv(root)}
         ginvs = [ops.inv(g) for g in gens]
-        for q, p, k in self.tree:
+        children, parents, ks = (np.concatenate(a).tolist() for a in zip(*self.layers))
+        for q, p, k in zip(children, parents, ks):
             self.reps[q] = ops.mul(gens[k], self.reps[p])
             self.inv_reps[q] = ops.mul(self.inv_reps[p], ginvs[k])
-        on_tree = {(p, k) for _, p, k in self.tree}
+        on_tree = set(zip(parents, ks))
         self.off_tree = [(j, k) for j in self.reps for k in range(len(gens)) if (j, k) not in on_tree]
 
     @cached_property
@@ -544,7 +536,7 @@ def is_doubly_transitive(action: GroupAction, stab_action: GroupAction) -> bool:
         raise TransitivityError("action is not transitive (H1 fails)")
     if action.degree < 2:
         return False
-    return len(stab_action.search_tree(1)) == action.degree - 2
+    return sum(len(c) for c, _, _ in breadth_first_tree(stab_action.generator_perms, 1)) == action.degree - 2
 
 
 def derived_subgroup(G: FiniteGroup) -> FiniteGroup:

@@ -3,7 +3,8 @@
 Each function here recomputes, straight from a definition, something the
 library computes faster elsewhere or only proves: matrix products over a
 finite field from polynomial arithmetic alone, the closure of a
-generating set, the action axioms on generator products, the isotropic
+generating set, a breadth-first tree by a first-in first-out search,
+the action axioms on generator products, the isotropic
 points of the unitary Hermitian form from every vector, the point
 stabilizer and the covering kernel by acting with every element, double
 transitivity, double cosets and their decompositions, the per-cell
@@ -99,6 +100,21 @@ def closure_bfs(generators: Sequence, ops) -> FiniteGroup:
                     new.append(c)
         frontier = new
     return FiniteGroup(ops, els, generators)
+
+
+def search_tree(table: np.ndarray, root: int) -> list[tuple[int, int, int]]:
+    """First-in first-out search along the edges p -> table[k, p]: the
+    tree edges (child, parent, k) in the order the nodes are reached."""
+    rows = np.asarray(table).tolist()
+    tree, order, reached = [], [root], {root}
+    for p in order:
+        for k, row in enumerate(rows):
+            q = row[p]
+            if q not in reached:
+                reached.add(q)
+                tree.append((q, p, k))
+                order.append(q)
+    return tree
 
 
 def check_action_axioms(action: GroupAction) -> None:

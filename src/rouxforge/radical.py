@@ -27,8 +27,8 @@ action (x_j.b = point j):
   h_j(g) in G0*, hence x_{pi i}^{-1} x_{pi j} = h_i (x_i^{-1} x_j) h_j^{-1}
   and B[pi i, pi j] = B[i, j] + alpha(h_i(g)) - alpha(h_j(g)) in C_r.
   Row b is read off n - 1 decompositions (x_b = 1); every other row
-  follows from its parent in the transversal's search tree, where
-  h = 1.  The identity is then checked on every generator and cell:
+  follows from its parent in the transversal's breadth-first tree,
+  where h = 1.  The identity is then checked on every generator and cell:
   G* acts on the lines by monomial matrices preserving B, and with
   row b and transitivity that proves every entry.
 * Parameters.  c_w = (n-1)/|G0*| #{zeta in G0* : x zeta x^{-1} =
@@ -290,7 +290,7 @@ class HigmanDecompositionTable:
         transversal = action.transversal(b)
         if len(transversal.reps) != n:
             raise TransitivityError("the action is not transitive")
-        self.tree = transversal.tree
+        self.layers = transversal.layers
         self.reps = [transversal.reps[j] for j in range(n)]
         self.perms = action.generator_perms
         one = ref(ops.identity)
@@ -401,7 +401,7 @@ def roux_from_higman_pair(
     with x_i^{-1} x_j in H (1,w) (x,z) H, x_i the transversal.
 
     Row b is read off its decompositions and the other rows propagated
-    along the search tree; then the symmetry certificate checks
+    along the breadth-first tree, one layer at a time; then the symmetry certificate checks
     B[pi i, pi j] = B[i, j] + alpha(h_i(g)) - alpha(h_j(g)) on every
     generator g of G* and every cell (see the module docstring).
     """
@@ -412,8 +412,8 @@ def roux_from_higman_pair(
     B[b] = (a[table.row_b].sum(axis=0) - key.z_exponent) % r
     B[b, b] = 0
     A = a[table.h]
-    for q, p, k in table.tree:
-        B[q, table.perms[k]] = (B[p] - A[k]) % r
+    for children, parents, gens in table.layers:  # a parent's row is filled in an earlier layer
+        B[children[:, None], table.perms[gens]] = (B[parents] - A[gens]) % r
     for k, (perm, ak) in enumerate(zip(table.perms, A)):
         bad = B[np.ix_(perm, perm)] != (B + ak[:, None] - ak[None, :]) % r
         if bad.any():

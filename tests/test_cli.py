@@ -925,22 +925,31 @@ def test_detect_su33_reads_one_transversal_per_action_and_base(tmp_path, capsys,
 def test_detect_su33_walks_the_g_star_orbit_once(tmp_path, capsys, monkeypatch):
     # the stabilizer's transversal walks it; the transitivity checks, the
     # search for x and the decomposition table read that transversal
-    from rouxforge.group import FiniteGroup, GroupAction
+    from functools import cached_property
 
-    walks = []
-    search_tree = GroupAction.search_tree
+    from rouxforge import group
+    from rouxforge.group import GroupAction
 
-    def recording(self, base):
-        # G* is only generated; the stabilizer's actions are enumerated
-        walks.append(isinstance(self.group, FiniteGroup))
-        return search_tree(self, base)
+    g_star_perms, walks = [], []
+    generator_perms = GroupAction.generator_perms.func
 
-    monkeypatch.setattr(GroupAction, "search_tree", recording)
+    def recording_perms(self):
+        perms = generator_perms(self)
+        if isinstance(self.group, group.GeneratedGroup):  # G* is only generated
+            g_star_perms.append(perms)
+        return perms
+
+    recording_perms = cached_property(recording_perms)
+    recording_perms.__set_name__(GroupAction, "generator_perms")
+    monkeypatch.setattr(GroupAction, "generator_perms", recording_perms)
+    walk = group.breadth_first_tree
+    monkeypatch.setattr(group, "breadth_first_tree", lambda table, root: walks.append(table) or walk(table, root))
     path = tmp_path / "su33.json"
     path.write_text(json.dumps(dict(su33_bench_spec(), action="isotropic")))
     code, out, _ = run(["detect", str(path)], capsys)
     assert code == 0 and json.loads(out)["group_order"] == 6048
-    assert walks.count(False) == 1
+    assert len(g_star_perms) == 1
+    assert sum(table is g_star_perms[0] for table in walks) == 1
 
 
 def test_detect_never_closes_the_group(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from rouxforge.field import (
@@ -144,6 +145,7 @@ def test_irreducibility_test_matches_inverse_table(p, k):
             accepted = False
         unchecked = object.__new__(FieldSpec)
         unchecked.p, unchecked.k, unchecked.q, unchecked.irreducible = p, k, p**k, tuple(poly)
+        unchecked.powers = p ** np.arange(k)
         try:
             unchecked._build_tables()
             is_field = True
@@ -155,7 +157,6 @@ def test_irreducibility_test_matches_inverse_table(p, k):
 @pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (3, 2), (2, 4), (31, 1), (7, 2), (2, 6), (3, 4)])
 def test_tables_match_polynomial_arithmetic_on_every_pair(p, k):
     F = FieldSpec(p, k)
-    F._build_tables()
     coeffs = [F.decode(a) for a in range(F.q)]
     assert F._add_table == [F.encode([(x + y) % p for x, y in zip(ca, cb)]) for ca in coeffs for cb in coeffs]
     assert F._mul_table == [F.encode(_poly_mul_mod(ca, cb, F.irreducible, p)) for ca in coeffs for cb in coeffs]
@@ -177,11 +178,21 @@ def test_elements_are_canonical_keys():
     assert F9.encode([4, 3]) == F9.encode([1, 0])  # reduced mod p
 
 
+TABLES = {"_add_table", "_mul_table", "_inv_table"}
+
+
 def test_a_field_above_the_table_limit_builds_no_table():
     # F_4096's two q^2-entry tables took 29 s and 1.25 GB to build
-    spec = FieldSpec(2, 12, (1, 1, 0, 0, 1, 0, 1) + (0,) * 5 + (1,))  # x^12 + x^6 + x^4 + x + 1
     start = time.perf_counter()
+    spec = FieldSpec(2, 12, (1, 1, 0, 0, 1, 0, 1) + (0,) * 5 + (1,))  # x^12 + x^6 + x^4 + x + 1
     assert spec.mul(2, 3) == 6  # x (1 + x) = x + x^2
     assert time.perf_counter() - start < 1.0
-    assert spec._mul_table is None and spec._add_table is None
+    assert not TABLES & vars(spec).keys()
     assert spec.q > TABLE_LIMIT
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (251, 1)])
+def test_a_field_at_or_below_the_table_limit_holds_its_tables_once_constructed(p, k):
+    spec = FieldSpec(p, k)
+    assert spec.q <= TABLE_LIMIT and TABLES <= vars(spec).keys()
+    assert (len(spec._add_table), len(spec._mul_table), len(spec._inv_table)) == (spec.q**2, spec.q**2, spec.q)

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+from functools import cache
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rouxforge.group import (
     MatOps,
     PermOps,
     ProductOps,
+    breadth_first_tree,
     closure,
     derived_subgroup,
     enumerate_linear_characters,
@@ -36,11 +38,12 @@ from rouxforge.oracles import (
     is_doubly_transitive_bruteforce,
     isotropic_points_scan,
     matrix_product_poly,
+    search_tree,
     stabilizer_scan,
     subgroup,
 )
 from rouxforge.radical import CoverData, RadicalError
-from util import materialized, record_calls, su33_bench_generators, su33_bench_spec
+from util import materialized, record_calls, su33_bench_generators, su33_bench_spec, tree_edges
 
 
 def s3():
@@ -113,6 +116,31 @@ def test_closure_matches_bfs_oracle_on_permutations(case):
             kept.append(g)
             reached = set(closure_bfs(kept, PermOps(n)).elements)
     assert G.generators == (kept or [PermOps(n).identity])
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutation_generators(), st.data())
+def test_breadth_first_tree_lists_the_fifo_search_edges_on_permutations(case, data):
+    n, gens = case
+    perms = np.array(gens, dtype=np.intp)  # row k: the images g_k(p), the natural action's point permutations
+    root = data.draw(st.integers(0, n - 1))
+    assert tree_edges(breadth_first_tree(perms, root)) == search_tree(perms, root)
+
+
+@cache
+def cover_tables(q: int) -> list:
+    """G*'s and the stabilizer's point permutations and the stabilizer's
+    generator table, for sl2_cover(q) or (q = 3) su3_cover(3) too."""
+    covers = [sl2_cover(q)[0]] + ([su3_cover(3)[0]] if q == 3 else [])
+    return [t for c in covers for t in (c.action.generator_perms, c.stab_action.generator_perms, c.stab.generator_table)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13]), st.data())
+def test_breadth_first_tree_lists_the_fifo_search_edges_on_covers(q, data):
+    for table in cover_tables(q):
+        root = data.draw(st.integers(0, table.shape[1] - 1))
+        assert tree_edges(breadth_first_tree(table, root)) == search_tree(table, root)
 
 
 def test_closure_matches_bfs_oracle_on_matrices():
@@ -568,7 +596,7 @@ def test_orbit_walks_read_the_cached_point_permutations():
     assert len(calls) == len(G.generators) * action.degree
     calls.clear()
     assert action.is_transitive()
-    assert len(action.search_tree(3)) == action.degree - 1
+    assert len(action.transversal(3).reps) == action.degree
     assert calls == []
 
 
@@ -757,7 +785,7 @@ def test_a_rooted_transversal_conjugates_by_its_root():
     ops, r = action.group.ops, ((0, 1), (6, 0))
     plain, rooted = action.transversal(3), action.transversal(3, root=r)
     rinv = ops.inv(r)
-    assert rooted.tree == plain.tree and rooted.off_tree == plain.off_tree
+    assert tree_edges(rooted.layers) == tree_edges(plain.layers) and rooted.off_tree == plain.off_tree
     for j, t in plain.reps.items():
         assert rooted.reps[j] == ops.mul(t, r)
         assert rooted.inv_reps[j] == ops.mul(rinv, plain.inv_reps[j])

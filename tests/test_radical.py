@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from util import cover_of, materialized, random_outside_stabilizer, su33_bench_generators
+from util import cover_of, materialized, random_outside_stabilizer, su33_bench_generators, tree_edges
 
 from rouxforge.families import isotropic_line_action, sl2_cover, su3_cover
 from rouxforge.group import (
@@ -430,7 +430,7 @@ def test_symmetry_certificate_names_a_corrupted_cocycle_entry():
     b = table.base_index
     assert table.perms[0, b] == b
     wrong = next(i for i, v in enumerate(quad.values) if v == 1)
-    tree = {(p, k) for _, p, k in table.tree}
+    tree = {(p, k) for _, p, k in tree_edges(table.layers)}
     corrupted = [j for j in range(cover.n) if j != b and (j, 0) not in tree]
     assert len(corrupted) == 2
     for j in corrupted:
@@ -454,7 +454,7 @@ def test_symmetry_certificate_runs_on_every_generator():
     action = GroupAction(GeneratedGroup(G.ops, gens), cover.action.points, cover.action.act)
     cover = CoverData(action, cover.stab, cover.base_point)
     table = HigmanDecompositionTable(cover, x)
-    assert all(k < len(gens) - 1 for _, _, k in table.tree)
+    assert all(k < len(gens) - 1 for _, _, k in tree_edges(table.layers))
     rad = radicalize(cover, by_order(chars, 2)[0])
     key = find_key(rad, table)
     last = len(gens) - 1

@@ -1,7 +1,7 @@
 """Shared test fixtures: small hand-built roux instances, the JSON files
 of roux and two-graphs, covers of enumerated groups, closed copies of
 the built-in covers, random cover elements, the benchmark's SU(3,3)
-generating set and a call recorder."""
+generating set, the edges of a breadth-first tree and a call recorder."""
 
 import sys
 
@@ -79,6 +79,12 @@ def materialized(cover) -> CoverData:
     G = cover.action.group
     action = GroupAction(closure(G.generators, G.ops, name=G.name), cover.action.points, cover.action.act)
     return CoverData(action, cover.stab, cover.base_point)
+
+
+def tree_edges(layers) -> list:
+    """The edges (child, parent, k) of ``group.breadth_first_tree``'s
+    layers, layer by layer and in order within each."""
+    return [edge for layer in layers for edge in zip(*(a.tolist() for a in layer))]
 
 
 def record_calls(monkeypatch, module, name: str) -> list:
