@@ -13,7 +13,7 @@ brute-force reference checks that the tests compare against live in
 
 from .field import FieldSpec
 from .group import FiniteGroup, GroupAction, LinearCharacter
-from .roux import IdempotentData, RouxMatrix, RouxParameters, verify_roux
+from .roux import RouxMatrix, RouxParameters, verify_roux
 from .radical import CoverData, Key, Radicalization, detect_higman, radicalize
 from .lines import ETFCertificate, LineGram, Tolerances, TwoGraph, verify_etf
 from .families import FamilyReport, sl2_family, su3_family
@@ -27,7 +27,6 @@ __all__ = [
     "FieldSpec",
     "FiniteGroup",
     "GroupAction",
-    "IdempotentData",
     "Key",
     "LineGram",
     "LinearCharacter",

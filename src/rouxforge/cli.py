@@ -136,9 +136,9 @@ def cmd_family(args) -> int:
     else:
         _require(args.q is not None, f"--q is required for {name}")
     if name == "psl2":
-        report = families.sl2_family(args.q, _tolerances(args))
+        report = families.sl2_family(args.q, lines.Tolerances(etf=args.tol_etf))
     elif name == "psu3":
-        report = families.su3_family(args.q, allow_large=args.allow_large, tol=_tolerances(args))
+        report = families.su3_family(args.q, lines.Tolerances(etf=args.tol_etf))
     elif name == "suzuki":
         report = families.suzuki_refutation(args.q)
     elif name == "ree":
@@ -353,7 +353,7 @@ def _verify_twograph_file(data: dict, args) -> int:
 
 
 def _tolerances(args) -> lines.Tolerances:
-    """The ``--tol-etf`` and ``--tol-eig`` of this call, defaults where not given."""
+    """The ``--tol-etf`` and ``--tol-eig`` of a ``verify`` call, defaults where not given."""
     return lines.Tolerances(args.tol_etf, args.tol_eig)
 
 
@@ -380,11 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     # no command reads it: it is kept because bench/workloads.py passes --jobs 1 on every input
     shared.add_argument("--jobs", type=int, default=1, help="accepted and ignored; no command reads it")
-    # only the commands that certify lines read the tolerances
+    # only the commands that certify lines read the tolerances, with the defaults of
+    # lines.Tolerances; only verify computes eigenvalues, so only it reads --tol-eig
     tolerances = argparse.ArgumentParser(add_help=False)
-    # their defaults are those of lines.Tolerances
-    tolerances.add_argument("--tol-eig", type=_tolerance(1.0), default=lines.Tolerances.eig,
-                            help="relative eigenvalue clustering tolerance, in (0, 1)")
     tolerances.add_argument("--tol-etf", type=_tolerance(float("inf")), default=lines.Tolerances.etf,
                             help="frame certification tolerance, finite and > 0")
 
@@ -394,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--m", type=int)
     fam.add_argument("--epsilon", choices=("+", "-", "plus", "minus", "+1", "-1", "1"), default="+")
     fam.add_argument("--r-prime", type=int, help="restrict report to characters of this image order")
-    fam.add_argument("--allow-large", action="store_true", help="lift the desk-scale cap for psu3")
     fam.set_defaults(func=cmd_family)
 
     det = sub.add_parser("detect", parents=[shared], help="Higman-pair detection for a group file")
@@ -404,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", parents=[shared, tolerances], help="verify a matrix or two-graph file")
     ver.add_argument("file")
+    ver.add_argument("--tol-eig", type=_tolerance(1.0), default=lines.Tolerances.eig,
+                     help="relative eigenvalue clustering tolerance, in (0, 1)")
     ver.add_argument("--kind", choices=("roux", "etf", "signature", "twograph"), required=True)
     ver.set_defaults(func=cmd_verify)
     return parser

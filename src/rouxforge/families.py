@@ -5,14 +5,16 @@ Suzuki, Ree, and symplectic groups.
 The positive pipelines never materialize the full cover group: the
 stabilizer is enumerated structurally, coset representatives come from
 orbit search, and detection/key-finding/parameter extraction are all
-stabilizer-local.
+stabilizer-local.  Their one size bound is ``group.DERIVED_CAP`` on the
+stabilizer's order, checked in closed form before anything is built.
 
 The line sets of a roux B over C_r are its images under the characters
 k of C_r, and ``signature_matrix(B, k)`` computes entry (i, j) from the
 integer m = (B.exps[i, j] k) mod r and from r alone.  Line sets with
-equal n, r and phase grid m therefore have bit-equal signature matrices,
-and so bit-equal Grams, certificates and numeric realness; a zero grid,
-J - I, has the same matrix for every r.  Many line sets of one family
+equal n, r and phase grid m therefore have bit-equal signature matrices
+and numeric realness, and mathematically equal Grams (see
+``LineCertificates``); a zero grid, J - I, has the same matrix for every
+r.  Many line sets of one family
 share a grid: every k = 0 set, whatever its r; in the
 unitary family, the sets of a character alpha and of alpha^{-1} (the
 ``radical`` module docstring proves it); and, observed at q <= 8 but not
@@ -38,6 +40,7 @@ from .group import (
     GeneratedGroup,
     GroupAction,
     MatOps,
+    check_enumeration_cap,
     closure,
     derived_subgroup,
     enumerate_linear_characters,
@@ -63,8 +66,6 @@ from .roux import (
     signature_matrix,
 )
 
-SL2_MAX_Q = 31
-SU3_DEFAULT_MAX_Q = 4
 # The sp witness loops over all 2^(2m) vectors: m = 8 takes 0.2 s, each step up about 4x.
 SP_MAX_M = 8
 # Relation checks in the Suzuki and Ree witnesses: how many cases, and
@@ -78,7 +79,7 @@ class FamilyError(ValueError):
 
 
 class UnsupportedFamilyError(FamilyError):
-    """Family input outside the supported desk-scale range."""
+    """Family input outside the range the family is built for."""
 
 
 class LineSetError(ValueError):
@@ -126,13 +127,10 @@ class LineSetRecord:
     real_algebraic: bool
     real_numeric: bool
     etf: ETFCertificate
-    complement: Optional[ETFCertificate]
+    complement: ETFCertificate
 
     def dims(self) -> set[int]:
-        dims = {self.etf.d}
-        if self.complement is not None:
-            dims.add(self.complement.d)
-        return dims
+        return {self.etf.d, self.complement.d}
 
     def to_json(self) -> dict:
         return {
@@ -143,7 +141,7 @@ class LineSetRecord:
             "real_algebraic": self.real_algebraic,
             "real_numeric": self.real_numeric,
             "etf": self.etf.to_json(),
-            "complement": self.complement.to_json() if self.complement else None,
+            "complement": self.complement.to_json(),
         }
 
 
@@ -369,7 +367,10 @@ class LineCertificates:
     out, and the key stays exact.  A zero grid gives J - I whatever r is.
     A nonzero grid fixes r: B is inverse-symmetric, so m_ij + m_ji = r
     wherever m_ij != 0.  Grids of different dtype widths have bytes of
-    different lengths.  Only d, the two
+    different lengths.  Equal grids give equal S, so mathematically equal
+    Fourier coefficients: sets that share a grid get (mu, d) equal up to
+    the rounding of ``RouxParameters.fourier``, and reuse the first set's
+    certificate.  Only d, the two
     certificates and the numeric realness are stored.  A set that fails
     raises before it is stored, so the first failing character and k are
     named as without the cache.  Each family call builds its own, so no
@@ -380,10 +381,12 @@ class LineCertificates:
         self.tol = tol
         self._certified: dict[tuple, tuple] = {}
 
-    def certify(self, B: RouxMatrix, k: int, index: int) -> tuple:
+    def certify(self, B: RouxMatrix, plus: dict, index: int) -> tuple:
         """(d, certificate, complement certificate, numeric realness) of
-        the lines of B at character k; a set the lines layer refuses
-        raises LineSetError naming character ``index`` and k."""
+        the lines of B at the k, mu and d of its idempotent + row ``plus``;
+        a set the lines layer refuses raises LineSetError naming character
+        ``index`` and k."""
+        k = plus["k"]
         n, r = B.n, B.r
         # (B.exps k) mod r read off a table of (e k) mod r for e in C_r, as
         # signature_matrix reads its phases, in the least dtype that holds r - 1
@@ -394,9 +397,9 @@ class LineCertificates:
             tol = self.tol
             S = signature_matrix(B, k)
             try:
-                gram = gram_from_signature(S, tol)
+                gram = gram_from_signature(S, tol, spectrum=(plus["mu"], round(plus["d"])))
                 cert = verify_etf(gram, tol)
-                comp_cert = verify_etf(naimark_complement(gram, tol), tol) if gram.d < n else None
+                comp_cert = verify_etf(naimark_complement(gram, tol), tol)
             except LinesError as exc:
                 raise LineSetError(f"character {index}, k = {k}: {exc}") from exc
             # gram_from_signature has checked S; at k = 0 it is J - I
@@ -413,7 +416,7 @@ def _line_set_records(
     turn; the rest comes from ``certs``."""
     records = []
     for k, (plus, minus) in enumerate(zip(idempotents[::2], idempotents[1::2])):
-        d, cert, comp_cert, real_numeric = certs.certify(B, k, index)
+        d, cert, comp_cert, real_numeric = certs.certify(B, plus, index)
         records.append(
             LineSetRecord(
                 k=k,
@@ -477,9 +480,8 @@ def sl2_family(q: int, tol: Tolerances = Tolerances()) -> FamilyReport:
     builds the C_4 roux for the latter, and certifies the resulting
     (q+1, (q+1)/2) line sets, real exactly when q = 1 mod 4.
     """
-    if q > SL2_MAX_Q:
-        raise UnsupportedFamilyError(f"q = {q} exceeds the desk-scale cap {SL2_MAX_Q}")
     p, _ = prime_power(q)
+    check_enumeration_cap(q * (q - 1), f"q = {q}: stabilizer")
     if p == 2:
         raise UnsupportedFamilyError(
             f"q = {q} is even: no nontrivial doubly transitive lines exist for this family"
@@ -549,7 +551,7 @@ def sl2_family(q: int, tol: Tolerances = Tolerances()) -> FamilyReport:
     return report
 
 
-def su3_family(q: int, allow_large: bool = False, tol: Tolerances = Tolerances()) -> FamilyReport:
+def su3_family(q: int, tol: Tolerances = Tolerances()) -> FamilyReport:
     """Full pipeline for SU(3,q) on its q^3 + 1 isotropic lines (q > 2).
 
     Detector passes exactly for the q+1 characters whose image order
@@ -559,11 +561,8 @@ def su3_family(q: int, allow_large: bool = False, tol: Tolerances = Tolerances()
     """
     if q <= 2:
         raise UnsupportedFamilyError("q = 2 is outside the unitary family's range (q > 2)")
-    if q > SU3_DEFAULT_MAX_Q and not allow_large:
-        raise UnsupportedFamilyError(
-            f"q = {q} exceeds the default cap {SU3_DEFAULT_MAX_Q}; pass allow_large=True"
-        )
     prime_power(q)
+    check_enumeration_cap(q**3 * (q * q - 1), f"q = {q}: stabilizer")
     cover, x, eta_b0 = su3_cover(q)
     n = q**3 + 1
     report = FamilyReport(family="psu3", q=q, n=n, characters=[], checks=[])

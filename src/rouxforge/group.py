@@ -631,6 +631,12 @@ def _relation_basis(words: np.ndarray, table: np.ndarray) -> list[list[int]]:
     return H
 
 
+def check_enumeration_cap(order: int, name: str = "group") -> None:
+    """Refuse to list the characters of more than ``DERIVED_CAP`` elements: the one size bound."""
+    if order > DERIVED_CAP:
+        raise CapExceededError(f"{name} order {order} exceeds the enumeration cap {DERIVED_CAP}")
+
+
 def enumerate_linear_characters(G: FiniteGroup) -> list[LinearCharacter]:
     """All homomorphisms G -> T, one per element of the dual of G/[G,G].
 
@@ -643,8 +649,7 @@ def enumerate_linear_characters(G: FiniteGroup) -> list[LinearCharacter]:
     divided by gcd(N, f) into reduced form.  Output is sorted by (modulus,
     exponents on the generators), trivial character first.
     """
-    if G.order > DERIVED_CAP:
-        raise CapExceededError("derived subgroup cap exceeded")
+    check_enumeration_cap(G.order)
     t = len(G.generators)
     words = np.zeros((G.order, t), dtype=np.int64)
     for children, parents, gens in G.cayley_tree:

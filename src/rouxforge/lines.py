@@ -2,10 +2,11 @@
 certification, Welch bound, Naimark complements, and two-graphs.
 
 Everything here is floating point; the exact layers live upstream.
-The two tolerances a run may set, ``--tol-etf`` and ``--tol-eig``, form
-one frozen ``Tolerances`` value that the caller passes to each function
-that reads them (the defaults when omitted); a certificate fixes its
-verdict when it is built.  The other bounds are constants.
+The two tolerances a run may set, ``--tol-etf`` and ``--tol-eig`` (read by
+``verify`` alone: a family's line sets compute no eigenvalues), form one
+frozen ``Tolerances`` value that the caller passes to each function that
+reads them (the defaults when omitted); a certificate fixes its verdict
+when it is built.  The other bounds are constants.
 """
 
 from __future__ import annotations
@@ -107,18 +108,33 @@ class LineGram:
         return float(np.max(np.abs(G @ G - (self.n / self.d) * G)))
 
 
-def gram_from_signature(S: np.ndarray, tol: Tolerances = Tolerances()) -> LineGram:
+def gram_from_signature(S: np.ndarray, tol: Tolerances = Tolerances(), spectrum: Optional[tuple] = None) -> LineGram:
     """Scale by the least eigenvalue: G = -S/lambda_min + I is a unit
     diagonal PSD Gram.  Its eigenvalues are 1 - w/lambda_min for the
     eigenvalues w of S, in the same ascending order since lambda_min < 0,
-    so S's one eigendecomposition serves both."""
+    so S's one eigendecomposition serves both.
+
+    With ``spectrum`` = (mu, d), the + row of the idempotent table of a
+    roux B with S = chi_k(B), no eigensolver runs.  ``verify_roux`` has
+    proved B^2 = (n-1)I + sum c_g gB and chi_k is a ring homomorphism, so
+    S^2 = (n-1)I + cS, c the Fourier coefficient at k: S has eigenvalues
+    (n-1)mu and -1/mu, the first d times by trace 0, and G = I + mu S has
+    0 and n/d (d times).  At c = n - 2, every k = 0 set, mu = d = 1
+    exactly, so G = J and its tightness residual is exactly 0.  That
+    residual is still measured on G: G^2 - (n/d)G is a combination of I
+    and S whose coefficients both vanish only at the + or the - row's
+    (mu, d), each its branch's true Gram: any other leaves a residual of
+    order 1 and cannot pass."""
     S = check_signature(S)
+    n = S.shape[0]
+    if spectrum is not None:
+        mu, d = spectrum
+        return LineGram.from_spectrum(np.eye(n) + mu * S, np.repeat([0.0, n / d], [n - d, d]), tol)
     w = np.linalg.eigvalsh(S)
     lam = w[0]
     if lam >= 0:
         raise LinesError("least eigenvalue must be negative (trace is zero)")
-    G = np.eye(S.shape[0]) - S / lam
-    return LineGram.from_spectrum(G, 1 - w / lam, tol)
+    return LineGram.from_spectrum(np.eye(n) - S / lam, 1 - w / lam, tol)
 
 
 @dataclass(frozen=True)

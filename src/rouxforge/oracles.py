@@ -465,7 +465,7 @@ def gram_from_idempotent(
         params = verify_roux(B)
     n, r = B.n, B.r
     plus, minus = idempotent_data(params, k)
-    mu = plus.mu if eps > 0 else minus.mu
+    mu = (plus if eps > 0 else minus)["mu"]
     inner = np.eye(n, dtype=complex) + mu * signature_matrix(B, (-k) % r)
     w = np.exp(2j * np.pi * (np.arange(r) * k % r) / r)
     F = np.outer(w, w.conj())
@@ -501,21 +501,20 @@ def line_set_records_uncached(B: RouxMatrix, params: RouxParameters, index: int)
     certificate shared between sets, and the idempotent ranks and
     algebraic realness computed per k."""
     records = []
-    n, r = B.n, B.r
-    for k in range(r):
+    for k in range(B.r):
         plus, minus = idempotent_data(params, k)
         S = signature_matrix(B, k)
         try:
             gram = gram_from_signature(S)
             cert = verify_etf(gram)
-            comp_cert = verify_etf(naimark_complement(gram)) if gram.d < n else None
+            comp_cert = verify_etf(naimark_complement(gram))
         except LinesError as exc:
             raise LineSetError(f"character {index}, k = {k}: {exc}") from exc
         records.append(
             LineSetRecord(
                 k=k,
-                d_plus=plus.d,
-                d_minus=minus.d,
+                d_plus=plus["d"],
+                d_minus=minus["d"],
                 signature_rank=gram.d,
                 real_algebraic=is_real_lines(params, k),
                 real_numeric=is_real_line_sequence(S) if k else True,

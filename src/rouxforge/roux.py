@@ -283,21 +283,9 @@ def compress_to_subgroup(B: RouxMatrix, r_new: int, params: RouxParameters) -> R
     return RouxMatrix(n, r_new, normalized.exps // step)
 
 
-@dataclass(frozen=True)
-class IdempotentData:
-    """One sign branch of the idempotent attached to a character."""
-
-    k: int
-    eps: int  # +1 or -1
-    mu: float
-    d: float
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "eps": "+" if self.eps > 0 else "-", "mu": self.mu, "d": self.d}
-
-
-def idempotent_data(params: RouxParameters, k: int) -> tuple[IdempotentData, IdempotentData]:
-    """mu and rank for both sign branches at character index k.
+def idempotent_data(params: RouxParameters, k: int) -> tuple[dict, dict]:
+    """The + and the - row of the idempotent table at character index k:
+    ``{"k", "eps", "mu", "d"}``, mu and rank for each sign branch.
 
     When the Fourier transform equals n-2 (the trivial-line case) the
     values collapse to mu in {1, -1/(n-1)} and d in {1, n-1}; those are
@@ -306,20 +294,14 @@ def idempotent_data(params: RouxParameters, k: int) -> tuple[IdempotentData, Ide
     n = params.n
     c_hat = params.fourier(k)
     if abs(c_hat - (n - 2)) < IDEMPOTENT_TOL:
-        plus = IdempotentData(k, +1, 1.0, 1.0)
-        minus = IdempotentData(k, -1, -1.0 / (n - 1), float(n - 1))
-        return plus, minus
-    if abs(c_hat + (n - 2)) < IDEMPOTENT_TOL:
-        plus = IdempotentData(k, +1, 1.0 / (n - 1), float(n - 1))
-        minus = IdempotentData(k, -1, -1.0, 1.0)
-        return plus, minus
-    disc = math.sqrt(c_hat * c_hat + 4 * (n - 1))
-    out = []
-    for eps in (+1, -1):
-        mu = (c_hat + eps * disc) / (2 * (n - 1))
-        d = n / (1 + (n - 1) * mu * mu)
-        out.append(IdempotentData(k, eps, mu, d))
-    return out[0], out[1]
+        branches = ((1.0, 1.0), (-1.0 / (n - 1), float(n - 1)))
+    elif abs(c_hat + (n - 2)) < IDEMPOTENT_TOL:
+        branches = ((1.0 / (n - 1), float(n - 1)), (-1.0, 1.0))
+    else:
+        disc = math.sqrt(c_hat * c_hat + 4 * (n - 1))
+        mus = ((c_hat + disc) / (2 * (n - 1)), (c_hat - disc) / (2 * (n - 1)))
+        branches = tuple((mu, n / (1 + (n - 1) * mu * mu)) for mu in mus)
+    return tuple({"k": k, "eps": eps, "mu": mu, "d": d} for eps, (mu, d) in zip("+-", branches))
 
 
 def signature_matrix(B: RouxMatrix, k: int) -> np.ndarray:
@@ -342,8 +324,7 @@ def idempotent_report(params: RouxParameters) -> list[dict]:
     rows = []
     for k in range(params.r):
         real = is_real_lines(params, k)
-        for data in idempotent_data(params, k):
-            row = data.to_json()
+        for row in idempotent_data(params, k):
             row["real"] = real
             rows.append(row)
     return rows

@@ -165,11 +165,11 @@ def test_criterion_4_idempotent_identities(psl_runs, psu_run):
         n = params.n
         for k in range(params.r):
             plus, minus = idempotent_data(params, k)
-            ok = ok and abs(plus.mu * minus.mu + 1 / (n - 1)) < 1e-9
-            ok = ok and abs(plus.d + minus.d - n) < 1e-9
+            ok = ok and abs(plus["mu"] * minus["mu"] + 1 / (n - 1)) < 1e-9
+            ok = ok and abs(plus["d"] + minus["d"] - n) < 1e-9
             checked += 1
         plus0, minus0 = idempotent_data(params, 0)
-        ok = ok and {plus0.d, minus0.d} == {1.0, float(n - 1)}
+        ok = ok and {plus0["d"], minus0["d"]} == {1.0, float(n - 1)}
     criterion(
         4,
         ok,

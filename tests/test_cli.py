@@ -16,10 +16,10 @@ from rouxforge.roux import RouxMatrix, switch
 
 
 # Digests of the JSON reports of `family psl2 --q 13` and `family psu3 --q 3`.
-# Their float fields come from LAPACK, so another numpy or BLAS build may
-# change the last digits.
-PSL2_Q13_SHA256 = "ddc70eeb424ba41caddf85209a5ee525fd760c190dfe7a5885984c82cc1cb2dc"
-PSU3_Q3_SHA256 = "c0f63165530a9f878ac4a294c17bb3b659a2710c74760386e3e6611538ee8ee8"
+# Their float fields come from BLAS products of the Grams, so another numpy
+# or BLAS build may change the last digits.
+PSL2_Q13_SHA256 = "e30238914e0c91c94accae4c11369f00c12c72159966c0c09e51166ac9163759"
+PSU3_Q3_SHA256 = "4b73b26c8558f97fca1fe075e4a976d57d33d24990f270114ed1ce4a03210022"
 
 
 def run(argv, capsys):
@@ -58,8 +58,11 @@ def test_family_psl2_even_q_exit2(capsys):
     [
         ["suzuki", "--q", "2097152"],
         ["ree", "--q", "14348907"],
-        ["psu3", "--q", "1031", "--allow-large"],
-        ["psu3", "--q", str(10**18 + 9), "--allow-large"],
+        ["psu3", "--q", "1031"],
+        ["psu3", "--q", str(10**18 + 9)],
+        # the first q above the enumeration cap, refused before anything is built
+        ["psu3", "--q", "11"],
+        ["psl2", "--q", "317"],
         ["suzuki", "--q", "128"],  # no built-in field polynomial for 2^7
         ["sp", "--m", "9"],
         ["sp", "--m", "64"],
@@ -788,11 +791,31 @@ def test_detect_takes_no_tolerance_flags(tmp_path):
         assert exc.value.code == 2
 
 
+def test_family_takes_no_eigenvalue_or_size_flags(capsys):
+    # a family's line sets take their spectrum from the roux, and its one
+    # size bound is the enumeration cap: --tol-eig and --allow-large are gone
+    for extra in (["--tol-eig", "1e-3"], ["--allow-large"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "psu3", "--q", "3"] + extra)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
+
+
+FAMILY_PSL2_Q5 = ["family", "psl2", "--q", "5"]
+VERIFY_ETF = ["verify", "unread.json", "--kind", "etf"]
+TOL_EIG_VALUES = ("nan", "inf", "2", "1", "0", "-1")
+TOL_ETF_VALUES = ("nan", "inf", "0", "-1")
+
+
 @pytest.mark.parametrize(
-    "flag,value",
-    [("--tol-eig", v) for v in ("nan", "inf", "2", "1", "0", "-1")] + [("--tol-etf", v) for v in ("nan", "inf", "0", "-1")],
+    "command,flag,value",
+    [
+        pytest.param(command, flag, value, id=f"command{i}-{flag}-{value}")
+        for i, command, flags in ((0, FAMILY_PSL2_Q5, ("--tol-etf",)), (1, VERIFY_ETF, ("--tol-eig", "--tol-etf")))
+        for flag in flags
+        for value in (TOL_EIG_VALUES if flag == "--tol-eig" else TOL_ETF_VALUES)
+    ],
 )
-@pytest.mark.parametrize("command", [["family", "psl2", "--q", "5"], ["verify", "unread.json", "--kind", "etf"]])
 def test_tolerance_flags_out_of_range_exit2(capsys, command, flag, value):
     # refused while parsing: a rank of 0 or a certificate that always
     # passes or always fails would follow from these values
@@ -862,11 +885,12 @@ def test_failed_symmetry_certificate_exit1(tmp_path, capsys, monkeypatch):
 
 
 def test_family_failed_line_certificate_exit1(capsys):
-    # no Gram is tight to 1e-300: the first line set checked fails, named
-    # by its character, k and residual, with no traceback
+    # every k = 0 Gram is J, exactly tight, but no other Gram is tight to
+    # 1e-300: the first such line set fails, named by its character, k and
+    # residual, with no traceback
     code, out, err = run(["family", "psl2", "--q", "13", "--tol-etf", "1e-300"], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: character 0, k = 0: input Gram is not tight (residual ")
+    assert err.startswith("error: character 1, k = 1: input Gram is not tight (residual ")
     assert err.count("\n") == 1
 
 
@@ -877,12 +901,19 @@ def test_family_failed_line_certificate_names_the_first_failing_set(capsys):
     from rouxforge.lines import gram_from_signature
     from rouxforge.roux import signature_matrix
 
-    first = next(b for b in sl2_family(13).characters if b.higman)
-    assert first.index == 0
-    residual = gram_from_signature(signature_matrix(first.working_roux, 0)).tightness_residual
+    residuals = [
+        (b.index, plus["k"], gram_from_signature(
+            signature_matrix(b.working_roux, plus["k"]), spectrum=(plus["mu"], round(plus["d"]))
+        ).tightness_residual)
+        for b in sl2_family(13).characters
+        if b.higman
+        for plus in b.idempotents[::2]
+    ]
+    index, k, residual = next(case for case in residuals if case[2] > 0)
+    assert (index, k) == (1, 1)
     code, out, err = run(["family", "psl2", "--q", "13", "--tol-etf", "1e-300"], capsys)
     assert (code, out) == (1, "")
-    assert err == f"error: character 0, k = 0: input Gram is not tight (residual {residual:.3e})\n"
+    assert err == f"error: character {index}, k = {k}: input Gram is not tight (residual {residual:.3e})\n"
 
 
 def test_detect_su33_reads_one_transversal_per_action_and_base(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,14 @@
+import dataclasses
+import json
 from functools import cache
 
+import numpy as np
 import pytest
-from util import record_calls
+from hypothesis import given, settings, strategies as st
+from util import paley6_roux, record_calls
 
 from rouxforge import lines
+from rouxforge.cli import main
 from rouxforge.families import (
     FamilyError,
     UnsupportedFamilyError,
@@ -18,10 +23,12 @@ from rouxforge.families import (
     symplectic_witness,
     trivial_parameters_closed_form,
 )
+from rouxforge.group import CapExceededError
+from rouxforge.lines import LinesError, gram_from_signature, verify_etf
 from rouxforge.oracles import line_set_records_uncached
-from rouxforge.roux import RouxParameters, verify_roux
+from rouxforge.roux import RouxParameters, signature_matrix, verify_roux
 
-# every q the special linear family takes: odd prime powers up to its cap, but 9
+# the special linear family's odd prime powers up to 31, but 9
 SL2_QS = (3, 5, 7, 11, 13, 17, 19, 23, 25, 27, 29, 31)
 
 
@@ -51,8 +58,13 @@ def psu4():
 
 
 @cache
+def sl2_report(q):
+    return sl2_family(q)
+
+
+@cache
 def su3_report(q):
-    return su3_family(q, allow_large=True)
+    return su3_family(q)
 
 
 def quad_block(report):
@@ -71,8 +83,11 @@ def test_sl2_family_unsupported_inputs():
         sl2_family(4)
     with pytest.raises(UnsupportedFamilyError, match="9"):
         sl2_family(9)
-    with pytest.raises(UnsupportedFamilyError):
-        sl2_family(37)
+    # one cap, the stabilizer's order q(q - 1) against DERIVED_CAP, checked
+    # before anything is built: 313 * 312 lies under 10^5 and 317 * 316 not
+    with pytest.raises(CapExceededError, match="q = 317: stabilizer order 100172 exceeds the enumeration cap 100000"):
+        sl2_family(317)
+    assert sl2_family(37).passed
 
 
 def test_sl2_family_q5(psl5):
@@ -144,8 +159,9 @@ def test_psu3_closed_form():
 def test_su3_family_unsupported_inputs():
     with pytest.raises(UnsupportedFamilyError):
         su3_family(2)
-    with pytest.raises(UnsupportedFamilyError, match="allow_large"):
-        su3_family(5)
+    # q^3 (q^2 - 1) is 58,320 at q = 9 and 159,720 at q = 11
+    with pytest.raises(CapExceededError, match="q = 11: stabilizer order 159720 exceeds the enumeration cap 100000"):
+        su3_family(11)
 
 
 def test_su3_family_q3(psu3):
@@ -303,19 +319,86 @@ def test_sl2_family_prime_power_q25():
     assert k1.etf.d == 13 and k1.real_algebraic
 
 
+def assert_close(got, expected, path="record"):
+    """Every non-float field equal, every float within 1e-10."""
+    if isinstance(expected, dict):
+        assert got.keys() == expected.keys(), path
+        for key in expected:
+            assert_close(got[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, float):
+        assert type(got) is float and abs(got - expected) <= 1e-10, (path, got, expected)
+    else:
+        assert got == expected, path
+
+
 @pytest.mark.parametrize("family, q", [("psl2", q) for q in SL2_QS] + [("psu3", q) for q in (3, 4, 5)])
 def test_line_set_records_equal_the_uncached_oracle(family, q):
-    # line sets with equal phase grids share one certificate; every record
-    # must still equal, float for float, that of a sweep certifying each
-    # set from its own signature matrix
-    report = sl2_family(q) if family == "psl2" else su3_report(q)
+    # line sets with equal phase grids share one certificate, and take their
+    # spectrum from the idempotent table; every record must still equal that
+    # of a sweep certifying each set from its own signature matrix with the
+    # eigensolver, every non-float field exactly and every float to 1e-10
+    report = sl2_report(q) if family == "psl2" else su3_report(q)
     blocks = [b for b in report.characters if b.higman]
     assert blocks
     for b in blocks:
         params = RouxParameters(report.n, b.working_r, b.working_params)
         expected = line_set_records_uncached(b.working_roux, params, b.index)
-        assert b.line_sets == expected
-        assert repr(b.line_sets) == repr(expected)  # repr keeps every bit of a float
+        assert len(b.line_sets) == len(expected)
+        for got, want in zip(b.line_sets, expected):
+            assert_close(dataclasses.asdict(got), dataclasses.asdict(want))
+
+
+@st.composite
+def perturbed_spectra(draw):
+    """A line set of psl2 q <= 13 or psu3 q = 3/4, and its + row's (mu, d)
+    with mu scaled by 1 + delta, |delta| >= 1e-6, or d replaced by another
+    value in 1..n - 1."""
+    family, q = draw(st.sampled_from([("psl2", q) for q in (3, 5, 7, 11, 13)] + [("psu3", 3), ("psu3", 4)]))
+    report = sl2_report(q) if family == "psl2" else su3_report(q)
+    block = draw(st.sampled_from([b for b in report.characters if b.higman]))
+    B = block.working_roux
+    k = draw(st.integers(0, B.r - 1))
+    plus = block.idempotents[2 * k]
+    mu, d = plus["mu"], round(plus["d"])
+    if draw(st.booleans()):
+        delta = draw(st.floats(1e-6, 0.5)) * draw(st.sampled_from((1, -1)))
+        spectrum = (mu * (1 + delta), d)
+    else:
+        other = draw(st.integers(1, B.n - 2))
+        spectrum = (mu, other if other < d else other + 1)
+    return signature_matrix(B, k), spectrum
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_spectra())
+def test_a_wrong_spectrum_never_passes(case):
+    # G^2 - (n/d) G is a combination of I and S whose coefficients vanish
+    # only at the + and the - row: any other (mu, d) leaves a residual
+    S, spectrum = case
+    try:
+        cert = verify_etf(gram_from_signature(S, spectrum=spectrum))
+    except LinesError:
+        return
+    assert not cert.passed
+
+
+def test_family_line_sets_call_no_eigensolver(monkeypatch, tmp_path):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert sl2_family(13).passed and su3_family(4).passed
+    assert calls == []
+    # a signature file comes with no roux, so verify still computes its spectrum
+    S = signature_matrix(paley6_roux(4), 1)
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps({"n": 6, "entries": [[z.real, z.imag] for z in S.ravel()]}))
+    assert main(["verify", str(path), "--kind", "signature", "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) >= 1
 
 
 def test_each_phase_grid_is_certified_once_per_family_run(monkeypatch):

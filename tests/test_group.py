@@ -658,6 +658,17 @@ def test_double_coset_size_formula():
         assert len(cell) == H.order**2 // inter
 
 
+def test_characters_are_refused_above_the_enumeration_cap(monkeypatch):
+    # the families refuse a q in the same words, from the stabilizer's
+    # closed-form order; derived_subgroup keeps its own message
+    monkeypatch.setattr(group, "DERIVED_CAP", 5)
+    G = s3()
+    with pytest.raises(CapExceededError, match="^group order 6 exceeds the enumeration cap 5$"):
+        enumerate_linear_characters(G)
+    with pytest.raises(CapExceededError, match="^derived subgroup cap exceeded$"):
+        derived_subgroup(G)
+
+
 def test_derived_subgroup():
     ops = PermOps(4)
     C4 = closure([(1, 2, 3, 0)], ops)

@@ -23,7 +23,7 @@ from rouxforge.lines import (
     welch_bound,
 )
 from rouxforge.oracles import gram_vectors, two_graph_from_lines
-from rouxforge.roux import signature_matrix
+from rouxforge.roux import RouxParameters, idempotent_data, signature_matrix
 
 
 def etf63_signature() -> np.ndarray:
@@ -38,6 +38,21 @@ def test_gram_from_all_ones_signature():
     assert gram.d == 1
     assert np.allclose(gram.matrix, np.ones((n, n)), atol=1e-9)
     assert vectors.shape == (1, n)
+
+
+def test_all_ones_lines_from_the_idempotent_table_are_exactly_tight():
+    # J - I at n = 513, the k = 0 signature of su3 q = 8: the + row gives
+    # mu = 1 and d = 1 exactly, so G = J and G^2 = nG with no rounding
+    n = 513
+    plus, _ = idempotent_data(RouxParameters(n, 2, (n - 2, 0)), 0)
+    assert (plus["mu"], plus["d"]) == (1.0, 1.0)
+    S = np.ones((n, n)) - np.eye(n)
+    gram = gram_from_signature(S, spectrum=(plus["mu"], round(plus["d"])))
+    assert gram.d == 1 and (gram.matrix == 1).all()
+    assert gram.tightness_residual == 0
+    cert = verify_etf(gram)
+    assert cert.passed and cert.tightness_residual == 0
+    assert verify_etf(naimark_complement(gram)).passed
 
 
 def test_gram_from_etf63_signature():
@@ -335,7 +350,7 @@ def test_verify_etf_iff_two_eigenvalues():
 def test_psu33_signature_gives_28_7():
     # the (28,7) member of the unitary family, read back from its own signature
     from rouxforge.families import su3_family
-    from rouxforge.roux import signature_matrix
+    from rouxforge.roux import RouxParameters, idempotent_data, signature_matrix
 
     rep = su3_family(3)
     block = next(b for b in rep.characters if b.higman and b.image_order == 4)

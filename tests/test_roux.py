@@ -296,29 +296,29 @@ def test_compress_switched_roux_below_index_two(seed):
 def test_idempotent_trivial_branch_exact():
     params = verify_roux(all_ones_roux(6))
     plus, minus = idempotent_data(params, 0)
-    assert (plus.mu, plus.d) == (1.0, 1.0)
-    assert minus.d == 5.0  # exactly n-1
-    assert minus.mu == -1.0 / 5
+    assert (plus["mu"], plus["d"]) == (1.0, 1.0)
+    assert minus["d"] == 5.0  # exactly n-1
+    assert minus["mu"] == -1.0 / 5
 
 
 def test_idempotent_balanced_branch():
     # n=8 with vanishing Fourier transform: mu = +-1/sqrt(7), d = 4 both
     params = RouxParameters(8, 4, (0, 3, 0, 3))
     plus, minus = idempotent_data(params, 1)
-    assert plus.mu == pytest.approx(1 / math.sqrt(7), abs=1e-12)
-    assert minus.mu == pytest.approx(-1 / math.sqrt(7), abs=1e-12)
-    assert plus.d == pytest.approx(4, abs=1e-9)
-    assert minus.d == pytest.approx(4, abs=1e-9)
+    assert plus["mu"] == pytest.approx(1 / math.sqrt(7), abs=1e-12)
+    assert minus["mu"] == pytest.approx(-1 / math.sqrt(7), abs=1e-12)
+    assert plus["d"] == pytest.approx(4, abs=1e-9)
+    assert minus["d"] == pytest.approx(4, abs=1e-9)
 
 
 def test_idempotent_unitary_shape():
     # n=28 with Fourier transform q - q^2 = -6 at q=3
     params = RouxParameters(28, 4, (2, 8, 8, 8))
     plus, minus = idempotent_data(params, 1)
-    assert plus.mu == pytest.approx(1 / 9, abs=1e-12)
-    assert minus.mu == pytest.approx(-1 / 3, abs=1e-12)
-    assert plus.d == pytest.approx(21, abs=1e-9)
-    assert minus.d == pytest.approx(7, abs=1e-9)
+    assert plus["mu"] == pytest.approx(1 / 9, abs=1e-12)
+    assert minus["mu"] == pytest.approx(-1 / 3, abs=1e-12)
+    assert plus["d"] == pytest.approx(21, abs=1e-9)
+    assert minus["d"] == pytest.approx(7, abs=1e-9)
 
 
 def test_idempotent_identities_all_characters():
@@ -332,8 +332,8 @@ def test_idempotent_identities_all_characters():
         n = params.n
         for k in range(params.r):
             plus, minus = idempotent_data(params, k)
-            assert plus.mu * minus.mu == pytest.approx(-1 / (n - 1), abs=1e-9)
-            assert plus.d + minus.d == pytest.approx(n, abs=1e-9)
+            assert plus["mu"] * minus["mu"] == pytest.approx(-1 / (n - 1), abs=1e-9)
+            assert plus["d"] + minus["d"] == pytest.approx(n, abs=1e-9)
 
 
 def test_signature_trivial_character():
@@ -363,7 +363,7 @@ def test_gram_idempotent_ranks():
     assert matrix_rank_by_threshold(G) == 3
     assert idempotency_residual(G) < 1e-9
     plus, _ = idempotent_data(params, 1)
-    assert abs(matrix_rank_by_threshold(G) - plus.d) < 0.01
+    assert abs(matrix_rank_by_threshold(G) - plus["d"]) < 0.01
 
 
 def test_same_lines_correspondence():
@@ -378,7 +378,7 @@ def test_same_lines_correspondence():
     reps = [i * r for i in range(n)]
     G_small = G_big[np.ix_(reps, reps)]
     S = signature_matrix(B, k)
-    assert np.max(np.abs(G_small - (np.eye(n) + plus.mu * S))) < 1e-8
+    assert np.max(np.abs(G_small - (np.eye(n) + plus["mu"] * S))) < 1e-8
     # within each line block the r columns are phase-duplicates of one span
     for i in range(n):
         cols = G_big[:, i * r : (i + 1) * r]

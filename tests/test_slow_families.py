@@ -1,4 +1,4 @@
-"""The largest family runs: sl2 up to its cap q = 31, su3 at q = 5, and
+"""The largest family runs: sl2 up to q = 31, su3 at q = 5 and q = 8, and
 the generic detect path on SU(3,3)."""
 
 from rouxforge.families import sl2_family, su3_family
@@ -14,8 +14,8 @@ def test_sl2_family_remaining_q():
         assert k1.real_algebraic == expected_real
 
 
-def test_su3_family_q5_behind_flag():
-    rep = su3_family(5, allow_large=True)
+def test_su3_family_q5_inside_the_cap():
+    rep = su3_family(5)
     assert rep.passed
     assert rep.n == 126 and rep.higman_count == 6
     by_order = {}
@@ -27,6 +27,23 @@ def test_su3_family_q5_behind_flag():
         3: (28, 48, 48),
         6: (4, 24, 24, 24, 24, 24),
     }
+
+
+def test_su3_family_q8_passes_at_default_tolerances():
+    # n = 513: the k = 0 Gram is J, built from mu = 1 and d = 1 with no
+    # eigensolver, so its tightness residual is exactly 0
+    rep = su3_family(8)
+    assert rep.passed
+    assert rep.n == 513 and rep.higman_count == 9
+    zero = [ls for b in rep.characters if b.higman for ls in b.line_sets if ls.k == 0]
+    assert zero and all(ls.etf.d == 1 and ls.etf.tightness_residual == 0 for ls in zero)
+    assert all(
+        ls.etf.passed or ls.complement.passed
+        for b in rep.characters
+        if b.higman and b.image_order > 1
+        for ls in b.line_sets
+        if ls.k
+    )
 
 
 def test_cli_detect_su33_isotropic(tmp_path, capsys):
